@@ -16,6 +16,7 @@ import numpy as np
 
 from . import __version__
 from .core import (
+    PARAM_NAMES,
     RestrictedKind,
     characteristic_exponent,
     characteristic_function,
@@ -159,20 +160,7 @@ def _cmd_fit(args) -> int:
     fit = fit_mle(data, kind=kind, options=options)
     payload = {
         "model": args.model,
-        "params": dict(
-            zip(
-                (
-                    "mu",
-                    "beta_plus",
-                    "beta_minus",
-                    "alpha_plus",
-                    "alpha_minus",
-                    "lambda_plus",
-                    "lambda_minus",
-                ),
-                fit.params.as_tuple(),
-            )
-        ),
+        "params": dict(zip(PARAM_NAMES, fit.params.as_tuple())),
         "loglik": fit.loglik,
         "std_errors": list(fit.std_errors) if fit.std_errors is not None else None,
         "z_pvalues": list(fit.z_pvalues) if fit.z_pvalues is not None else None,

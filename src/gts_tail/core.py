@@ -176,12 +176,20 @@ def mgf_exponent(p: GTSParams, theta) -> float:
         raise DomainError(
             f"theta must lie in ({-p.lambda_minus}, {p.lambda_plus}), got {theta}"
         )
+    return float(_mgf_exponent_values(p, theta))
+
+
+def _mgf_exponent_values(p: GTSParams, theta):
+    """mgf_exponent elementwise over real theta, without the domain check.
+
+    Every theta must lie strictly inside (-lambda_minus, lambda_plus).
+    """
     val = (
         p.mu * theta
         + _one_sided_exponent(p.alpha_plus, p.beta_plus, p.lambda_plus, -theta)
         + _one_sided_exponent(p.alpha_minus, p.beta_minus, p.lambda_minus, theta)
     )
-    return float(np.real(val))
+    return np.real(val)
 
 
 def levy_density(p: GTSParams, x):

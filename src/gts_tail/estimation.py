@@ -25,7 +25,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import erfc
 
-from .core import GTSParams, RestrictedKind, cumulant, validate_params
+from .core import PARAM_NAMES, GTSParams, RestrictedKind, cumulant, validate_params
 from .errors import (
     DegenerateData,
     GtsError,
@@ -113,15 +113,7 @@ class NormalFit:
 # --------------------------------------------------------------------------
 
 def _free_names(kind):
-    return RestrictedKind(kind).free_names if kind is not None else (
-        "mu",
-        "beta_plus",
-        "beta_minus",
-        "alpha_plus",
-        "alpha_minus",
-        "lambda_plus",
-        "lambda_minus",
-    )
+    return RestrictedKind(kind).free_names if kind is not None else PARAM_NAMES
 
 
 def _expand(kind, free) -> GTSParams:
@@ -412,15 +404,14 @@ def _transformed_hessian(neg, t, step_rel):
         ei = np.zeros(n)
         ei[i] = h[i]
         H[i, i] = (neg(t + ei) - 2.0 * f0 + neg(t - ei)) / h[i] ** 2
+    # One 4-point stencil per pair, mirrored: (i,j) and (j,i) share it.
     for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
+        for j in range(i + 1, n):
             ei = np.zeros(n)
             ej = np.zeros(n)
             ei[i] = h[i]
             ej[j] = h[j]
-            H[i, j] = (
+            H[i, j] = H[j, i] = (
                 neg(t + ei + ej) - neg(t + ei - ej) - neg(t - ei + ej) + neg(t - ei - ej)
             ) / (4.0 * h[i] * h[j])
     return H
@@ -465,10 +456,7 @@ def standard_errors(fit: FitResult, data: ReturnSeries, options: FitOptions = Fi
     se_free = np.sqrt(var_nat)
 
     # Scatter free-coordinate errors onto the seven natural fields.
-    se = dict.fromkeys(
-        ("mu", "beta_plus", "beta_minus", "alpha_plus", "alpha_minus", "lambda_plus", "lambda_minus"),
-        0.0,
-    )
+    se = dict.fromkeys(PARAM_NAMES, 0.0)
     for name, s in zip(names, se_free):
         if name == "beta":
             se["beta_plus"] = se["beta_minus"] = float(s)
@@ -485,8 +473,7 @@ def standard_errors(fit: FitResult, data: ReturnSeries, options: FitOptions = Fi
         else:
             z = est[name] / se[name]
             pvals[name] = float(erfc(abs(z) / math.sqrt(2.0)))
-    order = ("mu", "beta_plus", "beta_minus", "alpha_plus", "alpha_minus", "lambda_plus", "lambda_minus")
-    return tuple(se[k] for k in order), tuple(pvals[k] for k in order), fallback
+    return tuple(se[k] for k in PARAM_NAMES), tuple(pvals[k] for k in PARAM_NAMES), fallback
 
 
 def information_criteria(fit: FitResult):

@@ -18,6 +18,13 @@ truncation boundary, and its own inversion is known in closed form:
     F(x) = Phi((x - kappa_1)/sqrt(kappa_2))
          - (1/2pi) * integral (cf - cf_ref)(xi)/(i xi) exp(-i x xi) dxi
 
+Both integrands are Hermitian, the frequency grid is symmetric with an even
+node count n, and the Newton-Cotes weights are palindromic, so each weighted
+sum equals (1/pi) * Re of its positive half alone: n/2 nodes starting at
+xi = dxi/2.  Only that half is sampled, and one Bluestein transform returns
+just the m grid values, on a linear convolution of length n/2 + m - 1
+(rounded up to a fast FFT size).
+
 A slow adaptive-quadrature oracle (`direct_quadrature_oracle`) evaluates the
 one-sided forms of the same inversion integrals at a single point for
 verification; it shares no code with the FRFT path.
@@ -30,11 +37,18 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 from scipy.special import ndtr
 
-from .core import GTSParams, characteristic_exponent, characteristic_function, cumulant, mgf_exponent
+from .core import (
+    GTSParams,
+    _mgf_exponent_values,
+    characteristic_exponent,
+    characteristic_function,
+    cumulant,
+)
 from .errors import ConfigError, ConvergenceFailure, NumericalFailure, SizeError
 
 __all__ = [
@@ -67,29 +81,42 @@ def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def frft(seq, delta: float) -> np.ndarray:
+def _bluestein(seq: np.ndarray, delta: float, m: int) -> np.ndarray:
     """G(k) = sum_j seq[j] * exp(-2 pi i j k delta) for k = 0..m-1.
 
-    Evaluates the sum for arbitrary real spacing ``delta`` in O(m log m) via
-    the Bluestein identity 2jk = j**2 + k**2 - (k-j)**2, which turns the sum
-    into a linear convolution of chirped sequences; the convolution runs on
-    zero-padded length-2m FFT buffers (three FFTs total).
+    Any input length n and output count m: the Bluestein identity
+    2jk = j**2 + k**2 - (k-j)**2 turns the sum into a linear convolution of
+    chirped sequences, run on zero-padded buffers of the fast FFT length
+    at or above n + m - 1 (three FFTs total).
+    """
+    n = seq.shape[0]
+    size = sp_fft.next_fast_len(n + m - 1)
+    t = np.arange(max(n, m), dtype=float)
+    chirp = np.exp(-1j * np.pi * delta * (t * t))
+    u = np.zeros(size, dtype=complex)
+    u[:n] = seq * chirp[:n]
+    # Kernel conj(chirp) at lags -(n-1)..m-1, negative lags wrapped to the end.
+    v = np.zeros(size, dtype=complex)
+    v[:m] = np.conj(chirp[:m])
+    v[size - n + 1 :] = np.conj(chirp[1:n][::-1])
+    conv = sp_fft.ifft(sp_fft.fft(u) * sp_fft.fft(v))
+    return chirp[:m] * conv[:m]
+
+
+def frft(seq, delta: float) -> np.ndarray:
+    """G(k) = sum_j seq[j] * exp(-2 pi i j k delta) for k = 0..n-1.
+
+    Evaluates the sum for arbitrary real spacing ``delta`` in O(n log n)
+    with the same Bluestein core the tables use, here with as many outputs
+    as inputs (a linear convolution of length 2n - 1).
 
     ``len(seq)`` must be a power of two.
     """
     a = np.asarray(seq, dtype=complex)
-    m = a.shape[0]
-    if not _is_pow2(m):
-        raise SizeError(f"frft length must be a power of two, got {m}")
-    j = np.arange(m)
-    chirp = np.exp(-1j * np.pi * delta * j * j)
-    u = np.zeros(2 * m, dtype=complex)
-    u[:m] = a * chirp
-    v = np.zeros(2 * m, dtype=complex)
-    v[:m] = np.conj(chirp)
-    v[m + 1 :] = v[1:m][::-1]
-    conv = np.fft.ifft(np.fft.fft(u) * np.fft.fft(v))
-    return chirp * conv[:m]
+    n = a.shape[0]
+    if not _is_pow2(n):
+        raise SizeError(f"frft length must be a power of two, got {n}")
+    return _bluestein(a, delta, n)
 
 
 @lru_cache(maxsize=32)
@@ -223,13 +250,10 @@ def _tail_radius(p: GTSParams, eps: float) -> float:
     radii = []
     for sign, lam in ((+1.0, p.lambda_plus), (-1.0, p.lambda_minus)):
         thetas = lam * np.linspace(0.30, 0.995, 40)
-        best = math.inf
-        for th in thetas:
-            # P(sign*(Y-k1) > t) <= exp(mgf(sign*th) - th*(sign*k1) - th*t)
-            m = mgf_exponent(p, sign * th)
-            t = (m - th * sign * k1 - log_eps) / th
-            best = min(best, t)
-        radii.append(max(best, 0.0))
+        # P(sign*(Y-k1) > t) <= exp(mgf(sign*th) - th*(sign*k1) - th*t)
+        m = _mgf_exponent_values(p, sign * thetas)
+        t = (m - thetas * sign * k1 - log_eps) / thetas
+        radii.append(max(float(t.min()), 0.0))
     return max(radii)
 
 
@@ -361,39 +385,42 @@ class CdfTable:
         return float(out[0]) if scalar else out
 
 
-def _cf_samples(p: GTSParams, xi: np.ndarray) -> np.ndarray:
-    """cf on a symmetric grid, computed on the positive half and mirrored.
+def _half_spectrum(grid: SpectralGrid):
+    """Positive half of the symmetric frequency grid and its weights.
 
-    The grid must satisfy xi[n-1-l] = -xi[l] (true for our symmetric
-    endpoints with an even node count); mirroring enforces exact Hermitian
-    symmetry, halving the cost of complex powers.
+    The n_freq nodes -Xi + l*dxi (dxi = 2 Xi/(n_freq - 1)) are symmetric
+    about 0 with an even count, so the upper half starts at dxi/2; its
+    quadrature weights (times dxi) are the upper half of the palindromic
+    Newton-Cotes vector.
     """
-    n = xi.shape[0]
-    half = characteristic_function(p, xi[n // 2 :])
-    return np.concatenate([np.conj(half[::-1]), half])
+    n = grid.n_freq
+    half = n // 2
+    dxi = 2.0 * grid.freq_cutoff / (n - 1)
+    xi = dxi * (0.5 + np.arange(half))
+    w = newton_cotes_weights(n)[half:] * dxi
+    return xi, w, dxi
 
 
 def _invert(weighted: np.ndarray, grid: SpectralGrid, dxi: float) -> np.ndarray:
-    """Real part of (1/2pi) sum_l weighted[l] exp(-i x_j xi_l) for all j."""
+    """(1/pi) Re sum_k weighted[k] exp(-i (x_j - x_min) xi_k) for all j.
+
+    ``weighted`` holds a Hermitian integrand's positive half, already
+    weighted and multiplied by exp(-i x_min xi_k); with xi_k = (k + 1/2) dxi
+    the sum is exp(-i j dx dxi/2) times a fractional transform at spacing
+    delta = dx dxi/(2 pi), of which only the m grid outputs are computed.
+    Twice the real part of the half sum is the full symmetric sum, so this
+    is (1/2pi) times the full-spectrum inversion.
+    """
     m = grid.m
     delta = grid.dx * dxi / (2.0 * np.pi)
-    j = np.arange(m)
-    phase = np.exp(1j * j * (grid.dx * grid.freq_cutoff))
-    return (phase * frft(weighted, delta)[:m]).real / (2.0 * np.pi)
-
-
-def _freq_nodes(grid: SpectralGrid):
-    n = grid.n_freq
-    dxi = 2.0 * grid.freq_cutoff / (n - 1)
-    xi = -grid.freq_cutoff + dxi * np.arange(n)
-    return xi, dxi
+    phase = np.exp(-1j * np.pi * delta * np.arange(m))
+    return (phase * _bluestein(weighted, delta, m)).real / np.pi
 
 
 def _pdf_values(p: GTSParams, grid: SpectralGrid) -> np.ndarray:
     """Raw inverted density values, unclamped and unchecked."""
-    xi, dxi = _freq_nodes(grid)
-    w = newton_cotes_weights(grid.n_freq) * dxi
-    a = w * _cf_samples(p, xi) * np.exp(-1j * grid.x_min * xi)
+    xi, w, dxi = _half_spectrum(grid)
+    a = w * characteristic_function(p, xi) * np.exp(-1j * grid.x_min * xi)
     return _invert(a, grid, dxi)
 
 
@@ -421,6 +448,17 @@ def pdf_table(p: GTSParams, grid: SpectralGrid) -> DensityTable:
     return table
 
 
+def _cdf_values(p: GTSParams, grid: SpectralGrid) -> np.ndarray:
+    """Raw inverted distribution-function values, unclipped and unchecked."""
+    xi, w, dxi = _half_spectrum(grid)
+    k1 = cumulant(p, 1)
+    k2 = cumulant(p, 2)
+    cf_ref = np.exp(1j * k1 * xi - 0.5 * k2 * xi * xi)
+    h = (characteristic_function(p, xi) - cf_ref) / (1j * xi)
+    corr = _invert(w * h * np.exp(-1j * grid.x_min * xi), grid, dxi)
+    return ndtr((grid.x() - k1) / math.sqrt(k2)) - corr
+
+
 def cdf_table(p: GTSParams, grid: SpectralGrid) -> CdfTable:
     """Invert to distribution-function values on the grid.
 
@@ -429,14 +467,7 @@ def cdf_table(p: GTSParams, grid: SpectralGrid) -> CdfTable:
     supplies the subtracted mass, including the constant split carried by
     the Dirac term of the distributional Fourier pair.
     """
-    xi, dxi = _freq_nodes(grid)
-    k1 = cumulant(p, 1)
-    k2 = cumulant(p, 2)
-    w = newton_cotes_weights(grid.n_freq) * dxi
-    cf_ref = np.exp(1j * k1 * xi - 0.5 * k2 * xi * xi)
-    h = (_cf_samples(p, xi) - cf_ref) / (1j * xi)
-    corr = _invert(w * h * np.exp(-1j * grid.x_min * xi), grid, dxi)
-    F = ndtr((grid.x() - k1) / math.sqrt(k2)) - corr
+    F = _cdf_values(p, grid)
 
     steps = np.diff(F)
     if steps.min() < -_MONOTONE_SLACK:

@@ -195,3 +195,27 @@ def test_hessian_symmetry(btc_params, btc_sample_5k):
     H = _transformed_hessian(neg, t, options.hessian_step)
     asym = np.max(np.abs(H - H.T))
     assert asym <= 1e-6 * np.max(np.abs(H))
+
+
+def test_transformed_hessian_closed_form_and_call_count():
+    # f(t) = t.A.t/2 + sum_i c_i t_i**3 + sum_{i<j} B_ij t_i**2 t_j: every
+    # pair has its own curvature, and central differences are exact on
+    # cubics up to rounding.
+    n = 7
+    rng = np.random.default_rng(3)
+    A = rng.uniform(-1.0, 1.0, (n, n))
+    A = A + A.T + 2.0 * n * np.eye(n)
+    c = rng.uniform(-1.0, 1.0, n)
+    B = np.triu(rng.uniform(-1.0, 1.0, (n, n)), 1)
+    t0 = rng.uniform(-0.5, 0.5, n)
+    calls = []
+
+    def f(t):
+        calls.append(1)
+        return 0.5 * t @ A @ t + c @ t**3 + (t**2) @ B @ t
+
+    want = A + np.diag(6.0 * c * t0) + np.diag(2.0 * B @ t0)
+    want += 2.0 * (B * t0[:, None]) + 2.0 * (B * t0[:, None]).T
+    H = _transformed_hessian(f, t0, 1e-4)
+    assert np.max(np.abs(H - want)) <= 1e-6 * np.max(np.abs(want))
+    assert len(calls) == 1 + 2 * n + 4 * (n * (n - 1) // 2) == 99

@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtr
 from scipy.stats import gamma as gamma_dist
 
 import gts_tail as gt
 from gts_tail.errors import ConfigError, NumericalFailure
-from gts_tail.spectral import GridConfig, newton_cotes_weights
+from gts_tail.spectral import GridConfig, _cdf_values, _pdf_values, newton_cotes_weights
 
 
 # --------------------------------------------------------------------------
@@ -155,6 +158,55 @@ def test_narrow_grid_raises(btc_params):
     with pytest.raises((NumericalFailure, ConfigError)):
         grid = gt.build_grid(btc_params, GridConfig(m=1024, width_sds=1.5))
         gt.cdf_table(btc_params, grid)
+
+
+# --------------------------------------------------------------------------
+# half-spectrum inversion against the full symmetric sum
+# --------------------------------------------------------------------------
+
+# Asymmetric law with a bilateral-gamma (beta+ = 0) upper side; light enough
+# that 256 spatial points pass the table invariants at 256 and 1024 nodes.
+_ASYM = (0.1, 0.0, 0.9, 1.0, 1.0, 5.0, 5.0)
+
+
+def _direct_sums(p, grid):
+    """(pdf, cdf) as the O(m*n) Newton-Cotes sums over the whole frequency grid.
+
+    pdf(x_j) = (1/2pi) sum_l w_l cf(xi_l) exp(-i x_j xi_l) on the n_freq
+    nodes -Xi + l*dxi, and the CDF with the normal-reference subtraction.
+    """
+    n = grid.n_freq
+    dxi = 2.0 * grid.freq_cutoff / (n - 1)
+    xi = -grid.freq_cutoff + dxi * np.arange(n)
+    w = newton_cotes_weights(n) * dxi
+    k1, k2 = gt.cumulant(p, 1), gt.cumulant(p, 2)
+    cf = gt.characteristic_function(p, xi)
+    ref = np.exp(1j * k1 * xi - 0.5 * k2 * xi * xi)
+    kernel = np.exp(-1j * np.outer(grid.x(), xi))
+    pdf = (kernel @ (w * cf)).real / (2.0 * np.pi)
+    corr = (kernel @ (w * (cf - ref) / (1j * xi))).real / (2.0 * np.pi)
+    return pdf, ndtr((grid.x() - k1) / np.sqrt(k2)) - corr
+
+
+@pytest.mark.parametrize("n_freq", [256, 1024])
+@pytest.mark.parametrize("law", ["btc", "asym"])
+def test_half_spectrum_matches_direct_sum(law, n_freq):
+    # These grids alias for BTC (its raw values fail the table invariants),
+    # so the raw inversions are compared; the sums themselves must agree.
+    p = gt.BITCOIN_DAILY.params if law == "btc" else gt.validate_params(*_ASYM)
+    grid = replace(gt.build_grid(p, GridConfig(m=256)), n_freq=n_freq)
+    pdf, cdf = _direct_sums(p, grid)
+    assert np.max(np.abs(_pdf_values(p, grid) - pdf)) <= 1e-12
+    assert np.max(np.abs(_cdf_values(p, grid) - cdf)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_freq", [256, 1024])
+def test_tables_match_direct_sum(n_freq):
+    p = gt.validate_params(*_ASYM)
+    grid = replace(gt.build_grid(p, GridConfig(m=256)), n_freq=n_freq)
+    pdf, cdf = _direct_sums(p, grid)
+    assert np.max(np.abs(gt.pdf_table(p, grid).values - np.maximum(pdf, 0.0))) <= 1e-12
+    assert np.max(np.abs(gt.cdf_table(p, grid).values - np.clip(cdf, 0.0, 1.0))) <= 1e-12
 
 
 # --------------------------------------------------------------------------
