@@ -126,11 +126,12 @@ def _cmd_cdf(args) -> int:
 def _cmd_quantile(args) -> int:
     p = _read_params(args.params)
     t = cdf_table(p, build_grid(p, _grid_config(args)))
+    qs = quantile(t, args.alpha)
     out, close = _open_out(args.out)
     try:
         out.write("alpha,quantile\n")
-        for a in args.alpha:
-            out.write(f"{_fmt(a)},{_fmt(quantile(t, a))}\n")
+        for a, q in zip(args.alpha, qs):
+            out.write(f"{_fmt(a)},{_fmt(q)}\n")
     finally:
         if close:
             out.close()

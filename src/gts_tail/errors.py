@@ -113,10 +113,6 @@ class NoBracket(NumericalError):
     """Root solver called without a sign change over the unit interval."""
 
 
-class SingularHessian(NumericalError):
-    """Observed information matrix is numerically singular."""
-
-
 # ------------------------------------------------------------------ warnings
 
 class MultipleRootsWarning(UserWarning):

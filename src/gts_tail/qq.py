@@ -121,8 +121,10 @@ def hazen_levels(n: int) -> np.ndarray:
 def qq_points(observed: ReturnSeries, ref_quantile, levels=None, reference: str = "") -> QQData:
     """Build QQ pairs against a reference quantile function.
 
-    ``ref_quantile`` maps a probability level to a quantile (scalar in,
-    scalar out).  With ``levels=None`` every order statistic is used at its
+    ``ref_quantile`` maps an array of probability levels to the array of
+    reference quantiles at those levels (array in, array out); it is called
+    once, on every level together, and a result of another shape raises
+    DomainError.  With ``levels=None`` every order statistic is used at its
     Hazen position; an integer subsamples to that many Hazen levels, with
     observed quantiles interpolated between order statistics.
     """
@@ -139,26 +141,35 @@ def qq_points(observed: ReturnSeries, ref_quantile, levels=None, reference: str 
             raise TooShort(f"need >= {_MIN_POINTS} levels, got {k}")
         p = hazen_levels(k)
         obs_q = np.interp(p, hazen_levels(n), x)
-    theo = np.array([float(ref_quantile(pk)) for pk in p])
+    theo = np.asarray(ref_quantile(p), dtype=float)
+    if theo.shape != p.shape:
+        raise DomainError(
+            f"reference quantile function returned shape {theo.shape} for {p.shape[0]} levels"
+        )
     return QQData(levels=p, theoretical=theo, observed=obs_q, reference=reference)
 
 
-def normal_quantile(mean: float, sd: float, p: float) -> float:
+def normal_quantile(mean: float, sd: float, p):
     """mean + sd * Phi^{-1}(p), with one Newton polish step on Phi.
 
-    The base inverse is a high-accuracy rational approximation; the polish
-    step divides the CDF residual by the density, which is a no-op at the
-    achieved accuracy but pins the round trip Phi(q) = p to first order.
+    ``p`` is a level or an array of levels (float in, float out; array in,
+    array out), each strictly inside (0,1).  The base inverse is a
+    high-accuracy rational approximation; the polish step divides the CDF
+    residual by the density, which is a no-op at the achieved accuracy but
+    pins the round trip Phi(q) = p to first order.
     """
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"p must lie in (0,1), got {p}")
+    q = np.asarray(p, dtype=float)
+    outside = ~((0.0 < q) & (q < 1.0))
+    if outside.any():
+        raise DomainError(f"p must lie in (0,1), got {q[outside].ravel()[:5].tolist()}")
     if not sd > 0.0:
         raise DomainError(f"sd must be positive, got {sd}")
-    z = float(ndtri(p))
-    dens = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    if dens > 0.0:
-        z -= (float(ndtr(z)) - p) / dens
-    return mean + sd * z
+    z = ndtri(q)
+    dens = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(dens > 0.0, z - (ndtr(z) - q) / dens, z)
+    out = mean + sd * z
+    return float(out) if q.ndim == 0 else out
 
 
 # --------------------------------------------------------------------------

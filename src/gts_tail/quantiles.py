@@ -11,7 +11,10 @@ with b the interpolant's coefficients shifted by alpha, and
 
     x_alpha = x_i + y * (x_{i+1} - x_i).
 
-Inverse-CDF sampling reuses the same root solve on seeded uniforms.
+An array of levels is solved in one vectorized pass of the same safeguarded
+Newton-bisection, element for element the arithmetic of the one-level
+solve, so both give the same bits.  Inverse-CDF sampling runs that pass on
+seeded uniforms.
 """
 
 from __future__ import annotations
@@ -28,23 +31,15 @@ from .errors import (
     OutOfRange,
 )
 from .returns_io import ReturnSeries
-from .spectral import CdfTable
+from .spectral import _STENCILS, CdfTable
 
 __all__ = ["QuarticCoeffs", "solve_quartic_unit", "quantile", "sample"]
 
 _LEVEL_MARGIN = 1e-9
 _RESIDUAL_TOL = 1e-12
-
-# Inverse Vandermonde matrices mapping 5 stencil values to monomial
-# coefficients in y, one per stencil offset.  Offset o means the stencil
-# nodes sit at y = o, o+1, .., o+4 with the bracket always at [0, 1], so
-# o = -2 is the centered stencil and o in {0, -1, -3} covers grid edges.
-_STENCILS = {}
-for _o in (0, -1, -2, -3):
-    _nodes = np.arange(_o, _o + 5, dtype=float)
-    _V = np.vander(_nodes, 5, increasing=True)
-    _STENCILS[_o] = np.linalg.inv(_V)
-del _o, _nodes, _V
+_MAX_ITER = 200
+_STALL_TOL = 1e-10
+_SNIFF_POINTS = (0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0)
 
 
 @dataclass(frozen=True)
@@ -61,16 +56,31 @@ class QuarticCoeffs:
         return np.array([self.b0, self.b1, self.b2, self.b3, self.b4])
 
 
-def _poly_val(c: np.ndarray, y: float) -> float:
-    # Horner, ascending coefficients.
+def _poly_val(c, y):
+    # Horner, ascending coefficients; c may hold one quartic per column.
     acc = 0.0
     for v in c[::-1]:
         acc = acc * y + v
     return acc
 
 
-def _deriv_val(c, y: float) -> float:
+def _deriv_val(c, y):
     return ((4.0 * c[4] * y + 3.0 * c[3]) * y + 2.0 * c[2]) * y + c[1]
+
+
+def _derivative_sign_changes(c):
+    """Derivative sign changes across the 9-point scan of [0,1], per quartic.
+
+    The points are evaluated one at a time so a batch of quartics needs
+    temporaries of one batch length, not nine.
+    """
+    prev = _deriv_val(c, _SNIFF_POINTS[0])
+    changes = 0
+    for t in _SNIFF_POINTS[1:]:
+        d = _deriv_val(c, t)
+        changes = changes + ((prev != 0.0) & (d != 0.0) & ((prev > 0) != (d > 0)))
+        prev = d
+    return changes
 
 
 def _newton_bisect(c, seed: float, p0: float) -> float:
@@ -78,7 +88,7 @@ def _newton_bisect(c, seed: float, p0: float) -> float:
     lo, hi = 0.0, 1.0
     flo = p0
     y = seed
-    for _ in range(200):
+    for _ in range(_MAX_ITER):
         py = _poly_val(c, y)
         if abs(py) <= _RESIDUAL_TOL:
             return float(y)
@@ -94,9 +104,48 @@ def _newton_bisect(c, seed: float, p0: float) -> float:
                 y_next = cand
         y = y_next
     py = _poly_val(c, y)
-    if abs(py) <= 1e-10:
+    if abs(py) <= _STALL_TOL:
         return float(y)
     raise NoBracket(f"root polish stalled at residual {py:.3e}")
+
+
+def _newton_bisect_many(c, seed: np.ndarray, p0: np.ndarray) -> np.ndarray:
+    """_newton_bisect on every column of c at once, element for element.
+
+    Each quartic leaves the batch at the iteration where the scalar loop
+    would return, so the roots are the scalar loop's bit for bit.
+    """
+    y, flo = seed, p0
+    root = np.empty(y.shape[0])
+    todo = np.arange(y.shape[0])
+    lo = np.zeros_like(y)
+    hi = np.ones_like(y)
+    for _ in range(_MAX_ITER):
+        py = _poly_val(c, y)
+        done = np.abs(py) <= _RESIDUAL_TOL
+        if done.all():
+            root[todo] = y
+            return root
+        if done.any():
+            root[todo[done]] = y[done]
+            live = ~done
+            todo, c, y, lo, hi, flo, py = (
+                todo[live], c[:, live], y[live], lo[live], hi[live], flo[live], py[live]
+            )
+        same = (py > 0.0) == (flo > 0.0)
+        lo = np.where(same, y, lo)
+        flo = np.where(same, py, flo)
+        hi = np.where(same, hi, y)
+        d = _deriv_val(c, y)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            cand = y - py / d
+        y = np.where((d != 0.0) & (lo < cand) & (cand < hi), cand, 0.5 * (lo + hi))
+    py = _poly_val(c, y)
+    stalled = ~(np.abs(py) <= _STALL_TOL)
+    if stalled.any():
+        raise NoBracket(f"root polish stalled at residual {py[stalled][0]:.3e}")
+    root[todo] = y
+    return root
 
 
 def solve_quartic_unit(b: QuarticCoeffs) -> float:
@@ -124,11 +173,7 @@ def solve_quartic_unit(b: QuarticCoeffs) -> float:
 
     # Wiggle sniff: more than one derivative sign change on a coarse scan
     # means the crossing may not be unique.
-    dvals = [_deriv_val(c, t) for t in (0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0)]
-    changes = sum(
-        1 for a, b_ in zip(dvals, dvals[1:]) if a != 0.0 and b_ != 0.0 and (a > 0) != (b_ > 0)
-    )
-    if changes >= 2:
+    if _derivative_sign_changes(c) >= 2:
         roots = np.roots(c[::-1])
         real = roots[np.abs(roots.imag) < 1e-9].real
         inside = np.sort(real[(real > 0.0) & (real < 1.0)])
@@ -145,53 +190,105 @@ def solve_quartic_unit(b: QuarticCoeffs) -> float:
     return _newton_bisect(c, seed, p0)
 
 
-def _bracket_index(values: np.ndarray, alpha: float) -> int:
-    i = int(np.searchsorted(values, alpha, side="right") - 1)
-    return min(max(i, 0), values.shape[0] - 2)
+def _solve_brackets(c) -> np.ndarray:
+    """solve_quartic_unit on every column of c, in one vectorized pass.
 
-
-def quantile(table: CdfTable, alpha: float) -> float:
-    """alpha-quantile of the tabulated law.
-
-    Levels must lie strictly inside the tabulated mass; the bracket is found
-    by binary search and refined by the degree-4 root solve.  Exact node hits
-    return the node abscissa.
+    Quartics the wiggle sniff flags go through solve_quartic_unit itself,
+    which keeps its MultipleRootsWarning; the rest share one masked
+    Newton-bisection.
     """
-    alpha = float(alpha)
+    p0 = _poly_val(c, 0.0)
+    p1 = _poly_val(c, 1.0)
+    y = np.where(p0 == 0.0, 0.0, 1.0)
+    open_ = (p0 != 0.0) & (p1 != 0.0)
+    flat = open_ & ((p0 > 0.0) == (p1 > 0.0))
+    if flat.any():
+        k = np.flatnonzero(flat)[0]
+        raise NoBracket(f"no sign change on [0,1]: p(0)={p0[k]:.3e}, p(1)={p1[k]:.3e}")
+    k = np.flatnonzero(open_)
+    c, p0, p1 = c[:, k], p0[k], p1[k]
+    # Opposite signs: p1 - p0 cannot vanish.
+    seed = np.minimum(np.maximum(-p0 / (p1 - p0), 1e-12), 1.0 - 1e-12)
+    flagged = _derivative_sign_changes(c) >= 2
+    root = np.empty(k.shape[0])
+    for j in np.flatnonzero(flagged):
+        root[j] = solve_quartic_unit(QuarticCoeffs(*c[:, j]))
+    plain = ~flagged
+    root[plain] = _newton_bisect_many(c[:, plain], seed[plain], p0[plain])
+    y[k] = root
+    return y
+
+
+def _bracket_index(values: np.ndarray, alpha):
+    i = np.searchsorted(values, alpha, side="right") - 1
+    return np.clip(i, 0, values.shape[0] - 2)
+
+
+def _quartics(F: np.ndarray, i: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Shifted stencil coefficients, one quartic per column, for brackets i."""
+    start = np.clip(i - 2, 0, F.shape[0] - 5)
+    offset = start - i
+    win = F[start[:, None] + np.arange(5)]
+    c = np.empty((5, i.shape[0]))
+    for o, M in _STENCILS.items():
+        k = offset == o
+        # One 5x5 @ 5 product per bracket, as in quartic_for_level: a single
+        # gemm or einsum over all brackets sums in another order.
+        c[:, k] = (M @ win[k][:, :, None])[:, :, 0].T
+    c[0] -= alpha
+    return c
+
+
+def _show_levels(bad: np.ndarray) -> str:
+    shown = ", ".join(repr(float(v)) for v in bad[:5])
+    return shown if bad.size <= 5 else f"{shown}, ... ({bad.size} levels)"
+
+
+def quantile(table: CdfTable, alpha):
+    """alpha-quantile of the tabulated law: float in, float out; array in, array out.
+
+    Levels must lie strictly inside the tabulated mass; each bracket is
+    found by binary search and refined by the degree-4 root solve, all
+    brackets in one vectorized pass.  Exact node hits return the node
+    abscissa.
+    """
+    a = np.asarray(alpha, dtype=float)
+    levels = a.reshape(-1)
     F = table.values
     g = table.grid
-    if not (F[0] + _LEVEL_MARGIN < alpha < F[-1] - _LEVEL_MARGIN):
+    inside = (F[0] + _LEVEL_MARGIN < levels) & (levels < F[-1] - _LEVEL_MARGIN)
+    if not inside.all():
         raise OutOfRange(
-            f"alpha={alpha!r} outside tabulated mass [{F[0]:.3e}, {F[-1]:.8f}]"
+            f"alpha={_show_levels(levels[~inside])} outside tabulated mass "
+            f"[{F[0]:.3e}, {F[-1]:.8f}]"
         )
-    i = _bracket_index(F, alpha)
-    if F[i] == alpha:
-        return float(g.x_min + i * g.dx)
-    if F[i + 1] == alpha:
-        return float(g.x_min + (i + 1) * g.dx)
-    if not (F[i] < alpha < F[i + 1]):
+    i = _bracket_index(F, levels)
+    # Node hits sit at y = 0 (F_i) or y = 1 (F_i+1); interior brackets are
+    # solved below.
+    y = np.where(F[i] == levels, 0.0, 1.0)
+    interior = (F[i] != levels) & (F[i + 1] != levels)
+    broken = interior & ~((F[i] < levels) & (levels < F[i + 1]))
+    if broken.any():
+        j = i[broken][0]
         raise BracketFailure(
-            f"table not monotone at bracket {i}: F_i={F[i]!r}, F_i1={F[i + 1]!r}"
+            f"table not monotone at bracket {j}: F_i={F[j]!r}, F_i1={F[j + 1]!r}"
         )
-
-    m = F.shape[0]
-    start = min(max(i - 2, 0), m - 5)
-    offset = start - i
-    coeff = _STENCILS[offset] @ F[start : start + 5]
-    coeff = np.asarray(coeff, dtype=float)
-    coeff[0] -= alpha
-    y = solve_quartic_unit(QuarticCoeffs(*coeff))
-    return float(g.x_min + (i + y) * g.dx)
+    k = np.flatnonzero(interior)
+    y[k] = _solve_brackets(_quartics(F, i[k], levels[k]))
+    x = g.x_min + (i + y) * g.dx
+    return float(x[0]) if a.ndim == 0 else x.reshape(a.shape)
 
 
 def quartic_for_level(table: CdfTable, alpha: float):
     """The (bracket index, QuarticCoeffs) pair backing quantile(table, alpha).
 
     Exposed for verification: the returned coefficients satisfy
-    poly(y*) ~ 0 at the normalized solution y*.
+    poly(y*) ~ 0 at the normalized solution y*, and
+    x_min + (i + solve_quartic_unit(coeffs)) * dx reproduces quantile's
+    interior brackets bit for bit.
     """
     F = table.values
-    i = _bracket_index(F, alpha)
+    i = int(_bracket_index(F, alpha))
     m = F.shape[0]
     start = min(max(i - 2, 0), m - 5)
     coeff = np.asarray(_STENCILS[start - i] @ F[start : start + 5], dtype=float)
@@ -214,7 +311,4 @@ def sample(table: CdfTable, n: int, seed: int) -> ReturnSeries:
     lo = table.values[0] + 2.0 * _LEVEL_MARGIN
     hi = table.values[-1] - 2.0 * _LEVEL_MARGIN
     u = np.clip(u, lo, hi)
-    vals = np.empty(n)
-    for k in range(n):
-        vals[k] = quantile(table, u[k])
-    return ReturnSeries(values=vals, source=f"gts-sample(seed={seed},n={n})")
+    return ReturnSeries(values=quantile(table, u), source=f"gts-sample(seed={seed},n={n})")

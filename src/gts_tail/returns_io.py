@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateData, DuplicateDate, NonPositivePrice, ParseError, TooShort
+from .errors import DuplicateDate, NonPositivePrice, ParseError, TooShort
 
 __all__ = [
     "PERCENT_SCALE",
@@ -171,11 +171,6 @@ def summary_stats(r: ReturnSeries) -> SummaryStats:
         max=float(v.max()),
         n=r.n,
     )
-
-
-def require_variation(r: ReturnSeries) -> None:
-    if float(np.var(r.values)) == 0.0:
-        raise DegenerateData("sample variance is zero")
 
 
 def write_returns_csv(r: ReturnSeries, path) -> None:

@@ -4,9 +4,11 @@ The density on a uniform x-grid comes from the truncated inversion integral
 
     f(x) = (1/2pi) * integral_{-Xi..Xi} cf(xi) exp(-i x xi) dxi
 
-with the frequency samples weighted by a composite Newton-Cotes (Simpson)
-rule and the oscillatory sum over all grid points evaluated in one shot by a
-fractional FFT.  The CDF uses the same machinery on the integrand
+with the frequency samples weighted by a closed Newton-Cotes rule (composite
+Simpson with a 3/8 patch, averaged end for end; on the even node counts used
+here that is the trapezoid rule with corrected weights on the four nodes at
+each end) and the oscillatory sum over all grid points evaluated in one shot
+by a fractional FFT.  The CDF uses the same machinery on the integrand
 
     (cf(xi) - cf_ref(xi)) / (i xi)
 
@@ -146,11 +148,14 @@ def _newton_cotes_cached(n: int) -> tuple:
 
 
 def newton_cotes_weights(n: int) -> np.ndarray:
-    """Composite closed Newton-Cotes weights (Simpson, order 4) on n nodes.
+    """Closed Newton-Cotes weights of order 4 on n nodes, palindromic.
 
-    Weights are for unit spacing; multiply by the actual step.  When the
-    interval count n-1 is odd a 3/8-rule patch closes the rule, and the
-    vector is symmetrized end-for-end.
+    Weights are for unit spacing; multiply by the actual step.  The rule is
+    composite Simpson, closed by a 3/8-rule patch when the interval count
+    n-1 is odd, then averaged with its mirror image.  For every even n (all
+    frequency node counts are powers of two) the average sets every interior
+    weight to exactly 1: the result is the trapezoid rule with the four
+    weights at each end corrected to 17/48, 59/48, 43/48, 49/48.
     """
     return _newton_cotes_cached(int(n))[0]
 
@@ -321,9 +326,15 @@ def build_grid(p: GTSParams, cfg: GridConfig = GridConfig()) -> SpectralGrid:
 # tables
 # --------------------------------------------------------------------------
 
-# Inverse Vandermonde for a 5-node stencil at local coordinates 0..4; maps
-# stencil values to monomial coefficients for degree-4 local interpolation.
-_LAGRANGE5_M = np.linalg.inv(np.vander(np.arange(5.0), 5, increasing=True)).T
+# Inverse Vandermonde matrices mapping 5 stencil values to monomial
+# coefficients of the local degree-4 interpolant, one per stencil offset.
+# Offset o puts the stencil nodes at local coordinates o, o+1, .., o+4, so
+# o = -2 is centered on the bracket [0, 1] and o in {0, -1, -3} covers grid
+# edges.  Interpolation uses o = 0; quantiles use all four.
+_STENCILS = {
+    o: np.linalg.inv(np.vander(np.arange(o, o + 5, dtype=float), 5, increasing=True))
+    for o in (0, -1, -2, -3)
+}
 
 
 def _lagrange5_eval(x0: float, dx: float, values: np.ndarray, xq: np.ndarray) -> np.ndarray:
@@ -333,7 +344,7 @@ def _lagrange5_eval(x0: float, dx: float, values: np.ndarray, xq: np.ndarray) ->
     start = np.clip(np.floor(pos).astype(int) - 2, 0, m - 5)
     y = pos - start
     win = values[start[:, None] + np.arange(5)[None, :]]
-    coeff = win @ _LAGRANGE5_M
+    coeff = win @ _STENCILS[0].T
     out = coeff[:, 4]
     for k in (3, 2, 1, 0):
         out = out * y + coeff[:, k]

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from scipy.special import erfc
+from scipy.special import erfc, ndtr, ndtri
 
 import gts_tail as gt
 from gts_tail.errors import DomainError, TooShort
@@ -52,6 +54,28 @@ def test_permutation_invariance():
     assert np.array_equal(a.theoretical, b.theoretical)
 
 
+def test_reference_of_wrong_shape_rejected():
+    obs = gt.ReturnSeries(values=np.linspace(-1.0, 1.0, 50))
+    with pytest.raises(DomainError):
+        gt.qq_points(obs, lambda q: gt.normal_quantile(0.0, 1.0, q)[:-1])
+    with pytest.raises(DomainError):
+        gt.qq_points(obs, lambda q: 0.0)
+    with pytest.raises(DomainError):
+        gt.qq_points(obs, lambda q: gt.normal_quantile(0.0, 1.0, q)[:, None])
+
+
+def test_reference_called_once_on_all_levels():
+    calls = []
+
+    def ref(q):
+        calls.append(np.shape(q))
+        return gt.normal_quantile(0.0, 1.0, q)
+
+    obs = gt.ReturnSeries(values=np.linspace(-1.0, 1.0, 300))
+    gt.qq_points(obs, ref, levels=120)
+    assert calls == [(120,)]
+
+
 def test_levels_subsampling():
     rng = np.random.default_rng(6)
     obs = gt.ReturnSeries(values=rng.normal(size=5000))
@@ -84,6 +108,27 @@ def test_domain_errors():
         gt.normal_quantile(0, 1, 0.0)
     with pytest.raises(DomainError):
         gt.normal_quantile(0, -1, 0.5)
+    with pytest.raises(DomainError):
+        gt.normal_quantile(0, 1, np.array([0.2, 1.0, 0.7]))
+    with pytest.raises(DomainError):
+        gt.normal_quantile(0, 1, np.array([0.2, np.nan]))
+
+
+def _normal_quantile_loop(mean, sd, p):
+    """Reference: the one-level formula with scalar math."""
+    z = float(ndtri(p))
+    dens = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    if dens > 0.0:
+        z -= (float(ndtr(z)) - p) / dens
+    return mean + sd * z
+
+
+def test_array_normal_quantile_equals_loop():
+    p = np.concatenate([hazen_levels(20000), np.logspace(-15, -1, 200), 1 - np.logspace(-15, -1, 200)])
+    got = gt.normal_quantile(0.3, 1.7, p)
+    want = np.array([_normal_quantile_loop(0.3, 1.7, float(q)) for q in p])
+    assert np.array_equal(got, want)
+    assert type(gt.normal_quantile(0.3, 1.7, 0.25)) is float
 
 
 # --------------------------------------------------------------------------

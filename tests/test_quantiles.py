@@ -1,9 +1,13 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import gts_tail as gt
-from gts_tail.errors import NoBracket, OutOfRange
+from gts_tail.errors import BracketFailure, MultipleRootsWarning, NoBracket, OutOfRange
 from gts_tail.quantiles import QuarticCoeffs, quartic_for_level, solve_quartic_unit
+from gts_tail.spectral import CdfTable, SpectralGrid
 
 
 # --------------------------------------------------------------------------
@@ -38,6 +42,14 @@ def test_pure_quartic_case():
 def test_no_bracket_raises():
     with pytest.raises(NoBracket):
         solve_quartic_unit(QuarticCoeffs(1.0, 0.5, 0, 0, 0))
+
+
+def test_several_roots_warn_and_pick_nearest_to_seed():
+    # (y - 0.2)(y - 0.5)(y - 0.8): three crossings; the linear seed is 0.5.
+    c = QuarticCoeffs(-0.08, 0.66, -1.5, 1.0, 0.0)
+    with pytest.warns(MultipleRootsWarning):
+        y = solve_quartic_unit(c)
+    assert abs(y - 0.5) <= 1e-12
 
 
 def test_random_monotone_brackets_match_bisection():
@@ -133,8 +145,134 @@ def test_quartic_beats_linear_interpolation(btc_params, btc_tables):
 
 
 # --------------------------------------------------------------------------
+# array levels against the one-level loop
+# --------------------------------------------------------------------------
+
+def _loop_quantile(cdf, a):
+    """Reference: one level at a time through the public scalar solver."""
+    i, coeffs = quartic_for_level(cdf, a)
+    F = cdf.values
+    if F[i] == a:
+        y = 0.0
+    elif F[i + 1] == a:
+        y = 1.0
+    else:
+        y = solve_quartic_unit(coeffs)
+    return cdf.grid.x_min + (i + y) * cdf.grid.dx
+
+
+def _window(cdf, j, m):
+    """The CDF table restricted to nodes j..j+m-1, so its edges carry mass."""
+    g = cdf.grid
+    x_min = g.x_min + j * g.dx
+    grid = replace(g, x_min=x_min, x_max=x_min + (m - 1) * g.dx, m=m)
+    return CdfTable(grid=grid, values=cdf.values[j : j + m].copy())
+
+
+def _probe_levels(cdf, n_random, seed):
+    """Random levels, exact node hits, and levels in the first/last 3 brackets."""
+    F = cdf.values
+    lo, hi = F[0] + 1e-9, F[-1] - 1e-9
+    rng = np.random.default_rng(seed)
+    inner = np.flatnonzero((F > lo) & (F < hi))
+    edges = np.concatenate([(F[:3] + F[1:4]) / 2, (F[-4:-1] + F[-3:]) / 2])
+    levels = np.concatenate(
+        [
+            rng.uniform(lo, hi, n_random),
+            F[rng.choice(inner, 40, replace=False)],
+            np.linspace(lo, F[inner[0]], 20)[1:],
+            np.linspace(F[inner[-1]], hi, 20)[:-1],
+            edges,
+        ]
+    )
+    return levels[(levels > lo) & (levels < hi)]
+
+
+@pytest.mark.parametrize("asset", ["btc", "eth"])
+def test_array_quantile_equals_loop_reference(asset, btc_tables, eth_tables):
+    _, cdf = btc_tables if asset == "btc" else eth_tables
+    # The default tables' end brackets lie inside the level margin, so the
+    # edge stencils (offsets 0, -1, -3) are probed on interior windows.
+    F = cdf.values
+    j = int(np.searchsorted(F, 0.02))
+    k = int(np.searchsorted(F, 0.98))
+    tables = [cdf, _window(cdf, j, 64), _window(cdf, k - 63, 64)]
+    for table, n_random in zip(tables, (2000, 40, 40)):
+        levels = _probe_levels(table, n_random, seed=17)
+        got = gt.quantile(table, levels)
+        want = np.array([_loop_quantile(table, float(a)) for a in levels])
+        assert got.shape == levels.shape
+        assert np.array_equal(got, want)
+        assert np.any(np.isin(levels, table.values))
+        if table is not cdf:
+            i = set((np.searchsorted(table.values, levels, side="right") - 1).tolist())
+            m = table.grid.m
+            assert {0, 1, 2, m - 4, m - 3, m - 2} <= i
+
+
+def test_scalar_level_returns_float_and_keeps_shape(btc_tables):
+    _, cdf = btc_tables
+    x = gt.quantile(cdf, 0.25)
+    assert type(x) is float
+    assert x == gt.quantile(cdf, np.array([0.25]))[0]
+    grid = np.array([[0.1, 0.2], [0.3, 0.4]])
+    assert gt.quantile(cdf, grid).shape == (2, 2)
+    assert gt.quantile(cdf, np.array([])).shape == (0,)
+
+
+def test_array_with_one_level_out_of_range_raises(btc_tables):
+    _, cdf = btc_tables
+    levels = np.array([0.1, 0.5, 1e-12, 0.9])
+    with pytest.raises(OutOfRange, match="1e-12"):
+        gt.quantile(cdf, levels)
+    with pytest.raises(OutOfRange):
+        gt.quantile(cdf, np.array([0.5, np.nan]))
+
+
+def _unit_table(F):
+    """A CdfTable holding F on the nodes 0, 1, .., len(F) - 1."""
+    m = len(F)
+    grid = SpectralGrid(x_min=0.0, x_max=m - 1.0, m=m, dx=1.0, n_freq=16, freq_cutoff=1.0)
+    return CdfTable(grid=grid, values=np.asarray(F, dtype=float))
+
+
+def test_array_with_one_broken_bracket_raises():
+    # Level 0.45 lands on bracket 3, whose upper value is NaN, so the strict
+    # bracket check F_i < alpha < F_i+1 fails there.
+    table = _unit_table([0.1, 0.2, 0.3, 0.4, np.nan, 0.6, 0.7, 0.8, 0.9])
+    with pytest.raises(BracketFailure, match="bracket 3"):
+        gt.quantile(table, np.array([0.25, 0.45, 0.75]))
+
+
+def test_array_quantile_routes_wiggly_bracket_through_warning():
+    # Five nodes of 0.5 + s*(y - 0.6)(y - 0.75)(y - 0.9) at y = -2..2: the
+    # table is increasing but its degree-4 interpolant crosses 0.5 three
+    # times on the bracket [0, 1] (nodes 4 and 5); the linear seed (0.976)
+    # is nearest the crossing at 0.9.
+    cubic = np.array([-20.735, -5.32, -0.405, 0.01, 1.925])
+    table = _unit_table(np.concatenate([[0.1, 0.2], 0.5 + 0.01 * cubic, [0.7, 0.9]]))
+    levels = np.array([0.15, 0.5, 0.6])
+    with pytest.warns(MultipleRootsWarning):
+        got = gt.quantile(table, levels)
+    assert abs(got[1] - 4.9) <= 1e-9
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MultipleRootsWarning)
+        want = [_loop_quantile(table, float(a)) for a in levels]
+    assert np.array_equal(got, want)
+
+
+# --------------------------------------------------------------------------
 # sampling
 # --------------------------------------------------------------------------
+
+def test_sample_equals_per_draw_loop(btc_tables):
+    _, cdf = btc_tables
+    n, seed = 2000, 2025
+    u = np.random.default_rng(seed).uniform(0.0, 1.0, size=n)
+    u = np.clip(u, cdf.values[0] + 2e-9, cdf.values[-1] - 2e-9)
+    want = np.array([_loop_quantile(cdf, float(a)) for a in u])
+    assert gt.sample(cdf, n, seed).values.tobytes() == want.tobytes()
+
 
 def test_sampling_deterministic(btc_tables):
     _, cdf = btc_tables

@@ -57,6 +57,16 @@ def test_newton_cotes_weights_integrate_polynomials():
         assert np.allclose(w, w[::-1])
 
 
+@pytest.mark.parametrize("n", [16, 1024])
+def test_newton_cotes_weights_are_end_corrected_trapezoid(n):
+    # On even node counts the end-for-end average of Simpson + 3/8 leaves
+    # every interior weight at exactly 1; only four weights per end differ.
+    w = newton_cotes_weights(n)
+    assert np.all(w[4:-4] == 1.0)
+    assert np.array_equal(w, w[::-1])
+    assert np.allclose(w[:4] * 48.0, [17.0, 59.0, 43.0, 49.0], rtol=0.0, atol=1e-13)
+
+
 # --------------------------------------------------------------------------
 # density table
 # --------------------------------------------------------------------------
