@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from ._textio import text_stream
 from .core import (
     PARAM_NAMES,
     RestrictedKind,
@@ -48,22 +49,16 @@ _MODELS = {
 }
 
 
-def _open_out(path):
-    if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline="\n"), True
+def _out(path):
+    return sys.stdout if path in (None, "-") else path
 
 
 def _read_params(path):
-    if path == "-":
-        return read_params_file(sys.stdin)
-    return read_params_file(path)
+    return read_params_file(sys.stdin if path == "-" else path)
 
 
 def _read_returns(path):
-    if path == "-":
-        return load_returns_csv(sys.stdin)
-    return load_returns_csv(path)
+    return load_returns_csv(sys.stdin if path == "-" else path)
 
 
 def _grid_config(args) -> GridConfig:
@@ -86,14 +81,19 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
+def _write_json(payload, path) -> None:
+    with text_stream(_out(path), "w") as out:
+        json.dump(payload, out, indent=2, sort_keys=True)
+        out.write("\n")
+
+
 # --------------------------------------------------------------------------
 # command handlers
 # --------------------------------------------------------------------------
 
 def _cmd_eval_cf(args) -> int:
     p = _read_params(args.params)
-    out, close = _open_out(args.out)
-    try:
+    with text_stream(_out(args.out), "w") as out:
         out.write("xi,psi_re,psi_im,cf_re,cf_im\n")
         for xi in args.xi:
             psi = characteristic_exponent(p, complex(xi))
@@ -101,9 +101,6 @@ def _cmd_eval_cf(args) -> int:
             out.write(
                 f"{_fmt(xi)},{_fmt(psi.real)},{_fmt(psi.imag)},{_fmt(cf.real)},{_fmt(cf.imag)}\n"
             )
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -114,12 +111,12 @@ def _table(args, which: str):
 
 
 def _cmd_pdf(args) -> int:
-    write_table_csv(_table(args, "pdf"), sys.stdout if args.out == "-" else args.out)
+    write_table_csv(_table(args, "pdf"), _out(args.out))
     return 0
 
 
 def _cmd_cdf(args) -> int:
-    write_table_csv(_table(args, "cdf"), sys.stdout if args.out == "-" else args.out)
+    write_table_csv(_table(args, "cdf"), _out(args.out))
     return 0
 
 
@@ -127,25 +124,17 @@ def _cmd_quantile(args) -> int:
     p = _read_params(args.params)
     t = cdf_table(p, build_grid(p, _grid_config(args)))
     qs = quantile(t, args.alpha)
-    out, close = _open_out(args.out)
-    try:
+    with text_stream(_out(args.out), "w") as out:
         out.write("alpha,quantile\n")
         for a, q in zip(args.alpha, qs):
             out.write(f"{_fmt(a)},{_fmt(q)}\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
 def _cmd_sample(args) -> int:
     p = _read_params(args.params)
     t = cdf_table(p, build_grid(p, _grid_config(args)))
-    series = sample(t, args.n, args.seed)
-    if args.out in (None, "-"):
-        write_returns_csv(series, sys.stdout)
-    else:
-        write_returns_csv(series, args.out)
+    write_returns_csv(sample(t, args.n, args.seed), _out(args.out))
     return 0
 
 
@@ -172,13 +161,7 @@ def _cmd_fit(args) -> int:
         "converged": fit.converged,
         "hessian_fallback": fit.hessian_fallback,
     }
-    out, close = _open_out(args.out)
-    try:
-        json.dump(payload, out, indent=2, sort_keys=True)
-        out.write("\n")
-    finally:
-        if close:
-            out.close()
+    _write_json(payload, args.out)
     return 0
 
 
@@ -202,10 +185,7 @@ def _cmd_qq(args) -> int:
         sys.stderr.write(
             f"tails: lower={v.lower.value} upper={v.upper.value} shape={v.shape.value}\n"
         )
-    if args.out in (None, "-"):
-        emit(q, args.format, sys.stdout)
-    else:
-        emit(q, args.format, args.out)
+    emit(q, args.format, _out(args.out))
     return 0
 
 
@@ -225,10 +205,7 @@ def _cmd_gof(args) -> int:
         chi2_pvalue=pval,
         n=data.n,
     )
-    if args.out in (None, "-"):
-        emit(report, args.format, sys.stdout)
-    else:
-        emit(report, args.format, args.out)
+    emit(report, args.format, _out(args.out))
     return 0
 
 
@@ -240,13 +217,7 @@ def _cmd_classify(args) -> int:
         "variation": c.variation.value,
         "cumulants": {str(n): cumulant(p, n) for n in (1, 2, 3, 4)},
     }
-    out, close = _open_out(args.out)
-    try:
-        json.dump(payload, out, indent=2, sort_keys=True)
-        out.write("\n")
-    finally:
-        if close:
-            out.close()
+    _write_json(payload, args.out)
     return 0
 
 

@@ -30,6 +30,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import gamma as _gamma
 
+from ._textio import text_stream
 from .errors import DomainError, NonFinite, OutOfDomain, ParseError
 
 __all__ = [
@@ -163,6 +164,81 @@ def characteristic_function(p: GTSParams, xi):
     """exp(psi(xi)); |cf| <= 1 with equality only at xi = 0."""
     out = np.exp(characteristic_exponent(p, xi))
     return out if isinstance(out, np.ndarray) and out.ndim else complex(out)
+
+
+def _tempered_sides(p: GTSParams):
+    """Per side of psi: (alpha, beta, lam, sign, c, lam**beta).
+
+    The base is lam + sign*i*xi; c = alpha*Gamma(-beta) is None at beta = 0,
+    where the log form applies.  lam**beta is taken as exp(beta*log(lam)),
+    the way the complex power evaluates it.
+    """
+    for alpha, beta, lam, sign in (
+        (p.alpha_plus, p.beta_plus, p.lambda_plus, -1.0),
+        (p.alpha_minus, p.beta_minus, p.lambda_minus, 1.0),
+    ):
+        c = None if beta == 0.0 else alpha * float(_gamma(-beta))
+        yield alpha, beta, lam, sign, c, math.exp(beta * math.log(lam))
+
+
+def _shifted_cf(p: GTSParams, xi: np.ndarray, shift: float) -> np.ndarray:
+    """exp(psi(xi) - i*shift*xi) at real xi, in real arithmetic.
+
+    Each base lam + sign*i*xi enters through its log-modulus
+    0.5*log(lam**2 + xi**2) and its argument sign*atan(xi/lam) (the
+    log1p/atan form of -alpha*log(base/lam) at beta = 0), so psi costs real
+    log/atan/exp/cos/sin instead of complex powers.  The result is one real
+    exp of Re psi times the unit phasor of Im psi - shift*xi; it agrees with
+    exp(characteristic_exponent(p, xi) - 1j*shift*xi) to rounding.
+    """
+    re = np.zeros_like(xi)
+    im = p.mu * xi
+    for alpha, beta, lam, sign, c, lam_beta in _tempered_sides(p):
+        r = xi / lam
+        arg = np.arctan(r)
+        if c is None:
+            re -= 0.5 * alpha * np.log1p(r * r)
+            im -= sign * alpha * arg
+        else:
+            mod = np.exp((0.5 * beta) * np.log(lam * lam + xi * xi))
+            re += c * (mod * np.cos(beta * arg) - lam_beta)
+            im += (sign * c) * mod * np.sin(beta * arg)
+    return _polar(re, im - shift * xi)
+
+
+def _polar(log_modulus: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """exp(log_modulus + i*phase) from one real exp and one cos/sin pair."""
+    modulus = np.exp(log_modulus)
+    out = np.empty(phase.shape, dtype=complex)
+    out.real = modulus * np.cos(phase)
+    out.imag = modulus * np.sin(phase)
+    return out
+
+
+def _log_modulus(p: GTSParams):
+    """The scalar function x -> Re psi(x) = log|cf(x)| at real x, via math.
+
+    It takes the real steps of the complex reference path: the log of the
+    base's hypot, its atan2, exp and cos, and at beta = 0 the division of
+    the base by lam before the log.  So it returns
+    Re characteristic_exponent(p, x) to the bit away from small |x|, and the
+    cutoff bisection lands on the same float or within a few ulps of it.
+    Per-side constants are bound once.
+    """
+    sides = tuple(_tempered_sides(p))
+
+    def re_psi(x: float) -> float:
+        total = 0.0
+        for alpha, beta, lam, _, c, lam_beta in sides:
+            if c is None:
+                inv = 1.0 / lam
+                total -= alpha * math.log(math.hypot(lam * inv, x * inv))
+            else:
+                power = math.exp(beta * math.log(math.hypot(lam, x)))
+                total += c * (power * math.cos(beta * math.atan2(x, lam)) - lam_beta)
+        return total
+
+    return re_psi
 
 
 def mgf_exponent(p: GTSParams, theta) -> float:
@@ -347,11 +423,8 @@ def read_params_file(source) -> GTSParams:
     the seven canonical names (mu, beta_plus, ..., lambda_minus); unknown or
     repeated keys are rejected.  ``source`` is a path or an open text stream.
     """
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+    with text_stream(source) as fh:
+        lines = fh.read().splitlines()
     seen = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()

@@ -113,6 +113,18 @@ class NoBracket(NumericalError):
     """Root solver called without a sign change over the unit interval."""
 
 
+class PenaltyWall(NumericalError):
+    """Finite-difference probes of the likelihood hit its infeasibility penalty.
+
+    ``coordinates`` names the free coordinates whose probes hit it; a
+    difference across the penalty is meaningless, so no Hessian is formed.
+    """
+
+    def __init__(self, coordinates):
+        self.coordinates = tuple(coordinates)
+        super().__init__("Hessian probes hit the likelihood penalty along: " + ", ".join(self.coordinates))
+
+
 # ------------------------------------------------------------------ warnings
 
 class MultipleRootsWarning(UserWarning):
@@ -120,4 +132,5 @@ class MultipleRootsWarning(UserWarning):
 
 
 class SingularHessianWarning(UserWarning):
-    """Standard errors fall back to a pseudo-inverse of the Hessian."""
+    """Standard errors fall back to a pseudo-inverse of the Hessian, or are
+    omitted because its probes hit the likelihood penalty."""

@@ -30,6 +30,7 @@ from .errors import (
     DegenerateData,
     GtsError,
     OutOfGrid,
+    PenaltyWall,
     SingularHessianWarning,
     TooShort,
 )
@@ -390,9 +391,20 @@ def fit_mle(
         kind=kind,
     )
     if options.compute_se and converged:
-        se, pv, fallback = standard_errors(result, data, options)
-        result = replace(result, std_errors=se, z_pvalues=pv, hessian_fallback=fallback)
+        result = _with_standard_errors(result, data, options)
     return result
+
+
+def _with_standard_errors(result: FitResult, data: ReturnSeries, options: FitOptions) -> FitResult:
+    """The fit with its standard errors, or without them (and flagged as a
+    fallback, with SingularHessianWarning) when the Hessian's probes hit the
+    likelihood penalty."""
+    try:
+        se, pv, fallback = standard_errors(result, data, options)
+    except PenaltyWall as exc:
+        warnings.warn(f"standard errors omitted: {exc}", SingularHessianWarning, stacklevel=3)
+        return replace(result, hessian_fallback=True)
+    return replace(result, std_errors=se, z_pvalues=pv, hessian_fallback=fallback)
 
 
 def _transformed_hessian(neg, t, step_rel):
@@ -423,8 +435,11 @@ def standard_errors(fit: FitResult, data: ReturnSeries, options: FitOptions = Fi
     The observed information is computed in the transformed space and mapped
     back through the diagonal Jacobian of the coordinate-wise transforms.
     A singular Hessian falls back to the Moore-Penrose pseudo-inverse and
-    emits SingularHessianWarning.  Structurally pinned parameters of a
-    restricted fit report a standard error of 0 and a p-value of 1.
+    emits SingularHessianWarning.  A Hessian probe that hits the likelihood
+    penalty (an infeasible point, or one off the frozen grid's aliasing
+    bound) raises PenaltyWall naming the coordinates probed.  Structurally
+    pinned parameters of a restricted fit report a standard error of 0 and
+    a p-value of 1.
     """
     kind = fit.kind
     names = _free_names(kind)
@@ -434,8 +449,19 @@ def standard_errors(fit: FitResult, data: ReturnSeries, options: FitOptions = Fi
     obs = np.asarray(data.values, dtype=float)
     cfg = _fit_grid_config(fit.params, obs, options)
     neg = _neg_loglik_factory(kind, data, cfg)
+    walled = set()
 
-    H = _transformed_hessian(neg, t, options.hessian_step)
+    def probe(s):
+        # A probe at the estimate itself implicates every coordinate.
+        v = neg(s)
+        if v >= _PENALTY:
+            moved = np.flatnonzero(s != t)
+            walled.update(moved.tolist() if moved.size else range(len(names)))
+        return v
+
+    H = _transformed_hessian(probe, t, options.hessian_step)
+    if walled:
+        raise PenaltyWall(names[i] for i in sorted(walled))
     H = 0.5 * (H + H.T)
     fallback = False
     try:

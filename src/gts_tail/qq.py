@@ -23,6 +23,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import chdtrc, ndtr, ndtri
 
+from ._textio import text_stream
 from .errors import (
     BinUnderflow,
     BoundaryObservation,
@@ -405,8 +406,5 @@ def emit(data, fmt: str, path) -> None:
             raise DomainError(f"GOF report renders to json or csv, not {fmt!r}")
     else:
         raise DomainError(f"cannot emit {type(data).__name__}")
-    if hasattr(path, "write"):
-        path.write(text)
-        return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with text_stream(path, "w") as fh:
         fh.write(text)

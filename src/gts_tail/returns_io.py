@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._textio import text_stream
 from .errors import DuplicateDate, NonPositivePrice, ParseError, TooShort
 
 __all__ = [
@@ -88,11 +89,8 @@ def load_price_csv(source, currency: str = "") -> PriceSeries:
     duplicate dates and non-positive prices are rejected with the offending
     line number.
     """
-    if hasattr(source, "read"):
-        rows = list(csv.reader(source))
-    else:
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
+    with text_stream(source) as fh:
+        rows = list(csv.reader(fh))
     if not rows:
         raise ParseError(0, "empty price file")
     header = [c.strip().lower() for c in rows[0]]
@@ -175,12 +173,7 @@ def summary_stats(r: ReturnSeries) -> SummaryStats:
 
 def write_returns_csv(r: ReturnSeries, path) -> None:
     """Single-column CSV with a `return` header, 17-significant-digit text."""
-    if hasattr(path, "write"):
-        path.write("return\n")
-        for v in r.values:
-            path.write(f"{v:.17g}\n")
-        return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with text_stream(path, "w") as fh:
         fh.write("return\n")
         for v in r.values:
             fh.write(f"{v:.17g}\n")
@@ -188,11 +181,8 @@ def write_returns_csv(r: ReturnSeries, path) -> None:
 
 def load_returns_csv(source, label: str = "") -> ReturnSeries:
     """Read a single-column `return` CSV written by write_returns_csv."""
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+    with text_stream(source) as fh:
+        lines = fh.read().splitlines()
     if not lines or lines[0].strip().lower() != "return":
         raise ParseError(1, "expected header 'return'")
     vals = []

@@ -25,7 +25,10 @@ node count n, and the Newton-Cotes weights are palindromic, so each weighted
 sum equals (1/pi) * Re of its positive half alone: n/2 nodes starting at
 xi = dxi/2.  Only that half is sampled, and one Bluestein transform returns
 just the m grid values, on a linear convolution of length n/2 + m - 1
-(rounded up to a fast FFT size).
+(rounded up to a fast FFT size).  The samples cf(xi) exp(-i x_min xi) come
+from a real-arithmetic kernel that folds the grid phase into the
+characteristic function's own cos/sin pair; the public complex exponent
+stays the reference it is tested against.
 
 A slow adaptive-quadrature oracle (`direct_quadrature_oracle`) evaluates the
 one-sided forms of the same inversion integrals at a single point for
@@ -44,10 +47,13 @@ from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 from scipy.special import ndtr
 
+from ._textio import text_stream
 from .core import (
     GTSParams,
+    _log_modulus,
     _mgf_exponent_values,
-    characteristic_exponent,
+    _polar,
+    _shifted_cf,
     characteristic_function,
     cumulant,
 )
@@ -216,10 +222,7 @@ def _freq_cutoff(p: GTSParams, eps: float) -> float:
     domain, so bisection is valid.
     """
     target = math.log(eps)
-
-    def logcf(x):
-        return float(np.real(characteristic_exponent(p, complex(x))))
-
+    logcf = _log_modulus(p)
     hi = 1.0
     for _ in range(64):
         if logcf(hi) < target:
@@ -431,8 +434,7 @@ def _invert(weighted: np.ndarray, grid: SpectralGrid, dxi: float) -> np.ndarray:
 def _pdf_values(p: GTSParams, grid: SpectralGrid) -> np.ndarray:
     """Raw inverted density values, unclamped and unchecked."""
     xi, w, dxi = _half_spectrum(grid)
-    a = w * characteristic_function(p, xi) * np.exp(-1j * grid.x_min * xi)
-    return _invert(a, grid, dxi)
+    return _invert(w * _shifted_cf(p, xi, grid.x_min), grid, dxi)
 
 
 def pdf_table(p: GTSParams, grid: SpectralGrid) -> DensityTable:
@@ -464,9 +466,10 @@ def _cdf_values(p: GTSParams, grid: SpectralGrid) -> np.ndarray:
     xi, w, dxi = _half_spectrum(grid)
     k1 = cumulant(p, 1)
     k2 = cumulant(p, 2)
-    cf_ref = np.exp(1j * k1 * xi - 0.5 * k2 * xi * xi)
-    h = (characteristic_function(p, xi) - cf_ref) / (1j * xi)
-    corr = _invert(w * h * np.exp(-1j * grid.x_min * xi), grid, dxi)
+    # cf and cf_ref, both times exp(-i x_min xi).
+    ref = _polar(-0.5 * k2 * xi * xi, k1 * xi - grid.x_min * xi)
+    h = (_shifted_cf(p, xi, grid.x_min) - ref) / (1j * xi)
+    corr = _invert(w * h, grid, dxi)
     return ndtr((grid.x() - k1) / math.sqrt(k2)) - corr
 
 
@@ -555,12 +558,7 @@ def direct_quadrature_oracle(p: GTSParams, x: float, abs_tol: float = 1e-10):
 def write_table_csv(table, path) -> None:
     """Two-column CSV (x, value) with 17-significant-digit decimals."""
     x = table.grid.x()
-    if hasattr(path, "write"):
-        path.write("x,value\n")
-        for xi_, v in zip(x, table.values):
-            path.write(f"{xi_:.17g},{v:.17g}\n")
-        return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with text_stream(path, "w") as fh:
         fh.write("x,value\n")
         for xi_, v in zip(x, table.values):
             fh.write(f"{xi_:.17g},{v:.17g}\n")

@@ -175,6 +175,24 @@ def test_fit_roundtrip(returns_file, tmp_path):
     assert np.isfinite(payload["loglik"])
 
 
+def test_fit_json_without_standard_errors(returns_file, tmp_path, monkeypatch):
+    # A fit whose Hessian probes hit the likelihood penalty carries no SEs.
+    from gts_tail import cli
+
+    def fit_without_se(data, kind=None, options=None):
+        return gt.FitResult(
+            params=gt.BITCOIN_DAILY.params, loglik=-1.0, std_errors=None, z_pvalues=None,
+            aic=16.0, bic=20.0, n_obs=data.n, converged=True, n_free=7, hessian_fallback=True,
+        )
+
+    monkeypatch.setattr(cli, "fit_mle", fit_without_se)
+    out = tmp_path / "fit.json"
+    assert cli.main(["fit", "--input", returns_file, "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["std_errors"] is None and payload["z_pvalues"] is None
+    assert payload["hessian_fallback"] is True and payload["converged"] is True
+
+
 def test_exit_code_validation_error(tmp_path):
     bad = tmp_path / "bad.par"
     bad.write_text("mu = 0\n")

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import gts_tail as gt
-from gts_tail.core import mgf_exponent
+from gts_tail.core import _shifted_cf, mgf_exponent
 from gts_tail.errors import DomainError, NonFinite, OutOfDomain, ParseError
+from gts_tail.spectral import _freq_cutoff
 
 
 # --------------------------------------------------------------------------
@@ -60,7 +61,10 @@ def _psi_mp(p, xi, beta_override=None):
         beta = mpmath.mpf(repr(beta if beta_override is None else beta_override))
         lam = mpmath.mpf(repr(lam))
         base = lam + sgn * 1j * xi
-        out += alpha * mpmath.gamma(-beta) * (base**beta - lam**beta)
+        if beta == 0:
+            out -= alpha * mpmath.log(base / lam)
+        else:
+            out += alpha * mpmath.gamma(-beta) * (base**beta - lam**beta)
     return out
 
 
@@ -112,6 +116,53 @@ def test_cf_is_exp_of_exponent(eth_params):
     lhs = gt.characteristic_function(eth_params, xi)
     rhs = np.exp(gt.characteristic_exponent(eth_params, xi))
     assert abs(lhs - rhs) < 1e-14
+
+
+# Laws for the real-arithmetic kernel: the two references, a bilateral-gamma
+# law (beta = 0 on both sides), and a strongly asymmetric law with a
+# beta = 0 upper side.
+_KERNEL_LAWS = {
+    "btc": gt.BITCOIN_DAILY.params,
+    "eth": gt.ETHEREUM_DAILY.params,
+    "bilateral-gamma": gt.validate_params(0.05, 0.0, 0.0, 1.5, 1.2, 0.8, 0.6),
+    "asymmetric": gt.validate_params(-0.3, 0.0, 0.85, 3.0, 0.2, 0.05, 4.0),
+}
+
+
+@pytest.mark.parametrize("law", sorted(_KERNEL_LAWS))
+def test_shifted_cf_matches_high_precision(law):
+    p = _KERNEL_LAWS[law]
+    xi = np.array([1e-3, 0.05, 0.4, 1.0, 3.7, 12.0, 45.0, 160.0])
+    got = _shifted_cf(p, xi, 0.0)
+    want = np.array([complex(mpmath.exp(_psi_mpmath(p, x))) for x in xi])
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("law", sorted(_KERNEL_LAWS))
+def test_shifted_cf_matches_complex_path(law):
+    # 8192 nodes up to the 1e-16 cutoff, unshifted and shifted by the
+    # default table's x_min and by an offset of the other sign.
+    p = _KERNEL_LAWS[law]
+    cutoff = _freq_cutoff(p, 1e-16)
+    xi = cutoff * (0.5 + np.arange(8192)) / 8192
+    for shift in (0.0, gt.build_grid(p).x_min, 41.0):
+        want = np.exp(gt.characteristic_exponent(p, xi) - 1j * shift * xi)
+        assert np.max(np.abs(_shifted_cf(p, xi, shift) - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("law", sorted(_KERNEL_LAWS))
+@pytest.mark.parametrize("eps", [1e-8, 1e-12, 1e-16])
+def test_freq_cutoff_is_public_crossing(law, eps):
+    # Re psi through math must put the bisection within 4 ulps of where the
+    # public complex exponent crosses log(eps).
+    p = _KERNEL_LAWS[law]
+    cutoff = _freq_cutoff(p, eps)
+    step = 4.0 * math.ulp(cutoff)
+
+    def log_cf(x):
+        return gt.characteristic_exponent(p, x).real
+
+    assert log_cf(cutoff - step) >= math.log(eps) > log_cf(cutoff + step)
 
 
 def test_beta_zero_equals_bilateral_gamma_log_form():

@@ -5,8 +5,9 @@ import pytest
 from scipy.special import erfc
 
 import gts_tail as gt
-from gts_tail.errors import DegenerateData, OutOfGrid, TooShort
-from gts_tail.estimation import FitOptions, _auto_init, _transformed_hessian
+from gts_tail.core import PARAM_NAMES
+from gts_tail.errors import DegenerateData, OutOfGrid, PenaltyWall, SingularHessianWarning, TooShort
+from gts_tail.estimation import FitOptions, _auto_init, _transformed_hessian, _with_standard_errors
 from gts_tail.spectral import GridConfig
 
 
@@ -219,3 +220,38 @@ def test_transformed_hessian_closed_form_and_call_count():
     H = _transformed_hessian(f, t0, 1e-4)
     assert np.max(np.abs(H - want)) <= 1e-6 * np.max(np.abs(want))
     assert len(calls) == 1 + 2 * n + 4 * (n * (n - 1) // 2) == 99
+
+
+# The default fit's optimum on 3000 BTC draws (seed 2025) lies on its frozen
+# grid's aliasing wall: it needs 16383.99999 of 16384 frequency nodes.
+_WALL_OPTIMUM = (
+    -0.17451253523532417,
+    0.29709782480836433,
+    0.3846904370511248,
+    0.7319732919662688,
+    0.47709900460193266,
+    0.2502954636000154,
+    0.16463173991570654,
+)
+
+
+def test_standard_errors_refuse_probes_across_the_penalty(btc_tables):
+    _, cdf = btc_tables
+    data = gt.sample(cdf, 3000, seed=2025)
+    fit = gt.FitResult(
+        params=gt.validate_params(*_WALL_OPTIMUM), loglik=-7725.0196522, std_errors=None,
+        z_pvalues=None, aic=0.0, bic=0.0, n_obs=data.n, converged=True, n_free=7,
+    )
+    # At 2**14 nodes the minus-probes cross the wall into the penalty.
+    walled = FitOptions(max_n_freq=2**14)
+    with pytest.raises(PenaltyWall) as exc:
+        gt.standard_errors(fit, data, walled)
+    assert exc.value.coordinates and set(exc.value.coordinates) <= set(PARAM_NAMES)
+    with pytest.warns(SingularHessianWarning, match="penalty"):
+        omitted = _with_standard_errors(fit, data, walled)
+    assert omitted.std_errors is None and omitted.z_pvalues is None
+    assert omitted.hessian_fallback
+    # The default Hessian grid (2**15 nodes) clears the wall.
+    kept = _with_standard_errors(fit, data, FitOptions())
+    assert not kept.hessian_fallback
+    assert all(0.02 < se < 0.5 for se in kept.std_errors)
