@@ -41,14 +41,6 @@ from .quantiles import quantile, sample
 from .returns_io import load_returns_csv, write_returns_csv
 from .spectral import GridConfig, build_grid, cdf_table, pdf_table, write_table_csv
 
-_MODELS = {
-    "full": None,
-    "kobol": RestrictedKind.KOBOL,
-    "cgmy": RestrictedKind.CGMY,
-    "bilateral-gamma": RestrictedKind.BILATERAL_GAMMA,
-}
-
-
 def _out(path):
     return sys.stdout if path in (None, "-") else path
 
@@ -140,14 +132,8 @@ def _cmd_sample(args) -> int:
 
 def _cmd_fit(args) -> int:
     data = _read_returns(args.input)
-    kind = _MODELS[args.model]
-    options = FitOptions(
-        grid_m=args.fit_grid_m,
-        starts=args.fit_starts,
-        seed=args.seed,
-        compute_se=not args.no_se,
-    )
-    fit = fit_mle(data, kind=kind, options=options)
+    options = FitOptions(grid_m=args.fit_grid_m, compute_se=not args.no_se)
+    fit = fit_mle(data, kind=RestrictedKind(args.model), options=options)
     payload = {
         "model": args.model,
         "params": dict(zip(PARAM_NAMES, fit.params.as_tuple())),
@@ -263,10 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="maximum-likelihood fit")
     p.add_argument("--input", required=True)
-    p.add_argument("--model", choices=sorted(_MODELS), default="full")
+    p.add_argument("--model", choices=sorted(k.value for k in RestrictedKind), default="full")
     p.add_argument("--out", default="-")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fit-starts", type=int, default=5)
     p.add_argument("--fit-grid-m", type=int, default=2**12)
     p.add_argument("--no-se", action="store_true", help="skip standard errors")
     p.set_defaults(func=_cmd_fit)

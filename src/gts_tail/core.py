@@ -345,27 +345,32 @@ def cumulant(p: GTSParams, n: int) -> float:
 # --------------------------------------------------------------------------
 
 class RestrictedKind(Enum):
-    """Nested sub-families obtained by tying parameters together.
+    """The full model and the nested sub-families obtained by tying parameters.
 
-    KOBOL ties the two stability indices; CGMY additionally ties the two
-    tempering rates; BILATERAL_GAMMA pins both stability indices to zero.
+    FULL frees all seven fields; KOBOL ties the two stability indices; CGMY
+    additionally ties the two tempering rates; BILATERAL_GAMMA pins both
+    stability indices to zero.  Each kind is described by one table,
+    ``fields``: the natural fields each free coordinate fills.  Fields no
+    coordinate fills are pinned to 0.
     """
 
+    FULL = "full"
     KOBOL = "kobol"
     CGMY = "cgmy"
     BILATERAL_GAMMA = "bilateral-gamma"
 
     @property
-    def n_free(self) -> int:
-        return {"kobol": 6, "cgmy": 5, "bilateral-gamma": 5}[self.value]
+    def fields(self) -> tuple:
+        """(free name, natural fields it fills) per free coordinate, in order."""
+        return _FREE_FIELDS[self]
 
     @property
     def free_names(self) -> tuple:
-        return {
-            "kobol": ("mu", "beta", "alpha_plus", "alpha_minus", "lambda_plus", "lambda_minus"),
-            "cgmy": ("mu", "beta", "alpha_plus", "alpha_minus", "lambda_"),
-            "bilateral-gamma": ("mu", "alpha_plus", "alpha_minus", "lambda_plus", "lambda_minus"),
-        }[self.value]
+        return tuple(name for name, _ in self.fields)
+
+    @property
+    def n_free(self) -> int:
+        return len(self.fields)
 
     def expand(self, free) -> GTSParams:
         """Map a free-parameter vector (ordered as free_names) to GTSParams."""
@@ -374,25 +379,46 @@ class RestrictedKind(Enum):
             raise DomainError(
                 f"{self.value} expects {self.n_free} free parameters, got {len(free)}"
             )
-        if self is RestrictedKind.KOBOL:
-            mu, beta, ap, am, lp, lm = free
-            return validate_params(mu, beta, beta, ap, am, lp, lm)
-        if self is RestrictedKind.CGMY:
-            mu, beta, ap, am, lam = free
-            return validate_params(mu, beta, beta, ap, am, lam, lam)
-        mu, ap, am, lp, lm = free
-        return validate_params(mu, 0.0, 0.0, ap, am, lp, lm)
+        natural = dict.fromkeys(PARAM_NAMES, 0.0)
+        for (_, fields), v in zip(self.fields, free):
+            for name in fields:
+                natural[name] = v
+        return validate_params(*(natural[name] for name in PARAM_NAMES))
 
     def reduce(self, p: GTSParams) -> list:
-        """Project a full parameter set onto this kind's free coordinates."""
-        if self is RestrictedKind.KOBOL:
-            beta = 0.5 * (p.beta_plus + p.beta_minus)
-            return [p.mu, beta, p.alpha_plus, p.alpha_minus, p.lambda_plus, p.lambda_minus]
-        if self is RestrictedKind.CGMY:
-            beta = 0.5 * (p.beta_plus + p.beta_minus)
-            lam = 0.5 * (p.lambda_plus + p.lambda_minus)
-            return [p.mu, beta, p.alpha_plus, p.alpha_minus, lam]
-        return [p.mu, p.alpha_plus, p.alpha_minus, p.lambda_plus, p.lambda_minus]
+        """Project a full parameter set onto this kind's free coordinates.
+
+        A tied coordinate takes the mean of its fields; (a + b) / 2 rounds
+        exactly as 0.5 * (a + b), and a lone field is taken as it is.
+        """
+        out = []
+        for _, fields in self.fields:
+            vals = [getattr(p, name) for name in fields]
+            out.append(sum(vals[1:], vals[0]) / len(vals))
+        return out
+
+
+def _own_fields(*names) -> tuple:
+    return tuple((name, (name,)) for name in names)
+
+
+_FREE_FIELDS = {
+    RestrictedKind.FULL: _own_fields(*PARAM_NAMES),
+    RestrictedKind.KOBOL: (
+        ("mu", ("mu",)),
+        ("beta", ("beta_plus", "beta_minus")),
+        *_own_fields("alpha_plus", "alpha_minus", "lambda_plus", "lambda_minus"),
+    ),
+    RestrictedKind.CGMY: (
+        ("mu", ("mu",)),
+        ("beta", ("beta_plus", "beta_minus")),
+        *_own_fields("alpha_plus", "alpha_minus"),
+        ("lambda_", ("lambda_plus", "lambda_minus")),
+    ),
+    RestrictedKind.BILATERAL_GAMMA: _own_fields(
+        "mu", "alpha_plus", "alpha_minus", "lambda_plus", "lambda_minus"
+    ),
+}
 
 
 def restricted_model(kind: RestrictedKind, free) -> GTSParams:

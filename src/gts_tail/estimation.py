@@ -5,9 +5,11 @@ density table (monotone cubic interpolation between grid nodes, floored at
 1e-300 before the log).  The surface is maximized by derivative-free
 Nelder-Mead simplex search in a transformed space (logit for the stability
 indices, log for intensities and tempering rates, identity for the drift).
-Multi-start scheme: the principled start is polished by repeated simplex
-restarts until a restart stops improving; short probe runs from perturbed
-starts only earn their own polish when they clearly beat that result.
+One search path: a short pilot run from the moment-matched start (or the
+caller's) under per-evaluation grids, then repeated simplex restarts on a
+grid frozen at the pilot's point until a restart stops improving.  The
+full model and the restricted families share it; a RestrictedKind says
+which natural fields each free coordinate fills.
 
 Standard errors come from the observed information: the Hessian of the
 negative log-likelihood at the optimum by central finite differences in the
@@ -64,6 +66,13 @@ class FitOptions:
     regions whose characteristic function decays too slowly for the frozen
     budget (stability indices near zero with small intensities) are treated
     as infeasible by the optimizer.
+
+    The search is one pilot simplex run of at most ``probe_maxfev``
+    likelihood evaluations, then up to ``polish_rounds`` simplex restarts of
+    at most ``maxfev`` evaluations each, stopping once a restart improves
+    the negative log-likelihood by less than 1e-6.  ``fatol``/``xatol`` are
+    the simplex tolerances and ``hessian_step`` the relative finite-difference
+    step of the standard errors.
     """
 
     grid_m: int = 2**12
@@ -71,8 +80,6 @@ class FitOptions:
     width_sds: float = 20.0
     freq_eps: float = 1e-8
     max_n_freq: int = 2**17
-    starts: int = 5
-    seed: int = 0
     probe_maxfev: int = 400
     maxfev: int = 4000
     fatol: float = 1e-8
@@ -93,7 +100,7 @@ class FitResult:
     n_obs: int
     converged: bool
     n_free: int
-    kind: RestrictedKind | None = None
+    kind: RestrictedKind = RestrictedKind.FULL
     hessian_fallback: bool = False
 
 
@@ -112,22 +119,6 @@ class NormalFit:
 # --------------------------------------------------------------------------
 # parameter-space transforms
 # --------------------------------------------------------------------------
-
-def _free_names(kind):
-    return RestrictedKind(kind).free_names if kind is not None else PARAM_NAMES
-
-
-def _expand(kind, free) -> GTSParams:
-    if kind is None:
-        return validate_params(*free)
-    return RestrictedKind(kind).expand(free)
-
-
-def _reduce(kind, p: GTSParams):
-    if kind is None:
-        return list(p.as_tuple())
-    return RestrictedKind(kind).reduce(p)
-
 
 def _to_transformed(names, free):
     out = []
@@ -232,13 +223,13 @@ def _lenient_density_table(p, grid):
     return DensityTable(grid=grid, values=np.maximum(_pdf_values(p, grid), 0.0))
 
 
-def _neg_loglik_factory(kind, data, cfg):
-    names = _free_names(kind)
+def _neg_loglik_factory(kind: RestrictedKind, data, cfg):
+    names = kind.free_names
     obs = np.asarray(data.values, dtype=float)
 
     def neg(t):
         try:
-            p = _expand(kind, _from_transformed(names, t))
+            p = kind.expand(_from_transformed(names, t))
             c = _likelihood_grid(p, obs, cfg)
             grid = build_grid(p, c)
             table = _lenient_density_table(p, grid)
@@ -253,7 +244,7 @@ def _neg_loglik_factory(kind, data, cfg):
 # initialization
 # --------------------------------------------------------------------------
 
-def _auto_init(data: np.ndarray, kind: RestrictedKind | None = None) -> GTSParams:
+def _auto_init(data: np.ndarray, kind: RestrictedKind = RestrictedKind.FULL) -> GTSParams:
     """Moment-flavored starting point.
 
     Median for the drift, 0.5 for both stability indices, tempering rates
@@ -261,7 +252,7 @@ def _auto_init(data: np.ndarray, kind: RestrictedKind | None = None) -> GTSParam
     puts its percentile scale near a few multiples of 1/lambda), and a
     common intensity calibrated so the implied variance matches the sample.
 
-    The bilateral-gamma family starts instead from a fixed intensity of 1.5
+    The bilateral-gamma family begins instead from a fixed intensity of 1.5
     per side with variance-matched rates: its preferred small intensities
     make the characteristic function decay too slowly to invert, so the
     start must sit inside the invertible region.
@@ -288,10 +279,10 @@ def _auto_init(data: np.ndarray, kind: RestrictedKind | None = None) -> GTSParam
 def fit_mle(
     data: ReturnSeries,
     init: GTSParams | None = None,
-    kind: RestrictedKind | None = None,
+    kind: RestrictedKind = RestrictedKind.FULL,
     options: FitOptions = FitOptions(),
 ) -> FitResult:
-    """Fit by maximum likelihood; returns best-of multi-start Nelder-Mead.
+    """Fit by maximum likelihood: a pilot simplex run, then polished restarts.
 
     Non-convergence is reported through ``converged=False`` on the result
     rather than raised.  Requires at least 100 observations and non-zero
@@ -303,9 +294,10 @@ def fit_mle(
     if float(np.var(obs)) == 0.0:
         raise DegenerateData("sample variance is zero")
 
-    names = _free_names(kind)
+    kind = RestrictedKind(kind)
+    names = kind.free_names
     init_params = init if init is not None else _auto_init(obs, kind)
-    t0 = _to_transformed(names, _reduce(kind, init_params))
+    t0 = _to_transformed(names, kind.reduce(init_params))
 
     # Pilot pass under per-evaluation automatic grids: cheap, tolerant of
     # the discrete node-count switches, and it lands near the data's true
@@ -324,60 +316,41 @@ def fit_mle(
         options=dict(maxfev=options.probe_maxfev, fatol=options.fatol, adaptive=True),
     )
     t_start = pilot.x if pilot.fun < _PENALTY else t0
-    pilot_params = _expand(kind, _from_transformed(names, t_start))
+    pilot_params = kind.expand(_from_transformed(names, t_start))
     cfg = _fit_grid_config(pilot_params, obs, options)
 
     neg = _neg_loglik_factory(kind, data, cfg)
 
-    def simplex(x0, maxfev):
-        return minimize(
+    # Repeated simplex runs, each restarted (and so re-inflated) from the
+    # previous vertex; ill-conditioned valleys stall a single run long
+    # before the stationary point.
+    best = None
+    prev = math.inf
+    converged = False
+    x0 = t_start
+    for _ in range(max(options.polish_rounds, 1)):
+        r = minimize(
             neg,
             x0,
             method="Nelder-Mead",
             options=dict(
-                maxfev=maxfev,
+                maxfev=options.maxfev,
                 fatol=options.fatol,
                 xatol=options.xatol,
                 adaptive=True,
             ),
         )
+        if best is None or r.fun <= best.fun:
+            best = r
+        x0 = r.x
+        if prev - r.fun < 1e-6:
+            converged = bool(r.success)
+            break
+        prev = r.fun
 
-    def polish(x0):
-        # Repeated simplex runs, each restarted (and so re-inflated) from
-        # the previous vertex; ill-conditioned valleys stall a single run
-        # long before the stationary point.
-        best = None
-        prev = math.inf
-        settled = False
-        for _ in range(max(options.polish_rounds, 1)):
-            r = simplex(x0, options.maxfev)
-            if best is None or r.fun <= best.fun:
-                best = r
-            x0 = r.x
-            if prev - r.fun < 1e-6:
-                settled = bool(r.success)
-                break
-            prev = r.fun
-        return best, settled
-
-    best, converged = polish(t_start)
-
-    # Perturbed probes guard against a poor principled start; a probe only
-    # earns a full polish when it clearly beats the polished solution.
-    rng = np.random.default_rng(options.seed)
-    spread = np.where([n == "mu" for n in names], 0.5, 0.3)
-    for _ in range(max(options.starts - 1, 0)):
-        r = simplex(t_start + rng.normal(0.0, spread), options.probe_maxfev)
-        if r.fun < best.fun - 1.0:
-            other, other_conv = polish(r.x)
-            if other.fun < best.fun:
-                best, converged = other, other_conv
-
-    params = _expand(kind, _from_transformed(names, best.x))
+    params = kind.expand(_from_transformed(names, best.x))
     loglik = -float(best.fun)
-    n_free = len(names)
-    aic = 2.0 * n_free - 2.0 * loglik
-    bic = n_free * math.log(obs.size) - 2.0 * loglik
+    aic, bic = _aic_bic(kind.n_free, obs.size, loglik)
     result = FitResult(
         params=params,
         loglik=loglik,
@@ -387,7 +360,7 @@ def fit_mle(
         bic=bic,
         n_obs=int(obs.size),
         converged=converged,
-        n_free=n_free,
+        n_free=kind.n_free,
         kind=kind,
     )
     if options.compute_se and converged:
@@ -442,8 +415,8 @@ def standard_errors(fit: FitResult, data: ReturnSeries, options: FitOptions = Fi
     a p-value of 1.
     """
     kind = fit.kind
-    names = _free_names(kind)
-    free = _reduce(kind, fit.params)
+    names = kind.free_names
+    free = kind.reduce(fit.params)
     t = _to_transformed(names, free)
 
     obs = np.asarray(data.values, dtype=float)
@@ -481,14 +454,10 @@ def standard_errors(fit: FitResult, data: ReturnSeries, options: FitOptions = Fi
     var_nat = np.abs(np.diag(cov_t)) * jac**2
     se_free = np.sqrt(var_nat)
 
-    # Scatter free-coordinate errors onto the seven natural fields.
+    # Scatter free-coordinate errors onto the natural fields they fill.
     se = dict.fromkeys(PARAM_NAMES, 0.0)
-    for name, s in zip(names, se_free):
-        if name == "beta":
-            se["beta_plus"] = se["beta_minus"] = float(s)
-        elif name == "lambda_":
-            se["lambda_plus"] = se["lambda_minus"] = float(s)
-        else:
+    for (_, fields), s in zip(kind.fields, se_free):
+        for name in fields:
             se[name] = float(s)
 
     est = dict(zip(se.keys(), fit.params.as_tuple()))
@@ -502,11 +471,14 @@ def standard_errors(fit: FitResult, data: ReturnSeries, options: FitOptions = Fi
     return tuple(se[k] for k in PARAM_NAMES), tuple(pvals[k] for k in PARAM_NAMES), fallback
 
 
+def _aic_bic(k: int, n: int, loglik: float):
+    """(aic, bic) = (2k - 2 loglik, k ln n - 2 loglik) for k free parameters, n observations."""
+    return 2.0 * k - 2.0 * loglik, k * math.log(n) - 2.0 * loglik
+
+
 def information_criteria(fit: FitResult):
-    """(aic, bic) = (2k - 2 loglik, k ln n - 2 loglik)."""
-    aic = 2.0 * fit.n_free - 2.0 * fit.loglik
-    bic = fit.n_free * math.log(fit.n_obs) - 2.0 * fit.loglik
-    return aic, bic
+    """(aic, bic) of a fit, from its free-parameter count and sample size."""
+    return _aic_bic(fit.n_free, fit.n_obs, fit.loglik)
 
 
 def fit_normal(data: ReturnSeries) -> NormalFit:
@@ -519,11 +491,12 @@ def fit_normal(data: ReturnSeries) -> NormalFit:
         raise DegenerateData("sample variance is zero")
     n = obs.size
     loglik = -0.5 * n * (math.log(2.0 * math.pi * var) + 1.0)
+    aic, bic = _aic_bic(2, n, loglik)
     return NormalFit(
         mean=float(np.mean(obs)),
         sd=math.sqrt(var),
         loglik=loglik,
-        aic=2.0 * 2 - 2.0 * loglik,
-        bic=2 * math.log(n) - 2.0 * loglik,
+        aic=aic,
+        bic=bic,
         n_obs=n,
     )

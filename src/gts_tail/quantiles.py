@@ -83,10 +83,8 @@ def _derivative_sign_changes(c):
     return changes
 
 
-def _newton_bisect(c, seed: float, p0: float) -> float:
-    """Safeguarded Newton on [0,1] with a guaranteed sign-change bracket."""
-    lo, hi = 0.0, 1.0
-    flo = p0
+def _newton_bisect(c, seed: float, flo: float, lo: float = 0.0, hi: float = 1.0) -> float:
+    """Safeguarded Newton on [lo, hi], a sign-change bracket with flo = p(lo)."""
     y = seed
     for _ in range(_MAX_ITER):
         py = _poly_val(c, y)
@@ -156,7 +154,9 @@ def solve_quartic_unit(b: QuarticCoeffs) -> float:
     If the derivative changes sign more than once inside (0,1) the
     polynomial may cross several times (an interpolation artifact when the
     underlying CDF is monotone); the root nearest the straight-line seed is
-    then chosen and a MultipleRootsWarning is emitted.
+    then chosen, polished inside the sub-bracket reaching halfway to its
+    neighbouring candidates (when p changes sign across it), and a
+    MultipleRootsWarning is emitted.
     """
     c = b.as_array()
     p0 = _poly_val(c, 0.0)
@@ -174,7 +174,10 @@ def solve_quartic_unit(b: QuarticCoeffs) -> float:
     # Wiggle sniff: more than one derivative sign change on a coarse scan
     # means the crossing may not be unique.
     if _derivative_sign_changes(c) >= 2:
-        roots = np.roots(c[::-1])
+        # A b4 below the rounding of the other terms on [0,1] is noise: kept,
+        # it sends one companion root far out and costs the others accuracy.
+        residue = abs(c[4]) <= np.finfo(float).eps * np.sum(np.abs(c[:4]))
+        roots = np.roots(c[3::-1] if residue else c[::-1])
         real = roots[np.abs(roots.imag) < 1e-9].real
         inside = np.sort(real[(real > 0.0) & (real < 1.0)])
         if inside.size > 1:
@@ -183,7 +186,15 @@ def solve_quartic_unit(b: QuarticCoeffs) -> float:
                 MultipleRootsWarning,
                 stacklevel=2,
             )
-            seed = float(inside[np.argmin(np.abs(inside - seed))])
+            j = int(np.argmin(np.abs(inside - seed)))
+            seed = float(inside[j])
+            # Polish between the midpoints to the neighbouring candidates, so
+            # bisection cannot walk to another crossing.
+            lo = 0.5 * (inside[j - 1] + seed) if j > 0 else 0.0
+            hi = 0.5 * (seed + inside[j + 1]) if j + 1 < inside.size else 1.0
+            flo, fhi = _poly_val(c, lo), _poly_val(c, hi)
+            if flo < 0.0 < fhi or fhi < 0.0 < flo:
+                return _newton_bisect(c, seed, flo, lo, hi)
         elif inside.size == 1:
             seed = float(inside[0])
 

@@ -403,7 +403,7 @@ def _half_spectrum(grid: SpectralGrid):
     """Positive half of the symmetric frequency grid and its weights.
 
     The n_freq nodes -Xi + l*dxi (dxi = 2 Xi/(n_freq - 1)) are symmetric
-    about 0 with an even count, so the upper half starts at dxi/2; its
+    about 0 with an even count, so the upper half begins at dxi/2; its
     quadrature weights (times dxi) are the upper half of the palindromic
     Newton-Cotes vector.
     """

@@ -17,6 +17,7 @@ import pytest
 from scipy.special import gamma as _gamma
 
 import gts_tail as gt
+from gts_tail.core import PARAM_NAMES
 from gts_tail.estimation import FitOptions, _fit_grid_config, _neg_loglik_factory, _to_transformed, _transformed_hessian
 from gts_tail.qq import hazen_levels
 from gts_tail.quantiles import quartic_for_level
@@ -265,9 +266,8 @@ def test_criterion_8_self_recovery(tables, recovery_fits):
     data, fit = recovery_fits[seed0]
     obs = np.asarray(data.values)
     cfg = _fit_grid_config(fit.params, obs, FitOptions())
-    neg = _neg_loglik_factory(None, data, cfg)
-    names = ("mu", "beta_plus", "beta_minus", "alpha_plus", "alpha_minus", "lambda_plus", "lambda_minus")
-    t = _to_transformed(names, list(fit.params.as_tuple()))
+    neg = _neg_loglik_factory(gt.RestrictedKind.FULL, data, cfg)
+    t = _to_transformed(PARAM_NAMES, list(fit.params.as_tuple()))
     H = _transformed_hessian(neg, t, 1e-4)
     asym = float(np.max(np.abs(H - H.T)) / np.max(np.abs(H)))
     assert asym <= 1e-6
@@ -295,11 +295,11 @@ def test_criterion_9_model_ordering(recovery_fits):
     # inferior on this data by hundreds of nats, and its slowly decaying
     # characteristic function makes each evaluation expensive.
     bg_opts = FitOptions(
-        starts=1, probe_maxfev=200, maxfev=1500, polish_rounds=2,
+        probe_maxfev=200, maxfev=1500, polish_rounds=2,
         compute_se=False, max_n_freq=2**15, grid_m=2**11,
     )
     kob_opts = FitOptions(
-        starts=2, probe_maxfev=250, maxfev=2500, polish_rounds=3,
+        probe_maxfev=250, maxfev=2500, polish_rounds=3,
         compute_se=False, max_n_freq=2**15, grid_m=2**11,
     )
 
@@ -317,7 +317,7 @@ def test_criterion_9_model_ordering(recovery_fits):
 
     # The full-model optimum is at least the better of the cold fit and a
     # polish warm-started from the Kobol solution (nested subspace).
-    warm_opts = FitOptions(starts=1, probe_maxfev=200, maxfev=2000, polish_rounds=2, compute_se=False)
+    warm_opts = FitOptions(probe_maxfev=200, maxfev=2000, polish_rounds=2, compute_se=False)
     full_warm = gt.fit_mle(data, init=kob.params, options=warm_opts)
     full_ll = max(full_fit.loglik, full_warm.loglik)
     full_aic = min(full_fit.aic, full_warm.aic)
@@ -417,7 +417,7 @@ def test_criterion_11_determinism(tmp_path, tables):
 
     # Fit determinism: two runs with identical seeds and settings.
     small = gt.sample(cdf, 300, seed=1)
-    fast = FitOptions(starts=1, probe_maxfev=150, maxfev=800, polish_rounds=1, compute_se=False, grid_m=1024)
+    fast = FitOptions(probe_maxfev=150, maxfev=800, polish_rounds=1, compute_se=False, grid_m=1024)
     fit_a = gt.fit_mle(small, options=fast)
     fit_b = gt.fit_mle(small, options=fast)
     assert fit_a.params == fit_b.params

@@ -162,8 +162,6 @@ def test_fit_roundtrip(returns_file, tmp_path):
         "full",
         "--fit-grid-m",
         "1024",
-        "--fit-starts",
-        "1",
         "--no-se",
         "--out",
         str(out),

@@ -326,9 +326,26 @@ def test_restricted_model_validates():
 def test_reduce_roundtrip(btc_params):
     for kind in gt.RestrictedKind:
         free = kind.reduce(btc_params)
-        assert len(free) == kind.n_free
+        assert len(free) == kind.n_free == len(kind.free_names)
         p2 = kind.expand(free)
         assert p2.beta_plus == p2.beta_minus or kind is not gt.RestrictedKind.KOBOL
+    # A parameter set of each kind survives the projection exactly.
+    own = {
+        gt.RestrictedKind.FULL: btc_params,
+        gt.RestrictedKind.KOBOL: gt.kobol_params(-0.1, 0.35, 0.7, 0.5, 0.25, 0.17),
+        gt.RestrictedKind.CGMY: gt.cgmy_params(-0.1, 0.35, 0.7, 0.5, 0.21),
+        gt.RestrictedKind.BILATERAL_GAMMA: gt.bilateral_gamma_params(-0.1, 1.5, 1.2, 0.6, 0.5),
+    }
+    assert set(own) == set(gt.RestrictedKind)
+    for kind, p in own.items():
+        assert kind.expand(kind.reduce(p)) == p
+    # Tied fields project onto their mean, rounded as 0.5 * (a + b).
+    p = btc_params
+    assert gt.RestrictedKind.FULL.reduce(p) == list(p.as_tuple())
+    assert gt.RestrictedKind.CGMY.reduce(p) == [
+        p.mu, 0.5 * (p.beta_plus + p.beta_minus), p.alpha_plus, p.alpha_minus,
+        0.5 * (p.lambda_plus + p.lambda_minus),
+    ]
 
 
 # --------------------------------------------------------------------------

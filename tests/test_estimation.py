@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -161,7 +162,7 @@ def test_auto_init_matches_sample_scale(btc_sample_5k):
 def test_small_fit_recovers_scale(btc_params, btc_tables):
     _, cdf = btc_tables
     data = gt.sample(cdf, 1500, seed=3)
-    options = FitOptions(starts=2, probe_maxfev=300, maxfev=3000, polish_rounds=4, compute_se=True)
+    options = FitOptions(probe_maxfev=300, maxfev=3000, polish_rounds=4, compute_se=True)
     fit = gt.fit_mle(data, options=options)
     assert fit.converged
     assert fit.n_free == 7
@@ -182,17 +183,8 @@ def test_hessian_symmetry(btc_params, btc_sample_5k):
     obs = np.asarray(btc_sample_5k.values)
     options = FitOptions()
     cfg = _fit_grid_config(btc_params, obs, options)
-    neg = _neg_loglik_factory(None, btc_sample_5k, cfg)
-    names = (
-        "mu",
-        "beta_plus",
-        "beta_minus",
-        "alpha_plus",
-        "alpha_minus",
-        "lambda_plus",
-        "lambda_minus",
-    )
-    t = _to_transformed(names, list(btc_params.as_tuple()))
+    neg = _neg_loglik_factory(gt.RestrictedKind.FULL, btc_sample_5k, cfg)
+    t = _to_transformed(PARAM_NAMES, list(btc_params.as_tuple()))
     H = _transformed_hessian(neg, t, options.hessian_step)
     asym = np.max(np.abs(H - H.T))
     assert asym <= 1e-6 * np.max(np.abs(H))
@@ -255,3 +247,34 @@ def test_standard_errors_refuse_probes_across_the_penalty(btc_tables):
     kept = _with_standard_errors(fit, data, FitOptions())
     assert not kept.hessian_fallback
     assert all(0.02 < se < 0.5 for se in kept.std_errors)
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        (gt.RestrictedKind.KOBOL, gt.kobol_params(-0.12, 0.36, 0.75, 0.54, 0.25, 0.17)),
+        (gt.RestrictedKind.BILATERAL_GAMMA, gt.bilateral_gamma_params(0.0, 1.5, 1.5, 0.6, 0.6)),
+    ],
+)
+def test_standard_errors_scatter_onto_restricted_fields(kind, params):
+    # No fit: the Hessian at the generating parameters of a small sample.
+    cdf = gt.cdf_table(params, gt.build_grid(params, GridConfig(m=2**12)))
+    data = gt.sample(cdf, 400, seed=8)
+    fit = gt.FitResult(
+        params=params, loglik=0.0, std_errors=None, z_pvalues=None, aic=0.0, bic=0.0,
+        n_obs=data.n, converged=True, n_free=kind.n_free, kind=kind,
+    )
+    # The Hessian at the generating point of a small sample need not be
+    # definite; the pseudo-inverse fallback scatters the same way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SingularHessianWarning)
+        se, pv, _ = gt.standard_errors(fit, data)
+    se, pv = dict(zip(PARAM_NAMES, se)), dict(zip(PARAM_NAMES, pv))
+    tied = ("beta_plus", "beta_minus")
+    if kind is gt.RestrictedKind.KOBOL:
+        assert se["beta_plus"] == se["beta_minus"] > 0.0
+        assert all(v > 0.0 for v in se.values())
+    else:
+        assert se["beta_plus"] == se["beta_minus"] == 0.0
+        assert pv["beta_plus"] == pv["beta_minus"] == 1.0
+        assert all(se[k] > 0.0 for k in PARAM_NAMES if k not in tied)

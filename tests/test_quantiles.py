@@ -52,6 +52,16 @@ def test_several_roots_warn_and_pick_nearest_to_seed():
     assert abs(y - 0.5) <= 1e-12
 
 
+def test_several_roots_polish_inside_the_chosen_root_bracket():
+    # 0.01*(y - 0.2)(y - 0.5)(y - 0.8) - 1e-16*y**4: the tiny b4 puts a root
+    # near 1e14 and costs np.roots 5e-9 on the others, so the seed needs a
+    # polish; across all of [0, 1] bisection would walk to 0.8.
+    c = QuarticCoeffs(-0.0008, 0.0066, -0.015, 0.01, -1e-16)
+    with pytest.warns(MultipleRootsWarning):
+        y = solve_quartic_unit(c)
+    assert abs(y - 0.5) <= 1e-9
+
+
 def test_random_monotone_brackets_match_bisection():
     rng = np.random.default_rng(3)
     for _ in range(50):
@@ -259,6 +269,21 @@ def test_array_quantile_routes_wiggly_bracket_through_warning():
         warnings.simplefilter("ignore", MultipleRootsWarning)
         want = [_loop_quantile(table, float(a)) for a in levels]
     assert np.array_equal(got, want)
+
+
+def test_multiple_roots_polish_stays_at_the_chosen_crossing():
+    # Five nodes of 0.5 + 0.01*(y - 0.2)(y - 0.5)(y - 0.8) at y = -2..2: on
+    # the bracket [4, 5] the interpolant crosses 0.5 at 4.2, 4.5 and 4.8,
+    # and the linear seed is nearest 4.5.  Its b4 is a rounding residue.
+    y = np.arange(-2.0, 3.0)
+    table = _unit_table(np.concatenate([[0.1, 0.2], 0.5 + 0.01 * (y - 0.2) * (y - 0.5) * (y - 0.8), [0.7, 0.9]]))
+    i, coeffs = quartic_for_level(table, 0.5)
+    assert i == 4 and coeffs.b4 != 0.0
+    with pytest.warns(MultipleRootsWarning):
+        got = gt.quantile(table, 0.5)
+    assert abs(got - 4.5) <= 1e-9
+    with pytest.warns(MultipleRootsWarning):
+        assert gt.quantile(table, np.array([0.15, 0.5]))[1] == got
 
 
 # --------------------------------------------------------------------------
