@@ -53,13 +53,17 @@ def _read_returns(path):
     return load_returns_csv(sys.stdin if path == "-" else path)
 
 
-def _grid_config(args) -> GridConfig:
-    return GridConfig(
+def _table(args, make=cdf_table, params=None):
+    """``make`` (cdf_table or pdf_table) of the law in ``params`` (default
+    ``--params``) on the grid the grid flags describe."""
+    p = _read_params(args.params if params is None else params)
+    cfg = GridConfig(
         m=args.grid_m,
         width_sds=args.grid_width_sds,
         min_half_width=args.grid_min_half_width,
         freq_eps=args.freq_eps,
     )
+    return make(p, build_grid(p, cfg))
 
 
 def _add_grid_flags(p):
@@ -96,26 +100,18 @@ def _cmd_eval_cf(args) -> int:
     return 0
 
 
-def _table(args, which: str):
-    p = _read_params(args.params)
-    grid = build_grid(p, _grid_config(args))
-    return pdf_table(p, grid) if which == "pdf" else cdf_table(p, grid)
-
-
 def _cmd_pdf(args) -> int:
-    write_table_csv(_table(args, "pdf"), _out(args.out))
+    write_table_csv(_table(args, pdf_table), _out(args.out))
     return 0
 
 
 def _cmd_cdf(args) -> int:
-    write_table_csv(_table(args, "cdf"), _out(args.out))
+    write_table_csv(_table(args), _out(args.out))
     return 0
 
 
 def _cmd_quantile(args) -> int:
-    p = _read_params(args.params)
-    t = cdf_table(p, build_grid(p, _grid_config(args)))
-    qs = quantile(t, args.alpha)
+    qs = quantile(_table(args), args.alpha)
     with text_stream(_out(args.out), "w") as out:
         out.write("alpha,quantile\n")
         for a, q in zip(args.alpha, qs):
@@ -124,9 +120,7 @@ def _cmd_quantile(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    p = _read_params(args.params)
-    t = cdf_table(p, build_grid(p, _grid_config(args)))
-    write_returns_csv(sample(t, args.n, args.seed), _out(args.out))
+    write_returns_csv(sample(_table(args), args.n, args.seed), _out(args.out))
     return 0
 
 
@@ -161,8 +155,7 @@ def _cmd_qq(args) -> int:
     else:
         if not args.theoretical_params:
             raise ValidationError("--theoretical gts requires --theoretical-params")
-        p = _read_params(args.theoretical_params)
-        t = cdf_table(p, build_grid(p, _grid_config(args)))
+        t = _table(args, params=args.theoretical_params)
         ref = lambda p_: quantile(t, p_)  # noqa: E731
         label = "gts"
     q = qq_points(data, ref, levels=args.levels, reference=label)
@@ -177,8 +170,7 @@ def _cmd_qq(args) -> int:
 
 def _cmd_gof(args) -> int:
     data = _read_returns(args.input)
-    p = _read_params(args.params)
-    t = cdf_table(p, build_grid(p, _grid_config(args)))
+    t = _table(args)
     ks, crit = gof_ks(data, t)
     ad = gof_ad(data, t)
     chi2, df, pval = gof_chi2(data, t, bins=args.bins, n_fitted_params=args.fitted_params)

@@ -30,6 +30,7 @@ from scipy.special import erfc
 from .core import PARAM_NAMES, GTSParams, RestrictedKind, cumulant, validate_params
 from .errors import (
     DegenerateData,
+    DomainError,
     GtsError,
     OutOfGrid,
     PenaltyWall,
@@ -54,38 +55,41 @@ _MIN_OBS = 100
 _DENSITY_FLOOR = 1e-300
 _PENALTY = 1e15
 
+# Likelihood grid: 20 standard deviations each side, cutoff at |cf| < 1e-8.
+_FIT_WIDTH_SDS = 20.0
+_FIT_FREQ_EPS = 1e-8
+# Simplex tolerances (the pilot keeps scipy's default xatol) and the relative
+# finite-difference step of the standard errors' Hessian.
+_FATOL = 1e-8
+_XATOL = 1e-6
+_HESSIAN_STEP = 1e-4
+
 
 @dataclass(frozen=True)
 class FitOptions:
     """Optimizer and likelihood-grid settings.
 
-    The spatial/frequency resolution used during fitting is deliberately
-    lighter than the default table resolution (cutoff at |cf| < 1e-8, with
-    a hard budget on frequency nodes) and is frozen at the start of a fit
-    so the likelihood stays a smooth function of the parameters.  Parameter
-    regions whose characteristic function decays too slowly for the frozen
-    budget (stability indices near zero with small intensities) are treated
-    as infeasible by the optimizer.
+    The likelihood grid has ``grid_m`` spatial points and is deliberately
+    lighter than the default table resolution (20 standard deviations each
+    side, cutoff at |cf| < 1e-8, at most ``max_n_freq`` frequency nodes).
+    Its node count is frozen at the start of a fit so the likelihood stays
+    a smooth function of the parameters.  Parameter regions whose
+    characteristic function decays too slowly for the frozen budget
+    (stability indices near zero with small intensities) are treated as
+    infeasible by the optimizer.
 
     The search is one pilot simplex run of at most ``probe_maxfev``
     likelihood evaluations, then up to ``polish_rounds`` simplex restarts of
     at most ``maxfev`` evaluations each, stopping once a restart improves
-    the negative log-likelihood by less than 1e-6.  ``fatol``/``xatol`` are
-    the simplex tolerances and ``hessian_step`` the relative finite-difference
-    step of the standard errors.
+    the negative log-likelihood by less than 1e-6.  ``compute_se`` adds
+    standard errors to a converged fit (Hessian step 1e-4, relative).
     """
 
     grid_m: int = 2**12
-    n_freq: int | None = None
-    width_sds: float = 20.0
-    freq_eps: float = 1e-8
     max_n_freq: int = 2**17
     probe_maxfev: int = 400
     maxfev: int = 4000
-    fatol: float = 1e-8
-    xatol: float = 1e-6
     polish_rounds: int = 6
-    hessian_step: float = 1e-4
     compute_se: bool = True
 
 
@@ -170,6 +174,16 @@ def _likelihood_grid(p: GTSParams, data: np.ndarray, cfg: GridConfig) -> GridCon
     return replace(cfg, min_half_width=max(cfg.min_half_width, cover))
 
 
+def _base_grid_config(options: FitOptions) -> GridConfig:
+    """The likelihood grid's settings, with its node count left automatic."""
+    return GridConfig(
+        m=options.grid_m,
+        width_sds=_FIT_WIDTH_SDS,
+        freq_eps=_FIT_FREQ_EPS,
+        max_n_freq=options.max_n_freq,
+    )
+
+
 def _fit_grid_config(p: GTSParams, obs: np.ndarray, options: FitOptions) -> GridConfig:
     """Grid settings frozen from the initial point, with 2x headroom.
 
@@ -177,15 +191,9 @@ def _fit_grid_config(p: GTSParams, obs: np.ndarray, options: FitOptions) -> Grid
     the optimizer moves; the headroom absorbs moderate drift of the cutoff
     and tail radius away from the initial parameters.
     """
-    base = GridConfig(
-        m=options.grid_m,
-        width_sds=options.width_sds,
-        freq_eps=options.freq_eps,
-        max_n_freq=options.max_n_freq,
-    )
+    base = _base_grid_config(options)
     frozen = build_grid(p, _likelihood_grid(p, obs, base))
-    n_freq = min(max(2 * frozen.n_freq, options.n_freq or 0), options.max_n_freq)
-    return replace(base, n_freq=n_freq)
+    return replace(base, n_freq=min(2 * frozen.n_freq, options.max_n_freq))
 
 
 def log_likelihood(p: GTSParams, data: ReturnSeries, grid_cfg: GridConfig | None = None) -> float:
@@ -286,7 +294,8 @@ def fit_mle(
 
     Non-convergence is reported through ``converged=False`` on the result
     rather than raised.  Requires at least 100 observations and non-zero
-    sample variance.
+    sample variance; a ``kind`` that names no RestrictedKind raises
+    DomainError.
     """
     obs = np.asarray(data.values, dtype=float)
     if obs.size < _MIN_OBS:
@@ -294,7 +303,11 @@ def fit_mle(
     if float(np.var(obs)) == 0.0:
         raise DegenerateData("sample variance is zero")
 
-    kind = RestrictedKind(kind)
+    try:
+        kind = RestrictedKind(kind)
+    except ValueError:
+        valid = ", ".join(k.value for k in RestrictedKind)
+        raise DomainError(f"unknown model kind {kind!r}; expected one of: {valid}") from None
     names = kind.free_names
     init_params = init if init is not None else _auto_init(obs, kind)
     t0 = _to_transformed(names, kind.reduce(init_params))
@@ -303,17 +316,11 @@ def fit_mle(
     # the discrete node-count switches, and it lands near the data's true
     # decay scale.  The production grid is then frozen from that point, so
     # the polished likelihood is smooth and its box covers the optimum.
-    pilot_cfg = GridConfig(
-        m=options.grid_m,
-        width_sds=options.width_sds,
-        freq_eps=options.freq_eps,
-        max_n_freq=options.max_n_freq,
-    )
     pilot = minimize(
-        _neg_loglik_factory(kind, data, pilot_cfg),
+        _neg_loglik_factory(kind, data, _base_grid_config(options)),
         t0,
         method="Nelder-Mead",
-        options=dict(maxfev=options.probe_maxfev, fatol=options.fatol, adaptive=True),
+        options=dict(maxfev=options.probe_maxfev, fatol=_FATOL, adaptive=True),
     )
     t_start = pilot.x if pilot.fun < _PENALTY else t0
     pilot_params = kind.expand(_from_transformed(names, t_start))
@@ -333,12 +340,7 @@ def fit_mle(
             neg,
             x0,
             method="Nelder-Mead",
-            options=dict(
-                maxfev=options.maxfev,
-                fatol=options.fatol,
-                xatol=options.xatol,
-                adaptive=True,
-            ),
+            options=dict(maxfev=options.maxfev, fatol=_FATOL, xatol=_XATOL, adaptive=True),
         )
         if best is None or r.fun <= best.fun:
             best = r
@@ -432,7 +434,7 @@ def standard_errors(fit: FitResult, data: ReturnSeries, options: FitOptions = Fi
             walled.update(moved.tolist() if moved.size else range(len(names)))
         return v
 
-    H = _transformed_hessian(probe, t, options.hessian_step)
+    H = _transformed_hessian(probe, t, _HESSIAN_STEP)
     if walled:
         raise PenaltyWall(names[i] for i in sorted(walled))
     H = 0.5 * (H + H.T)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -209,7 +209,7 @@ def tail_verdict(q: QQData, tau: float | None = None) -> TailVerdict:
     # Heavier lower tail: observed extremes sit below the line (more
     # negative); heavier upper tail: observed extremes sit above it.
     lower = _side(low, tau)
-    upper = TailSide.HEAVIER if high > tau else (TailSide.LIGHTER if high < -tau else TailSide.COMPARABLE)
+    upper = _side(-high, tau)
 
     if lower is TailSide.HEAVIER and upper is TailSide.HEAVIER:
         shape = ShapeNote.LONG_TAILED
@@ -358,29 +358,17 @@ def _qq_svg(q: QQData) -> str:
 
 
 def _report_json(r: GofReport) -> str:
-    payload = {
-        "ks_stat": r.ks_stat,
-        "ks_critical_5pct": r.ks_critical_5pct,
-        "ad_stat": r.ad_stat,
-        "chi2_stat": r.chi2_stat,
-        "chi2_df": r.chi2_df,
-        "chi2_pvalue": r.chi2_pvalue,
-        "n": r.n,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(asdict(r), indent=2, sort_keys=True) + "\n"
 
 
 def _report_csv(r: GofReport) -> str:
-    rows = [
-        ("ks_stat", f"{r.ks_stat:.17g}"),
-        ("ks_critical_5pct", f"{r.ks_critical_5pct:.17g}"),
-        ("ad_stat", f"{r.ad_stat:.17g}"),
-        ("chi2_stat", f"{r.chi2_stat:.17g}"),
-        ("chi2_df", str(r.chi2_df)),
-        ("chi2_pvalue", f"{r.chi2_pvalue:.17g}"),
-        ("n", str(r.n)),
-    ]
-    return "statistic,value\n" + "\n".join(f"{k},{v}" for k, v in rows) + "\n"
+    # Field types are annotation strings here (postponed annotations): int
+    # fields print as integers, float fields with 17 significant digits.
+    rows = []
+    for f in fields(r):
+        v = getattr(r, f.name)
+        rows.append(f"{f.name},{v}" if f.type == "int" else f"{f.name},{v:.17g}")
+    return "statistic,value\n" + "\n".join(rows) + "\n"
 
 
 def emit(data, fmt: str, path) -> None:

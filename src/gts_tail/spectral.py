@@ -4,11 +4,11 @@ The density on a uniform x-grid comes from the truncated inversion integral
 
     f(x) = (1/2pi) * integral_{-Xi..Xi} cf(xi) exp(-i x xi) dxi
 
-with the frequency samples weighted by a closed Newton-Cotes rule (composite
-Simpson with a 3/8 patch, averaged end for end; on the even node counts used
-here that is the trapezoid rule with corrected weights on the four nodes at
-each end) and the oscillatory sum over all grid points evaluated in one shot
-by a fractional FFT.  The CDF uses the same machinery on the integrand
+with the frequency samples weighted by a closed Newton-Cotes rule of order 4
+(the trapezoid rule with corrected weights on the four nodes at each end,
+which is composite Simpson with a 3/8 patch averaged end for end) and the
+oscillatory sum over all grid points evaluated in one shot by a fractional
+FFT.  The CDF uses the same machinery on the integrand
 
     (cf(xi) - cf_ref(xi)) / (i xi)
 
@@ -127,41 +127,37 @@ def frft(seq, delta: float) -> np.ndarray:
     return _bluestein(a, delta, n)
 
 
+# End weights of the order-4 rule, written as the Simpson and 3/8 averages
+# they come from: three of them round one ulp below the literals 17/48,
+# 59/48 and 43/48, and every table is computed with these bits.
+_NC_ENDS = (
+    0.5 * (1.0 / 3.0 + 3.0 / 8.0),
+    0.5 * (4.0 / 3.0 + 9.0 / 8.0),
+    0.5 * (2.0 / 3.0 + 9.0 / 8.0),
+    0.5 * (4.0 / 3.0 + (1.0 / 3.0 + 3.0 / 8.0)),
+)
+
+
 @lru_cache(maxsize=32)
 def _newton_cotes_cached(n: int) -> tuple:
     if n < 8:
         raise SizeError(f"need at least 8 quadrature nodes, got {n}")
-    w = np.zeros(n)
-    if (n - 1) % 2 == 0:
-        w[0] = w[-1] = 1.0 / 3.0
-        w[1:-1:2] = 4.0 / 3.0
-        w[2:-1:2] = 2.0 / 3.0
-    else:
-        # Odd interval count: Simpson on the first n-4 intervals, a closed
-        # 3/8 rule on the final three.
-        ns = n - 3
-        w[0] = w[ns - 1] = 1.0 / 3.0
-        w[1 : ns - 1 : 2] = 4.0 / 3.0
-        w[2 : ns - 1 : 2] = 2.0 / 3.0
-        w[ns - 1] += 3.0 / 8.0
-        w[ns] = w[ns + 1] = 9.0 / 8.0
-        w[ns + 2] = 3.0 / 8.0
-    # Average with the mirrored rule so the weight vector is palindromic;
-    # this keeps conjugate-symmetric integrands exactly real after summation.
-    w = 0.5 * (w + w[::-1])
+    w = np.ones(n)
+    w[:4] = _NC_ENDS
+    w[-4:] = _NC_ENDS[::-1]
     w.setflags(write=False)
     return (w,)
 
 
 def newton_cotes_weights(n: int) -> np.ndarray:
-    """Closed Newton-Cotes weights of order 4 on n nodes, palindromic.
+    """Closed Newton-Cotes weights of order 4 on n >= 8 nodes, palindromic.
 
-    Weights are for unit spacing; multiply by the actual step.  The rule is
-    composite Simpson, closed by a 3/8-rule patch when the interval count
-    n-1 is odd, then averaged with its mirror image.  For every even n (all
-    frequency node counts are powers of two) the average sets every interior
-    weight to exactly 1: the result is the trapezoid rule with the four
-    weights at each end corrected to 17/48, 59/48, 43/48, 49/48.
+    Weights are for unit spacing; multiply by the actual step.  Every
+    interior weight is 1 and the four at each end are 17/48, 59/48, 43/48
+    and 49/48 (to the ulp, see ``_NC_ENDS``).  This is composite Simpson
+    closed by a 3/8 patch and averaged with its mirror image, bit for bit
+    on every even n (all frequency node counts are powers of two); odd n
+    gets the same end-corrected trapezoid rule.  Cubics integrate exactly.
     """
     return _newton_cotes_cached(int(n))[0]
 
@@ -181,7 +177,6 @@ class GridConfig:
     freq_eps:       |cf| threshold defining the frequency cutoff
     n_freq:         frequency node count override (power of two, >= m);
                     None selects automatically from an aliasing bound
-    freq_cutoff:    explicit truncation frequency; None selects by bisection
     max_n_freq:     budget on frequency nodes; slowly decaying characteristic
                     functions (stability indices near zero) can demand more
                     nodes than any sane budget, which raises ConfigError
@@ -192,7 +187,6 @@ class GridConfig:
     min_half_width: float = 0.0
     freq_eps: float = 1e-12
     n_freq: int | None = None
-    freq_cutoff: float | None = None
     max_n_freq: int = 2**22
 
 
@@ -282,14 +276,7 @@ def build_grid(p: GTSParams, cfg: GridConfig = GridConfig()) -> SpectralGrid:
     if not half_width > 0.0:
         raise ConfigError("grid half-width must be positive")
 
-    if cfg.freq_cutoff is not None:
-        cutoff = float(cfg.freq_cutoff)
-        if abs(characteristic_function(p, complex(cutoff))) >= 1e-6:
-            raise ConfigError(
-                "configured freq_cutoff leaves |cf| >= 1e-6; integrand tail not captured"
-            )
-    else:
-        cutoff = _freq_cutoff(p, cfg.freq_eps)
+    cutoff = _freq_cutoff(p, cfg.freq_eps)
 
     # Aliasing bound: the sampled transform repeats with spatial period
     # 2*pi/dxi, and the Newton-Cotes weights add copies shifted by half of

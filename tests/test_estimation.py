@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,8 +8,21 @@ from scipy.special import erfc
 
 import gts_tail as gt
 from gts_tail.core import PARAM_NAMES
-from gts_tail.errors import DegenerateData, OutOfGrid, PenaltyWall, SingularHessianWarning, TooShort
-from gts_tail.estimation import FitOptions, _auto_init, _transformed_hessian, _with_standard_errors
+from gts_tail.errors import (
+    DegenerateData,
+    DomainError,
+    OutOfGrid,
+    PenaltyWall,
+    SingularHessianWarning,
+    TooShort,
+)
+from gts_tail.estimation import (
+    _HESSIAN_STEP,
+    FitOptions,
+    _auto_init,
+    _transformed_hessian,
+    _with_standard_errors,
+)
 from gts_tail.spectral import GridConfig
 
 
@@ -75,6 +89,20 @@ def test_degenerate_data():
     data = gt.ReturnSeries(values=[1.0] * 200)
     with pytest.raises(DegenerateData):
         gt.fit_mle(data)
+
+
+@pytest.mark.parametrize("kind", ["kobl", None])
+def test_unknown_kind_is_a_domain_error(kind):
+    data = gt.ReturnSeries(values=list(np.random.default_rng(0).normal(size=200)))
+    with pytest.raises(DomainError) as exc:
+        gt.fit_mle(data, kind=kind)
+    for k in gt.RestrictedKind:
+        assert k.value in str(exc.value)
+
+
+def test_fit_options_are_the_settings_callers_set():
+    names = [f.name for f in fields(FitOptions)]
+    assert names == ["grid_m", "max_n_freq", "probe_maxfev", "maxfev", "polish_rounds", "compute_se"]
 
 
 def test_information_criteria_formula():
@@ -185,7 +213,7 @@ def test_hessian_symmetry(btc_params, btc_sample_5k):
     cfg = _fit_grid_config(btc_params, obs, options)
     neg = _neg_loglik_factory(gt.RestrictedKind.FULL, btc_sample_5k, cfg)
     t = _to_transformed(PARAM_NAMES, list(btc_params.as_tuple()))
-    H = _transformed_hessian(neg, t, options.hessian_step)
+    H = _transformed_hessian(neg, t, _HESSIAN_STEP)
     asym = np.max(np.abs(H - H.T))
     assert asym <= 1e-6 * np.max(np.abs(H))
 

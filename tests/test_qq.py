@@ -254,6 +254,24 @@ def test_gof_report_json(tmp_path):
     assert back["n"] == 1000
 
 
+def test_gof_report_csv(tmp_path):
+    r = gt.GofReport(
+        ks_stat=0.01,
+        ks_critical_5pct=0.02,
+        ad_stat=0.3,
+        chi2_stat=45.0,
+        chi2_df=49,
+        chi2_pvalue=0.63,
+        n=1000,
+    )
+    path = tmp_path / "r.csv"
+    gt.emit(r, "csv", path)
+    assert path.read_text() == (
+        "statistic,value\nks_stat,0.01\nks_critical_5pct,0.02\nad_stat,0.29999999999999999\n"
+        "chi2_stat,45\nchi2_df,49\nchi2_pvalue,0.63\nn,1000\n"
+    )
+
+
 def test_emit_rejects_unknown_format(tmp_path):
     q = _qq_from_arrays(np.array([0.5]), np.array([0.0]), np.array([0.0]))
     with pytest.raises(DomainError):

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -35,9 +35,8 @@ def test_grid_symmetric_for_symmetric_params(symmetric_params):
     assert grid.x_min == -grid.x_max
 
 
-def test_grid_rejects_bad_cutoff(btc_params):
-    with pytest.raises(ConfigError):
-        gt.build_grid(btc_params, GridConfig(freq_cutoff=0.5))
+def test_grid_cutoff_is_always_bisected():
+    assert "freq_cutoff" not in {f.name for f in fields(GridConfig)}
 
 
 def test_grid_honors_min_half_width(btc_params):
@@ -46,7 +45,7 @@ def test_grid_honors_min_half_width(btc_params):
 
 
 def test_newton_cotes_weights_integrate_polynomials():
-    # Composite Simpson (+3/8 patch) is exact through degree 3 per panel.
+    # The end-corrected trapezoid rule is exact through degree 3.
     for n in (64, 257):
         w = newton_cotes_weights(n)
         t = np.linspace(0.0, 1.0, n)
@@ -57,14 +56,21 @@ def test_newton_cotes_weights_integrate_polynomials():
         assert np.allclose(w, w[::-1])
 
 
-@pytest.mark.parametrize("n", [16, 1024])
+@pytest.mark.parametrize("n", [8, 16, 1024, 2**14])
 def test_newton_cotes_weights_are_end_corrected_trapezoid(n):
-    # On even node counts the end-for-end average of Simpson + 3/8 leaves
-    # every interior weight at exactly 1; only four weights per end differ.
-    w = newton_cotes_weights(n)
-    assert np.all(w[4:-4] == 1.0)
-    assert np.array_equal(w, w[::-1])
-    assert np.allclose(w[:4] * 48.0, [17.0, 59.0, 43.0, 49.0], rtol=0.0, atol=1e-13)
+    # Bit for bit: interior weights 1, and the four at each end the averages
+    # of Simpson and 3/8 weights (not the literals 17/48 etc., which differ
+    # in the last bit and would move every table).
+    ends = [
+        0.5 * (1 / 3 + 3 / 8),
+        0.5 * (4 / 3 + 9 / 8),
+        0.5 * (2 / 3 + 9 / 8),
+        0.5 * (4 / 3 + (1 / 3 + 3 / 8)),
+    ]
+    want = np.ones(n)
+    want[:4] = ends
+    want[-4:] = ends[::-1]
+    assert np.array_equal(newton_cotes_weights(n), want)
 
 
 # --------------------------------------------------------------------------
