@@ -258,14 +258,18 @@ def mgf_exponent(p: GTSParams, theta) -> float:
 def _mgf_exponent_values(p: GTSParams, theta):
     """mgf_exponent elementwise over real theta, without the domain check.
 
-    Every theta must lie strictly inside (-lambda_minus, lambda_plus).
+    Every theta must lie strictly inside (-lambda_minus, lambda_plus), so
+    each base lam -/+ theta is positive and psi(-i*theta) is real: the
+    powers are exp(beta*log(base)), and at beta = 0 the log form is
+    -alpha*log1p(-/+theta/lam).
     """
-    val = (
-        p.mu * theta
-        + _one_sided_exponent(p.alpha_plus, p.beta_plus, p.lambda_plus, -theta)
-        + _one_sided_exponent(p.alpha_minus, p.beta_minus, p.lambda_minus, theta)
-    )
-    return np.real(val)
+    val = p.mu * theta
+    for alpha, beta, lam, sign, c, lam_beta in _tempered_sides(p):
+        if c is None:
+            val = val - alpha * np.log1p(sign * theta / lam)
+        else:
+            val = val + c * (np.exp(beta * np.log(lam + sign * theta)) - lam_beta)
+    return val
 
 
 def levy_density(p: GTSParams, x):

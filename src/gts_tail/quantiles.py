@@ -260,8 +260,8 @@ def quantile(table: CdfTable, alpha):
 
     Levels must lie strictly inside the tabulated mass; each bracket is
     found by binary search and refined by the degree-4 root solve, all
-    brackets in one vectorized pass.  Exact node hits return the node
-    abscissa.
+    brackets in one vectorized pass (a single level through the one-level
+    solve, to the same bits).  Exact node hits return the node abscissa.
     """
     a = np.asarray(alpha, dtype=float)
     levels = a.reshape(-1)
@@ -284,10 +284,15 @@ def quantile(table: CdfTable, alpha):
         raise BracketFailure(
             f"table not monotone at bracket {j}: F_i={F[j]!r}, F_i1={F[j + 1]!r}"
         )
+    if a.ndim == 0:
+        # One level: the one-level solve, which the array pass matches bit
+        # for bit, without the batch bookkeeping.
+        if interior[0]:
+            y[0] = solve_quartic_unit(quartic_for_level(table, a)[1])
+        return float(g.x_min + (i[0] + y[0]) * g.dx)
     k = np.flatnonzero(interior)
     y[k] = _solve_brackets(_quartics(F, i[k], levels[k]))
-    x = g.x_min + (i + y) * g.dx
-    return float(x[0]) if a.ndim == 0 else x.reshape(a.shape)
+    return (g.x_min + (i + y) * g.dx).reshape(a.shape)
 
 
 def quartic_for_level(table: CdfTable, alpha: float):

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import gts_tail as gt
-from gts_tail.core import _shifted_cf, mgf_exponent
+from gts_tail.core import _mgf_exponent_values, _shifted_cf, mgf_exponent
 from gts_tail.errors import DomainError, NonFinite, OutOfDomain, ParseError
-from gts_tail.spectral import _freq_cutoff
+from gts_tail.spectral import _RADIUS_STRIP, _freq_cutoff
 
 
 # --------------------------------------------------------------------------
@@ -290,6 +290,24 @@ def test_mgf_exponent_matches_psi_on_imaginary_axis(btc_params):
     assert abs(mgf_exponent(btc_params, theta) - want.real) < 1e-13
     with pytest.raises(DomainError):
         mgf_exponent(btc_params, btc_params.lambda_plus * 1.01)
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        gt.BITCOIN_DAILY.params,
+        gt.ETHEREUM_DAILY.params,
+        gt.bilateral_gamma_params(0.0, 1.5, 1.5, 0.6, 0.6),
+        gt.validate_params(-0.3, 0.2, 0.8, 0.5, 1.2, 0.4, 1.7),
+    ],
+    ids=["btc", "eth", "beta0", "asym"],
+)
+def test_real_mgf_exponent_matches_complex_psi_on_radius_strips(law):
+    # The 40-theta strips the Chernoff tail radius scans, one per side.
+    for theta in (law.lambda_plus * _RADIUS_STRIP, -law.lambda_minus * _RADIUS_STRIP):
+        want = gt.characteristic_exponent(law, -1j * theta).real
+        got = _mgf_exponent_values(law, theta)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
 
 
 # --------------------------------------------------------------------------

@@ -243,15 +243,15 @@ def test_transformed_hessian_closed_form_and_call_count():
 
 
 # The default fit's optimum on 3000 BTC draws (seed 2025) lies on its frozen
-# grid's aliasing wall: it needs 16383.99999 of 16384 frequency nodes.
+# grid's aliasing wall: it needs 8191.999996 of 8192 frequency nodes.
 _WALL_OPTIMUM = (
-    -0.17451253523532417,
-    0.29709782480836433,
-    0.3846904370511248,
-    0.7319732919662688,
-    0.47709900460193266,
-    0.2502954636000154,
-    0.16463173991570654,
+    -0.1745043971015856,
+    0.29709569465662106,
+    0.3846917411211814,
+    0.7319725177252155,
+    0.47710061177861296,
+    0.2502956222225608,
+    0.16463207991765935,
 )
 
 
@@ -262,8 +262,8 @@ def test_standard_errors_refuse_probes_across_the_penalty(btc_tables):
         params=gt.validate_params(*_WALL_OPTIMUM), loglik=-7725.0196522, std_errors=None,
         z_pvalues=None, aic=0.0, bic=0.0, n_obs=data.n, converged=True, n_free=7,
     )
-    # At 2**14 nodes the minus-probes cross the wall into the penalty.
-    walled = FitOptions(max_n_freq=2**14)
+    # At 2**13 nodes the minus-probes cross the wall into the penalty.
+    walled = FitOptions(max_n_freq=2**13)
     with pytest.raises(PenaltyWall) as exc:
         gt.standard_errors(fit, data, walled)
     assert exc.value.coordinates and set(exc.value.coordinates) <= set(PARAM_NAMES)
@@ -271,7 +271,7 @@ def test_standard_errors_refuse_probes_across_the_penalty(btc_tables):
         omitted = _with_standard_errors(fit, data, walled)
     assert omitted.std_errors is None and omitted.z_pvalues is None
     assert omitted.hessian_fallback
-    # The default Hessian grid (2**15 nodes) clears the wall.
+    # The default Hessian grid (2**14 nodes) clears the wall.
     kept = _with_standard_errors(fit, data, FitOptions())
     assert not kept.hessian_fallback
     assert all(0.02 < se < 0.5 for se in kept.std_errors)

@@ -220,6 +220,18 @@ def test_array_quantile_equals_loop_reference(asset, btc_tables, eth_tables):
             assert {0, 1, 2, m - 4, m - 3, m - 2} <= i
 
 
+def test_scalar_level_equals_array_path(btc_tables):
+    # One level takes the one-level solve; it must give the array pass's bits
+    # on interior brackets, node hits and the edge stencils alike.
+    _, cdf = btc_tables
+    j = int(np.searchsorted(cdf.values, 0.02))
+    for table, n_random in ((cdf, 200), (_window(cdf, j, 64), 40)):
+        levels = _probe_levels(table, n_random, seed=5)
+        got = [gt.quantile(table, float(a)) for a in levels]
+        assert got == gt.quantile(table, levels).tolist()
+        assert np.any(np.isin(levels, table.values))
+
+
 def test_scalar_level_returns_float_and_keeps_shape(btc_tables):
     _, cdf = btc_tables
     x = gt.quantile(cdf, 0.25)

@@ -8,7 +8,13 @@ from scipy.stats import gamma as gamma_dist
 
 import gts_tail as gt
 from gts_tail.errors import ConfigError, NumericalFailure
-from gts_tail.spectral import GridConfig, _cdf_values, _pdf_values, newton_cotes_weights
+from gts_tail.spectral import (
+    GridConfig,
+    _cdf_values,
+    _pdf_values,
+    _tail_radius,
+    newton_cotes_weights,
+)
 
 
 # --------------------------------------------------------------------------
@@ -42,6 +48,47 @@ def test_grid_cutoff_is_always_bisected():
 def test_grid_honors_min_half_width(btc_params):
     grid = gt.build_grid(btc_params, GridConfig(min_half_width=200.0))
     assert grid.x_max - grid.x_min >= 400.0 - 1e-9
+
+
+@pytest.mark.parametrize("asset, n_freq", [("btc", 2**14), ("eth", 2**13)])
+def test_grid_takes_the_smallest_full_period_clearing_the_guard(asset, n_freq):
+    p = gt.BITCOIN_DAILY.params if asset == "btc" else gt.ETHEREUM_DAILY.params
+    grid = gt.build_grid(p)
+    # Half-width plus the 1e-9 tail radius: what one period must clear.
+    guard = 0.5 * (grid.x_max - grid.x_min) + _tail_radius(p, 1e-9)
+    n, cutoff = grid.n_freq, grid.freq_cutoff
+    assert n == n_freq
+    # The period of n nodes clears the guard; half of them fall short even
+    # with the bound's half-node slack.
+    assert np.pi * (n - 1) / cutoff >= guard
+    assert np.pi * (n // 2 - 0.5) / cutoff < guard
+
+
+@pytest.mark.parametrize("asset", ["btc", "eth"])
+def test_half_the_chosen_nodes_alias_onto_the_density(asset):
+    p = gt.BITCOIN_DAILY.params if asset == "btc" else gt.ETHEREUM_DAILY.params
+    grid = gt.build_grid(p)
+    with pytest.raises(NumericalFailure, match="excursion"):
+        gt.pdf_table(p, replace(grid, n_freq=grid.n_freq // 2))
+
+
+@pytest.mark.parametrize("asset", ["btc", "eth"])
+def test_doubling_the_chosen_nodes_moves_no_table(asset, btc_tables, eth_tables):
+    p = gt.BITCOIN_DAILY.params if asset == "btc" else gt.ETHEREUM_DAILY.params
+    pdf, cdf = btc_tables if asset == "btc" else eth_tables
+    doubled = replace(pdf.grid, n_freq=2 * pdf.grid.n_freq)
+    assert np.max(np.abs(gt.pdf_table(p, doubled).values - pdf.values)) <= 1e-12
+    assert np.max(np.abs(gt.cdf_table(p, doubled).values - cdf.values)) <= 1e-12
+
+
+def test_explicit_n_freq_below_m_needs_only_the_aliasing_bound(eth_params):
+    # ETH needs 8192 nodes; the default m is 16384.
+    grid = gt.build_grid(eth_params, GridConfig(n_freq=2**13))
+    assert grid.n_freq == 2**13 < grid.m
+    with pytest.raises(ConfigError, match="aliasing bound"):
+        gt.build_grid(eth_params, GridConfig(n_freq=2**12))
+    with pytest.raises(ConfigError, match="power of two"):
+        gt.build_grid(eth_params, GridConfig(n_freq=12288))
 
 
 def test_newton_cotes_weights_integrate_polynomials():
