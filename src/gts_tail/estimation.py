@@ -1,24 +1,32 @@
 """Maximum-likelihood fitting of full and restricted GTS models.
 
 The likelihood of a return sample is evaluated through the Fourier-inverted
-density table (monotone cubic interpolation between grid nodes, floored at
-1e-300 before the log).  The surface is maximized by derivative-free
-Nelder-Mead simplex search in a transformed space (logit for the stability
-indices, log for intensities and tempering rates, identity for the drift).
-One search path: a short pilot run from the moment-matched start (or the
-caller's) under per-evaluation grids, then repeated simplex restarts on a
-grid frozen at the pilot's point until a restart stops improving.  The
-full model and the restricted families share it; a RestrictedKind says
-which natural fields each free coordinate fills.
+density (monotone cubic interpolation between grid nodes, floored at 1e-300
+before the log).  The surface is maximized by derivative-free Nelder-Mead
+simplex search in a transformed space (logit for the stability indices, log
+for intensities and tempering rates, identity for the drift).  One search
+path: a short pilot run from the moment-matched start (or the caller's)
+under per-evaluation grids, then repeated simplex restarts on one
+likelihood plan frozen at the pilot's point until a restart stops
+improving.  The full model and the restricted families share it; a
+RestrictedKind says which natural fields each free coordinate fills.
+
+A plan freezes the whole grid (x-range, node counts, cutoff, with headroom
+on the cutoff) and precomputes its inversion, so an evaluation costs one
+characteristic-function kernel, two FFTs and a gather.  It evaluates a law
+only inside the two bounds its grid is valid for (truncation and
+aliasing), and returns a penalty outside them.  Each phase's evaluation
+and penalty counts go to the "gts_tail" logger as one debug event.
 
 Standard errors come from the observed information: the Hessian of the
 negative log-likelihood at the optimum by central finite differences in the
-transformed coordinates, inverted and mapped back to natural parameters by
-the delta method.
+transformed coordinates, on a plan frozen at the estimate, inverted and
+mapped back to natural parameters by the delta method.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -27,7 +35,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import erfc
 
-from .core import PARAM_NAMES, GTSParams, RestrictedKind, cumulant, validate_params
+from .core import PARAM_NAMES, GTSParams, RestrictedKind, _log_modulus, cumulant, validate_params
 from .errors import (
     DegenerateData,
     DomainError,
@@ -38,7 +46,19 @@ from .errors import (
     TooShort,
 )
 from .returns_io import ReturnSeries
-from .spectral import DensityTable, GridConfig, _pdf_values, build_grid, pdf_table
+from .spectral import (
+    _ALIAS_MASS,
+    GridConfig,
+    SpectralGrid,
+    _brackets,
+    _frozen_pdf,
+    _monotone_cubic,
+    _next_pow2,
+    _pdf_values,
+    _tail_radius,
+    build_grid,
+    pdf_table,
+)
 
 __all__ = [
     "FitOptions",
@@ -58,11 +78,21 @@ _PENALTY = 1e15
 # Likelihood grid: 20 standard deviations each side, cutoff at |cf| < 1e-8.
 _FIT_WIDTH_SDS = 20.0
 _FIT_FREQ_EPS = 1e-8
+_LOG_FREQ_EPS = math.log(_FIT_FREQ_EPS)
+# A frozen likelihood plan's cutoff, in multiples of the cutoff of the law
+# it is frozen at.  The polish plan is frozen at the pilot point: from there
+# to the optimum of 3000 BTC draws the cutoff grows 2.8x.  The Hessian's
+# plan is frozen at the estimate, and its probes move 1e-4 from it; at 4x
+# it would need 65536 nodes on that sample instead of 16384.
+_HEADROOM = 4.0
+_HESSIAN_HEADROOM = 1.25
 # Simplex tolerances (the pilot keeps scipy's default xatol) and the relative
 # finite-difference step of the standard errors' Hessian.
 _FATOL = 1e-8
 _XATOL = 1e-6
 _HESSIAN_STEP = 1e-4
+
+_log = logging.getLogger("gts_tail")
 
 
 @dataclass(frozen=True)
@@ -71,18 +101,22 @@ class FitOptions:
 
     The likelihood grid has ``grid_m`` spatial points and is deliberately
     lighter than the default table resolution (20 standard deviations each
-    side, cutoff at |cf| < 1e-8, at most ``max_n_freq`` frequency nodes).
-    Its node count is frozen at the start of a fit so the likelihood stays
-    a smooth function of the parameters.  Parameter regions whose
-    characteristic function decays too slowly for the frozen budget
-    (stability indices near zero with small intensities) are treated as
-    infeasible by the optimizer.
+    side, cutoff at |cf| < 1e-8).  The pilot sizes a grid per evaluation.
+    The polish then freezes one plan at the pilot's point: its x-range, a
+    cutoff four times the pilot's, and the frequency node count the
+    aliasing bound asks for at that cutoff, at most ``max_n_freq`` (a
+    power of two).  The likelihood is then a smooth function of the
+    parameters.  Laws the frozen grid cannot resolve (a characteristic
+    function still above 1e-8 at the cutoff, or density aliases reaching
+    the grid), such as stability indices near zero with small intensities,
+    are treated as infeasible by the optimizer.
 
     The search is one pilot simplex run of at most ``probe_maxfev``
     likelihood evaluations, then up to ``polish_rounds`` simplex restarts of
     at most ``maxfev`` evaluations each, stopping once a restart improves
     the negative log-likelihood by less than 1e-6.  ``compute_se`` adds
-    standard errors to a converged fit (Hessian step 1e-4, relative).
+    standard errors to a converged fit (Hessian step 1e-4, relative, on a
+    plan frozen at the estimate with a cutoff 1.25 times its own).
     """
 
     grid_m: int = 2**12
@@ -184,16 +218,19 @@ def _base_grid_config(options: FitOptions) -> GridConfig:
     )
 
 
-def _fit_grid_config(p: GTSParams, obs: np.ndarray, options: FitOptions) -> GridConfig:
-    """Grid settings frozen from the initial point, with 2x headroom.
+def _log_density_sum(values: np.ndarray, h: np.ndarray, brackets) -> float:
+    """Sum of log monotone-cubic density over bracketed observations.
 
-    Freezing the node count keeps the likelihood free of discrete jumps as
-    the optimizer moves; the headroom absorbs moderate drift of the cutoff
-    and tail radius away from the initial parameters.
+    Off-grid points count as density 0; every density is floored at 1e-300.
     """
-    base = _base_grid_config(options)
-    frozen = build_grid(p, _likelihood_grid(p, obs, base))
-    return replace(base, n_freq=min(2 * frozen.n_freq, options.max_n_freq))
+    dens = _monotone_cubic(values, h, brackets)
+    dens = np.where(np.isnan(dens), 0.0, np.maximum(dens, 0.0))
+    return float(np.sum(np.log(np.maximum(dens, _DENSITY_FLOOR))))
+
+
+def _grid_log_density_sum(values: np.ndarray, grid: SpectralGrid, obs: np.ndarray) -> float:
+    x = grid.x()
+    return _log_density_sum(values, np.diff(x), _brackets(x, obs))
 
 
 def log_likelihood(p: GTSParams, data: ReturnSeries, grid_cfg: GridConfig | None = None) -> float:
@@ -213,39 +250,126 @@ def log_likelihood(p: GTSParams, data: ReturnSeries, grid_cfg: GridConfig | None
     outside = obs[(obs < grid.x_min) | (obs > grid.x_max)]
     if outside.size:
         raise OutOfGrid(outside)
-    table = pdf_table(p, grid)
-    return float(np.sum(np.log(_monotone_density(table, obs))))
+    return _grid_log_density_sum(pdf_table(p, grid).values, grid, obs)
 
 
-def _monotone_density(table, obs):
-    dens = table.monotone_interpolator(obs)
-    dens = np.where(np.isnan(dens), 0.0, np.maximum(dens, 0.0))
-    return np.maximum(dens, _DENSITY_FLOOR)
+class _Likelihood:
+    """One fit phase's likelihood, and how its evaluations went.
 
+    ``objective(kind)`` is the negative log-likelihood in a kind's
+    transformed coordinates.  It returns the 1e15 penalty for a law the
+    phase cannot evaluate: one that ``penalty_cause`` names (a bound of a
+    frozen grid), or one whose evaluation raises.  The inverted density is
+    clamped at 0 instead of held to the public table invariants, so mild
+    truncation ripple (slowly decaying characteristic functions near the
+    restricted families) degrades the likelihood smoothly.  Evaluations
+    and penalties by cause are counted, and ``log`` reports them as one
+    debug event on the "gts_tail" logger.
+    """
 
-def _lenient_density_table(p, grid):
-    # Fit-internal: clamp instead of enforcing the public table invariants,
-    # so mild truncation ripple (slowly decaying characteristic functions
-    # near the restricted families) degrades the likelihood smoothly rather
-    # than erroring out.
-    return DensityTable(grid=grid, values=np.maximum(_pdf_values(p, grid), 0.0))
+    grid: SpectralGrid | None = None
 
+    def __init__(self):
+        self.evaluations = 0
+        self.penalties = dict.fromkeys(("truncation", "aliasing", "error"), 0)
 
-def _neg_loglik_factory(kind: RestrictedKind, data, cfg):
-    names = kind.free_names
-    obs = np.asarray(data.values, dtype=float)
+    def penalty_cause(self, p: GTSParams) -> str | None:
+        return None
 
-    def neg(t):
-        try:
-            p = kind.expand(_from_transformed(names, t))
-            c = _likelihood_grid(p, obs, cfg)
-            grid = build_grid(p, c)
-            table = _lenient_density_table(p, grid)
-            return -float(np.sum(np.log(_monotone_density(table, obs))))
-        except (GtsError, FloatingPointError, OverflowError, ValueError):
+    def neg_loglik(self, p: GTSParams) -> float:
+        raise NotImplementedError
+
+    def objective(self, kind: RestrictedKind):
+        names = kind.free_names
+
+        def neg(t):
+            self.evaluations += 1
+            try:
+                p = kind.expand(_from_transformed(names, t))
+                cause = self.penalty_cause(p)
+                if cause is None:
+                    return self.neg_loglik(p)
+            except (GtsError, FloatingPointError, OverflowError, ValueError):
+                cause = "error"
+            self.penalties[cause] += 1
             return _PENALTY
 
-    return neg
+        return neg
+
+    def log(self, phase: str) -> None:
+        g = self.grid
+        plan = None if g is None else dict(
+            n_freq=g.n_freq, xi=g.freq_cutoff, x_min=float(g.x_min), dx=float(g.dx)
+        )
+        _log.debug(
+            "fit phase %s: %d evaluations, penalties %s, plan %s",
+            phase, self.evaluations, self.penalties, plan,
+            extra=dict(fit_phase=phase, evaluations=self.evaluations,
+                       penalties=dict(self.penalties), plan=plan),
+        )
+
+
+class _AutoGrids(_Likelihood):
+    """The pilot's likelihood: a fresh automatic grid for every law."""
+
+    def __init__(self, obs: np.ndarray, options: FitOptions):
+        super().__init__()
+        self._obs = obs
+        self._cfg = _base_grid_config(options)
+
+    def neg_loglik(self, p: GTSParams) -> float:
+        grid = build_grid(p, _likelihood_grid(p, self._obs, self._cfg))
+        return -_grid_log_density_sum(np.maximum(_pdf_values(p, grid), 0.0), grid, self._obs)
+
+
+class _LikelihoodPlan(_Likelihood):
+    """The likelihood on one frozen grid, its inversion precomputed.
+
+    Frozen at a law p0: the x-range of p0's likelihood grid (x_min, dx, m),
+    a cutoff Xi of ``headroom`` times p0's own, and the smallest power of
+    two n_freq whose period pi (n_freq - 1/2)/Xi clears p0's half-width
+    plus its 1e-9 tail radius (build_grid's aliasing bound), at most
+    ``max_n_freq``.  When that budget binds, Xi is the geometric mean of
+    p0's cutoff and the largest cutoff the budget's period clears, so p0
+    keeps the same room from both bounds.  A p0 whose own grid needs more
+    than the budget raises ConfigError, as build_grid does.
+
+    A law is evaluated only where the frozen grid is valid for it, by the
+    two bounds build_grid sizes grids with: |cf(Xi)| <= 1e-8 (truncation)
+    and a period that clears its farther grid end from kappa_1 plus its
+    tail radius (aliasing).  Anything else is penalized.  An evaluation is
+    then one characteristic-function kernel, two FFTs, the clamp at 0 and
+    a monotone-cubic gather at the observations' precomputed brackets.
+    """
+
+    def __init__(self, p0: GTSParams, obs: np.ndarray, options: FitOptions, headroom: float):
+        super().__init__()
+        g0 = build_grid(p0, _likelihood_grid(p0, obs, _base_grid_config(options)))
+        cutoff = g0.freq_cutoff
+        guard = 0.5 * (g0.x_max - g0.x_min) + _tail_radius(p0, _ALIAS_MASS)
+        xi = headroom * cutoff
+        n_freq = _next_pow2(xi * guard / math.pi + 0.5)
+        if n_freq > options.max_n_freq:
+            n_freq = 1 << (options.max_n_freq.bit_length() - 1)
+            xi = math.sqrt(cutoff * math.pi * (n_freq - 0.5) / guard)
+        self.grid = replace(g0, n_freq=n_freq, freq_cutoff=xi)
+        self._pdf = _frozen_pdf(self.grid)
+        x = self.grid.x()
+        self._h = np.diff(x)
+        self._brackets = _brackets(x, obs)
+        self._period = math.pi * (n_freq - 0.5) / xi
+
+    def penalty_cause(self, p: GTSParams) -> str | None:
+        g = self.grid
+        if not _log_modulus(p)(g.freq_cutoff) <= _LOG_FREQ_EPS:
+            return "truncation"
+        k1 = cumulant(p, 1)
+        if not self._period >= max(g.x_max - k1, k1 - g.x_min) + _tail_radius(p, _ALIAS_MASS):
+            return "aliasing"
+        return None
+
+    def neg_loglik(self, p: GTSParams) -> float:
+        return -_log_density_sum(np.maximum(self._pdf(p), 0.0), self._h, self._brackets)
 
 
 # --------------------------------------------------------------------------
@@ -314,19 +438,20 @@ def fit_mle(
 
     # Pilot pass under per-evaluation automatic grids: cheap, tolerant of
     # the discrete node-count switches, and it lands near the data's true
-    # decay scale.  The production grid is then frozen from that point, so
-    # the polished likelihood is smooth and its box covers the optimum.
+    # decay scale.  The polish grid is then frozen from that point, so the
+    # polished likelihood is smooth, with headroom for the optimum.
+    auto = _AutoGrids(obs, options)
     pilot = minimize(
-        _neg_loglik_factory(kind, data, _base_grid_config(options)),
+        auto.objective(kind),
         t0,
         method="Nelder-Mead",
         options=dict(maxfev=options.probe_maxfev, fatol=_FATOL, adaptive=True),
     )
+    auto.log("pilot")
     t_start = pilot.x if pilot.fun < _PENALTY else t0
     pilot_params = kind.expand(_from_transformed(names, t_start))
-    cfg = _fit_grid_config(pilot_params, obs, options)
-
-    neg = _neg_loglik_factory(kind, data, cfg)
+    plan = _LikelihoodPlan(pilot_params, obs, options, _HEADROOM)
+    neg = plan.objective(kind)
 
     # Repeated simplex runs, each restarted (and so re-inflated) from the
     # previous vertex; ill-conditioned valleys stall a single run long
@@ -349,6 +474,7 @@ def fit_mle(
             converged = bool(r.success)
             break
         prev = r.fun
+    plan.log("polish")
 
     params = kind.expand(_from_transformed(names, best.x))
     loglik = -float(best.fun)
@@ -411,8 +537,8 @@ def standard_errors(fit: FitResult, data: ReturnSeries, options: FitOptions = Fi
     back through the diagonal Jacobian of the coordinate-wise transforms.
     A singular Hessian falls back to the Moore-Penrose pseudo-inverse and
     emits SingularHessianWarning.  A Hessian probe that hits the likelihood
-    penalty (an infeasible point, or one off the frozen grid's aliasing
-    bound) raises PenaltyWall naming the coordinates probed.  Structurally
+    penalty (an infeasible point, or one past a bound of the plan frozen at
+    the estimate) raises PenaltyWall naming the coordinates probed.  Structurally
     pinned parameters of a restricted fit report a standard error of 0 and
     a p-value of 1.
     """
@@ -422,8 +548,8 @@ def standard_errors(fit: FitResult, data: ReturnSeries, options: FitOptions = Fi
     t = _to_transformed(names, free)
 
     obs = np.asarray(data.values, dtype=float)
-    cfg = _fit_grid_config(fit.params, obs, options)
-    neg = _neg_loglik_factory(kind, data, cfg)
+    plan = _LikelihoodPlan(fit.params, obs, options, _HESSIAN_HEADROOM)
+    neg = plan.objective(kind)
     walled = set()
 
     def probe(s):
@@ -435,6 +561,7 @@ def standard_errors(fit: FitResult, data: ReturnSeries, options: FitOptions = Fi
         return v
 
     H = _transformed_hessian(probe, t, _HESSIAN_STEP)
+    plan.log("hessian")
     if walled:
         raise PenaltyWall(names[i] for i in sorted(walled))
     H = 0.5 * (H + H.T)

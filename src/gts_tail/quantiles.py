@@ -264,6 +264,8 @@ def quantile(table: CdfTable, alpha):
     solve, to the same bits).  Exact node hits return the node abscissa.
     """
     a = np.asarray(alpha, dtype=float)
+    if a.ndim == 0:
+        return _quantile_one(table, float(a))
     levels = a.reshape(-1)
     F = table.values
     g = table.grid
@@ -284,15 +286,29 @@ def quantile(table: CdfTable, alpha):
         raise BracketFailure(
             f"table not monotone at bracket {j}: F_i={F[j]!r}, F_i1={F[j + 1]!r}"
         )
-    if a.ndim == 0:
-        # One level: the one-level solve, which the array pass matches bit
-        # for bit, without the batch bookkeeping.
-        if interior[0]:
-            y[0] = solve_quartic_unit(quartic_for_level(table, a)[1])
-        return float(g.x_min + (i[0] + y[0]) * g.dx)
     k = np.flatnonzero(interior)
     y[k] = _solve_brackets(_quartics(F, i[k], levels[k]))
     return (g.x_min + (i + y) * g.dx).reshape(a.shape)
+
+
+def _quantile_one(table: CdfTable, level: float) -> float:
+    """quantile at one level: the array pass's checks on Python floats, then
+    the one-level solve, which the array pass matches bit for bit."""
+    F = table.values
+    lo, hi = float(F[0]), float(F[-1])
+    if not lo + _LEVEL_MARGIN < level < hi - _LEVEL_MARGIN:
+        raise OutOfRange(f"alpha={level!r} outside tabulated mass [{lo:.3e}, {hi:.8f}]")
+    i = min(max(int(np.searchsorted(F, level, side="right")) - 1, 0), F.shape[0] - 2)
+    fi, fi1 = float(F[i]), float(F[i + 1])
+    if fi == level:
+        y = 0.0
+    elif fi1 == level:
+        y = 1.0
+    elif fi < level < fi1:
+        y = solve_quartic_unit(quartic_for_level(table, level)[1])
+    else:
+        raise BracketFailure(f"table not monotone at bracket {i}: F_i={F[i]!r}, F_i1={F[i + 1]!r}")
+    return float(table.grid.x_min + (i + y) * table.grid.dx)
 
 
 def quartic_for_level(table: CdfTable, alpha: float):

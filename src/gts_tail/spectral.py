@@ -30,7 +30,9 @@ power of two whose spatial period 2*pi/dxi keeps the density's aliases off
 the grid (see `build_grid`).  The samples cf(xi) exp(-i x_min xi) come
 from a real-arithmetic kernel that folds the grid phase into the
 characteristic function's own cos/sin pair; the public complex exponent
-stays the reference it is tested against.
+stays the reference it is tested against.  A grid that stays fixed while
+the law changes (a fit's likelihood plan) precomputes everything but the
+characteristic function once (`_frozen_pdf`).
 
 A slow adaptive-quadrature oracle (`direct_quadrature_oracle`) evaluates the
 one-sided forms of the same inversion integrals at a single point for
@@ -81,6 +83,8 @@ _NEG_DENSITY_HARD = 1e-9
 _NORMALIZATION_TOL = 1e-6
 _MONOTONE_SLACK = 1e-10
 _ENDPOINT_TOL = 1e-6
+# Tail mass past the Chernoff radius that a grid's aliasing bound clears.
+_ALIAS_MASS = 1e-9
 
 
 # --------------------------------------------------------------------------
@@ -91,26 +95,39 @@ def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def _bluestein(seq: np.ndarray, delta: float, m: int) -> np.ndarray:
-    """G(k) = sum_j seq[j] * exp(-2 pi i j k delta) for k = 0..m-1.
+def _bluestein_setup(n: int, delta: float, m: int):
+    """(head, kernel, tail) of the n-input, m-output transform at spacing delta.
 
-    Any input length n and output count m: the Bluestein identity
-    2jk = j**2 + k**2 - (k-j)**2 turns the sum into a linear convolution of
-    chirped sequences, run on zero-padded buffers of the fast FFT length
-    at or above n + m - 1 (three FFTs total).
+    The Bluestein identity 2jk = j**2 + k**2 - (k-j)**2 turns
+    G(k) = sum_j seq[j] * exp(-2 pi i j k delta) into tail * (linear
+    convolution of seq * head with a chirp kernel), where head and tail are
+    the chirp on the inputs and on the outputs.  The kernel comes back as
+    its FFT on the fast length at or above n + m - 1; it and the chirps
+    depend only on (n, delta, m), so a fixed grid computes them once.
     """
-    n = seq.shape[0]
     size = sp_fft.next_fast_len(n + m - 1)
     t = np.arange(max(n, m), dtype=float)
     chirp = np.exp(-1j * np.pi * delta * (t * t))
-    u = np.zeros(size, dtype=complex)
-    u[:n] = seq * chirp[:n]
     # Kernel conj(chirp) at lags -(n-1)..m-1, negative lags wrapped to the end.
     v = np.zeros(size, dtype=complex)
     v[:m] = np.conj(chirp[:m])
     v[size - n + 1 :] = np.conj(chirp[1:n][::-1])
-    conv = sp_fft.ifft(sp_fft.fft(u) * sp_fft.fft(v))
-    return chirp[:m] * conv[:m]
+    return chirp[:n], sp_fft.fft(v), chirp[:m]
+
+
+def _bluestein_convolve(chirped: np.ndarray, kernel: np.ndarray, m: int) -> np.ndarray:
+    """First m values of the chirped inputs convolved with the kernel (two FFTs)."""
+    return sp_fft.ifft(sp_fft.fft(chirped, kernel.shape[0]) * kernel)[:m]
+
+
+def _bluestein(seq: np.ndarray, delta: float, m: int) -> np.ndarray:
+    """G(k) = sum_j seq[j] * exp(-2 pi i j k delta) for k = 0..m-1.
+
+    Any input length n and output count m, by the Bluestein split above
+    (three FFTs with the kernel's).
+    """
+    head, kernel, tail = _bluestein_setup(seq.shape[0], delta, m)
+    return tail * _bluestein_convolve(seq * head, kernel, m)
 
 
 def frft(seq, delta: float) -> np.ndarray:
@@ -298,7 +315,7 @@ def build_grid(p: GTSParams, cfg: GridConfig = GridConfig()) -> SpectralGrid:
     # the slack the wall of a frozen likelihood grid sits half a node
     # further in, and fits whose optimum lies on that wall lose likelihood
     # (1.3e-3 nats on 1500 BTC draws).
-    guard = half_width + _tail_radius(p, 1e-9)
+    guard = half_width + _tail_radius(p, _ALIAS_MASS)
     needed = cutoff * guard / math.pi + 0.5
     if cfg.n_freq is not None:
         n_freq = int(cfg.n_freq)
@@ -358,6 +375,54 @@ def _lagrange5_eval(x0: float, dx: float, values: np.ndarray, xq: np.ndarray) ->
     return out
 
 
+def _brackets(x: np.ndarray, q: np.ndarray):
+    """(index, offset, outside): the bracket x[i] <= q < x[i+1] of each
+    query point (the last bracket closed on the right, as PchipInterpolator
+    finds them), q - x[i], and whether q lies outside [x[0], x[-1]]."""
+    i = np.clip(np.searchsorted(x, q, side="right") - 1, 0, x.shape[0] - 2)
+    return i, q - x[i], ~((x[0] <= q) & (q <= x[-1]))
+
+
+def _pchip_edge(h0, h1, m0, m1):
+    # One-sided three-point slope, kept shape-preserving.
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _monotone_cubic(y: np.ndarray, h: np.ndarray, brackets) -> np.ndarray:
+    """PchipInterpolator(x, y, extrapolate=False) at the bracketed points.
+
+    ``h`` is np.diff(x) and ``brackets`` is _brackets(x, points).  Bit for
+    bit what scipy returns (NaN outside the grid): its node slopes
+    (weighted harmonic means, zero at sign changes, the shape-preserving
+    end rule), its Hermite coefficients, and its power-sum evaluation
+    c3 + c2 s + c1 s**2 + c0 (s**2 s), computed only on the brackets the
+    points fall in.
+    """
+    mk = (y[1:] - y[:-1]) / h
+    smk = np.sign(mk)
+    flat = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    d = np.empty_like(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)))
+    d[0] = _pchip_edge(h[0], h[1], mk[0], mk[1])
+    d[-1] = _pchip_edge(h[-1], h[-2], mk[-1], mk[-2])
+
+    i, s, outside = brackets
+    dx, slope, d0 = h[i], mk[i], d[i]
+    t = (d0 + d[i + 1] - 2 * slope) / dx
+    s2 = s * s
+    out = y[i] + d0 * s + ((slope - d0) / dx - t) * s2 + (t / dx) * (s2 * s)
+    out[outside] = np.nan
+    return out
+
+
 @dataclass(frozen=True)
 class DensityTable:
     """Tabulated density values on a SpectralGrid."""
@@ -377,7 +442,8 @@ class DensityTable:
 
     @cached_property
     def monotone_interpolator(self) -> PchipInterpolator:
-        """Shape-preserving cubic through the table (used by the likelihood)."""
+        """Shape-preserving cubic through the table (scipy's PCHIP, which the
+        likelihood's own gather reproduces bit for bit)."""
         return PchipInterpolator(self.grid.x(), self.values, extrapolate=False)
 
     def trapezoid_mass(self) -> float:
@@ -419,6 +485,12 @@ def _half_spectrum(grid: SpectralGrid):
     return xi, w, dxi
 
 
+def _output_phase(grid: SpectralGrid, dxi: float):
+    """(delta, phase): the transform spacing dx dxi/(2 pi) and exp(-i j dx dxi/2)."""
+    delta = grid.dx * dxi / (2.0 * np.pi)
+    return delta, np.exp(-1j * np.pi * delta * np.arange(grid.m))
+
+
 def _invert(weighted: np.ndarray, grid: SpectralGrid, dxi: float) -> np.ndarray:
     """(1/pi) Re sum_k weighted[k] exp(-i (x_j - x_min) xi_k) for all j.
 
@@ -429,10 +501,30 @@ def _invert(weighted: np.ndarray, grid: SpectralGrid, dxi: float) -> np.ndarray:
     Twice the real part of the half sum is the full symmetric sum, so this
     is (1/2pi) times the full-spectrum inversion.
     """
-    m = grid.m
-    delta = grid.dx * dxi / (2.0 * np.pi)
-    phase = np.exp(-1j * np.pi * delta * np.arange(m))
-    return (phase * _bluestein(weighted, delta, m)).real / np.pi
+    delta, phase = _output_phase(grid, dxi)
+    return (phase * _bluestein(weighted, delta, grid.m)).real / np.pi
+
+
+def _frozen_pdf(grid: SpectralGrid):
+    """p -> _pdf_values(p, grid) on one fixed grid, with its setup done once.
+
+    The half-spectrum nodes, the quadrature weights folded into the input
+    chirp, the kernel's FFT, and the output chirp times the grid phase and
+    1/pi depend on the grid alone.  A call is then one _shifted_cf, two
+    FFTs and a product; it agrees with _pdf_values to rounding (the same
+    factors, multiplied in another order).
+    """
+    xi, w, dxi = _half_spectrum(grid)
+    delta, phase = _output_phase(grid, dxi)
+    head, kernel, tail = _bluestein_setup(xi.shape[0], delta, grid.m)
+    head = w * head
+    tail = phase * tail / np.pi
+
+    def pdf_values(p: GTSParams) -> np.ndarray:
+        cf = _shifted_cf(p, xi, grid.x_min)
+        return (tail * _bluestein_convolve(cf * head, kernel, grid.m)).real
+
+    return pdf_values
 
 
 def _pdf_values(p: GTSParams, grid: SpectralGrid) -> np.ndarray:

@@ -18,7 +18,13 @@ from scipy.special import gamma as _gamma
 
 import gts_tail as gt
 from gts_tail.core import PARAM_NAMES
-from gts_tail.estimation import FitOptions, _fit_grid_config, _neg_loglik_factory, _to_transformed, _transformed_hessian
+from gts_tail.estimation import (
+    _HESSIAN_HEADROOM,
+    FitOptions,
+    _LikelihoodPlan,
+    _to_transformed,
+    _transformed_hessian,
+)
 from gts_tail.qq import hazen_levels
 from gts_tail.quantiles import quartic_for_level
 
@@ -265,15 +271,23 @@ def test_criterion_8_self_recovery(tables, recovery_fits):
     seed0 = _RECOVERY_SEEDS[0]
     data, fit = recovery_fits[seed0]
     obs = np.asarray(data.values)
-    cfg = _fit_grid_config(fit.params, obs, FitOptions())
-    neg = _neg_loglik_factory(gt.RestrictedKind.FULL, data, cfg)
+    plan = _LikelihoodPlan(fit.params, obs, FitOptions(), _HESSIAN_HEADROOM)
+    neg = plan.objective(gt.RestrictedKind.FULL)
     t = _to_transformed(PARAM_NAMES, list(fit.params.as_tuple()))
     H = _transformed_hessian(neg, t, 1e-4)
     asym = float(np.max(np.abs(H - H.T)) / np.max(np.abs(H)))
     assert asym <= 1e-6
+    # The asymmetry is 0 by construction; half the step is a check that can fail.
+    H_half = _transformed_hessian(neg, t, 5e-5)
+    steps = float(np.max(np.abs(H - H_half)) / np.max(np.abs(H)))
+    assert steps <= 1e-5
     el = time.time() - t0 + fit_seconds
     assert el < 900.0
-    _report(8, "; ".join(summary) + f"; Hessian asymmetry {asym:.1e} <= 1e-6 ({el:.0f}s incl. fits)")
+    _report(
+        8,
+        "; ".join(summary) + f"; Hessian asymmetry {asym:.1e} <= 1e-6, "
+        f"steps 1e-4/5e-5 differ by {steps:.1e} <= 1e-5 ({el:.0f}s incl. fits)",
+    )
 
 
 # --------------------------------------------------------------------------

@@ -1,13 +1,15 @@
+import logging
 import math
 import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 from scipy.special import erfc
 
 import gts_tail as gt
-from gts_tail.core import PARAM_NAMES
+from gts_tail.core import PARAM_NAMES, _log_modulus
 from gts_tail.errors import (
     DegenerateData,
     DomainError,
@@ -17,13 +19,18 @@ from gts_tail.errors import (
     TooShort,
 )
 from gts_tail.estimation import (
+    _HEADROOM,
+    _HESSIAN_HEADROOM,
     _HESSIAN_STEP,
     FitOptions,
     _auto_init,
+    _from_transformed,
+    _LikelihoodPlan,
+    _to_transformed,
     _transformed_hessian,
     _with_standard_errors,
 )
-from gts_tail.spectral import GridConfig
+from gts_tail.spectral import GridConfig, _pdf_values, _tail_radius
 
 
 # --------------------------------------------------------------------------
@@ -65,6 +72,23 @@ def test_likelihood_ordering_at_truth(btc_params, btc_sample_5k):
         2.0 * btc_params.lambda_minus,
     )
     assert ll_true > gt.log_likelihood(worse, btc_sample_5k)
+
+
+@pytest.mark.parametrize("law", ["btc", "eth", "symmetric"])
+def test_log_likelihood_is_the_pchip_reference(law, btc_params, eth_params, symmetric_params):
+    # Bit for bit the sum over PchipInterpolator(..., extrapolate=False),
+    # with observations on nodes and in both end intervals.
+    p = {"btc": btc_params, "eth": eth_params, "symmetric": symmetric_params}[law]
+    cfg = GridConfig(m=2**12)
+    grid = gt.build_grid(p, cfg)
+    x = grid.x()
+    rng = np.random.default_rng(4)
+    ends = [x[0], x[0] + 0.3 * grid.dx, x[1], x[-2], x[-1] - 0.7 * grid.dx, min(x[-1], grid.x_max)]
+    obs = np.concatenate([rng.uniform(grid.x_min, grid.x_max, 2000), x[::97], ends])
+    dens = gt.pdf_table(p, grid).monotone_interpolator(obs)
+    dens = np.where(np.isnan(dens), 0.0, np.maximum(dens, 0.0))
+    want = float(np.sum(np.log(np.maximum(dens, 1e-300))))
+    assert gt.log_likelihood(p, gt.ReturnSeries(values=obs), cfg) == want
 
 
 def test_out_of_grid_lists_offenders(btc_params):
@@ -187,11 +211,26 @@ def test_auto_init_matches_sample_scale(btc_sample_5k):
 # full-scale recoveries)
 # --------------------------------------------------------------------------
 
-def test_small_fit_recovers_scale(btc_params, btc_tables):
+def test_small_fit_recovers_scale(btc_params, btc_tables, caplog):
     _, cdf = btc_tables
     data = gt.sample(cdf, 1500, seed=3)
     options = FitOptions(probe_maxfev=300, maxfev=3000, polish_rounds=4, compute_se=True)
+    caplog.set_level(logging.DEBUG, logger="gts_tail")
     fit = gt.fit_mle(data, options=options)
+    # One debug event per phase, with its counts and its frozen plan.
+    events = [r for r in caplog.records if r.name == "gts_tail"]
+    assert [r.fit_phase for r in events] == ["pilot", "polish", "hessian"]
+    for r in events:
+        assert set(r.penalties) == {"truncation", "aliasing", "error"}
+        assert 0 <= sum(r.penalties.values()) <= r.evaluations
+    pilot, polish, hessian = events
+    # A simplex step may finish past the budget, by at most n + 1 = 8.
+    assert 0 < pilot.evaluations <= options.probe_maxfev + 8 and pilot.plan is None
+    assert polish.evaluations > 0
+    assert hessian.evaluations == 99 and sum(hessian.penalties.values()) == 0
+    for r in (polish, hessian):
+        assert set(r.plan) == {"n_freq", "xi", "x_min", "dx"}
+        assert r.plan["n_freq"] & (r.plan["n_freq"] - 1) == 0
     assert fit.converged
     assert fit.n_free == 7
     # Loose sanity: the optimum cannot be far below the truth's likelihood.
@@ -206,16 +245,100 @@ def test_small_fit_recovers_scale(btc_params, btc_tables):
 
 
 def test_hessian_symmetry(btc_params, btc_sample_5k):
-    from gts_tail.estimation import _fit_grid_config, _neg_loglik_factory, _to_transformed
-
     obs = np.asarray(btc_sample_5k.values)
-    options = FitOptions()
-    cfg = _fit_grid_config(btc_params, obs, options)
-    neg = _neg_loglik_factory(gt.RestrictedKind.FULL, btc_sample_5k, cfg)
+    plan = _LikelihoodPlan(btc_params, obs, FitOptions(), _HESSIAN_HEADROOM)
+    neg = plan.objective(gt.RestrictedKind.FULL)
     t = _to_transformed(PARAM_NAMES, list(btc_params.as_tuple()))
     H = _transformed_hessian(neg, t, _HESSIAN_STEP)
     asym = np.max(np.abs(H - H.T))
     assert asym <= 1e-6 * np.max(np.abs(H))
+
+
+# The default fit's optimum on the benchmark sample (3000 BTC draws, seed
+# 2025).
+_BENCHMARK_OPTIMUM = (
+    -0.17621424400605676,
+    0.2946565798221923,
+    0.3817327513981933,
+    0.7323311149474191,
+    0.47660619151017447,
+    0.25097710119443845,
+    0.16516040579136107,
+)
+
+
+def test_hessian_steps_agree_at_the_benchmark_optimum(btc_tables):
+    # Unlike the asymmetry above, this can fail: probes that cross a plan
+    # bound, or a likelihood that is not smooth at the step scale, make the
+    # two steps disagree (or give a zero Hessian, and a NaN ratio).
+    _, cdf = btc_tables
+    data = gt.sample(cdf, 3000, seed=2025)
+    p = gt.validate_params(*_BENCHMARK_OPTIMUM)
+    plan = _LikelihoodPlan(p, np.asarray(data.values), FitOptions(), _HESSIAN_HEADROOM)
+    neg = plan.objective(gt.RestrictedKind.FULL)
+    t = _to_transformed(PARAM_NAMES, list(p.as_tuple()))
+    H = _transformed_hessian(neg, t, 1e-4)
+    H_half = _transformed_hessian(neg, t, 5e-5)
+    assert np.max(np.abs(H - H_half)) / np.max(np.abs(H)) <= 1e-5
+
+
+def _direct_neg_loglik(p, grid, obs):
+    # The same frozen grid through the table path and scipy's PCHIP.
+    f = np.maximum(_pdf_values(p, grid), 0.0)
+    dens = PchipInterpolator(grid.x(), f, extrapolate=False)(obs)
+    dens = np.where(np.isnan(dens), 0.0, np.maximum(dens, 0.0))
+    return -float(np.sum(np.log(np.maximum(dens, 1e-300))))
+
+
+def _scaled(p, mu_shift=0.0, alpha_scale=1.0):
+    return gt.validate_params(
+        p.mu + mu_shift, p.beta_plus, p.beta_minus, alpha_scale * p.alpha_plus,
+        alpha_scale * p.alpha_minus, p.lambda_plus, p.lambda_minus,
+    )
+
+
+def test_plan_objective_matches_direct_inversion(btc_params, btc_sample_5k):
+    obs = np.asarray(btc_sample_5k.values)
+    plan = _LikelihoodPlan(btc_params, obs, FitOptions(), _HEADROOM)
+    neg = plan.objective(gt.RestrictedKind.FULL)
+    t0 = _to_transformed(PARAM_NAMES, list(btc_params.as_tuple()))
+    rng = np.random.default_rng(9)
+    for t in [t0] + [t0 + rng.normal(0.0, 0.05, t0.size) for _ in range(5)]:
+        p = gt.RestrictedKind.FULL.expand(_from_transformed(PARAM_NAMES, t))
+        assert plan.penalty_cause(p) is None
+        want = _direct_neg_loglik(p, plan.grid, obs)
+        assert neg(t) == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert plan.evaluations == 6 and sum(plan.penalties.values()) == 0
+
+
+def test_plan_penalizes_exactly_past_each_bound(btc_params, btc_sample_5k):
+    plan = _LikelihoodPlan(btc_params, np.asarray(btc_sample_5k.values), FitOptions(), _HEADROOM)
+    g = plan.grid
+    neg = plan.objective(gt.RestrictedKind.FULL)
+
+    def value(p):
+        return neg(_to_transformed(PARAM_NAMES, list(p.as_tuple())))
+
+    # Truncation: Re psi is linear in the intensities, so scaling both by c
+    # puts |cf(Xi)| at exp(c Re psi(Xi)), which reaches 1e-8 at c*.
+    c_star = math.log(1e-8) / _log_modulus(btc_params)(g.freq_cutoff)
+    assert 0.1 < c_star < 1.0
+    inside = _scaled(btc_params, alpha_scale=c_star * (1 + 1e-9))
+    past = _scaled(btc_params, alpha_scale=c_star * (1 - 1e-9))
+    assert plan.penalty_cause(inside) is None and value(inside) < 1e15
+    assert plan.penalty_cause(past) == "truncation" and value(past) == 1e15
+
+    # Aliasing: shifting mu by d moves kappa_1 by d and leaves the tail
+    # radius alone, so the period is cleared up to d*.
+    period = math.pi * (g.n_freq - 0.5) / g.freq_cutoff
+    k1 = gt.cumulant(btc_params, 1)
+    d_star = period - _tail_radius(btc_params, 1e-9) - (k1 - g.x_min)
+    assert d_star > 0.0
+    inside = _scaled(btc_params, mu_shift=d_star * (1 - 1e-9))
+    past = _scaled(btc_params, mu_shift=d_star * (1 + 1e-9))
+    assert plan.penalty_cause(inside) is None and value(inside) < 1e15
+    assert plan.penalty_cause(past) == "aliasing" and value(past) == 1e15
+    assert plan.penalties == {"truncation": 1, "aliasing": 1, "error": 0}
 
 
 def test_transformed_hessian_closed_form_and_call_count():
@@ -242,9 +365,10 @@ def test_transformed_hessian_closed_form_and_call_count():
     assert len(calls) == 1 + 2 * n + 4 * (n * (n - 1) // 2) == 99
 
 
-# The default fit's optimum on 3000 BTC draws (seed 2025) lies on its frozen
-# grid's aliasing wall: it needs 8191.999996 of 8192 frequency nodes.
-_WALL_OPTIMUM = (
+# A point that needs 8191.999996 of 8192 frequency nodes at its own cutoff
+# on the benchmark sample (3000 BTC draws, seed 2025): the optimum of that
+# sample under grids frozen by node count alone.
+_NEEDS_8192_NODES = (
     -0.1745043971015856,
     0.29709569465662106,
     0.3846917411211814,
@@ -259,10 +383,11 @@ def test_standard_errors_refuse_probes_across_the_penalty(btc_tables):
     _, cdf = btc_tables
     data = gt.sample(cdf, 3000, seed=2025)
     fit = gt.FitResult(
-        params=gt.validate_params(*_WALL_OPTIMUM), loglik=-7725.0196522, std_errors=None,
+        params=gt.validate_params(*_NEEDS_8192_NODES), loglik=-7725.0196522, std_errors=None,
         z_pvalues=None, aic=0.0, bic=0.0, n_obs=data.n, converged=True, n_free=7,
     )
-    # At 2**13 nodes the minus-probes cross the wall into the penalty.
+    # A 2**13 budget leaves the Hessian's plan about 2e-10 of room from both of
+    # its bounds, and the probes cross them into the penalty.
     walled = FitOptions(max_n_freq=2**13)
     with pytest.raises(PenaltyWall) as exc:
         gt.standard_errors(fit, data, walled)
@@ -271,7 +396,7 @@ def test_standard_errors_refuse_probes_across_the_penalty(btc_tables):
         omitted = _with_standard_errors(fit, data, walled)
     assert omitted.std_errors is None and omitted.z_pvalues is None
     assert omitted.hessian_fallback
-    # The default Hessian grid (2**14 nodes) clears the wall.
+    # The default budget gives the plan 2**14 nodes and room to spare.
     kept = _with_standard_errors(fit, data, FitOptions())
     assert not kept.hessian_fallback
     assert all(0.02 < se < 0.5 for se in kept.std_errors)
