@@ -206,6 +206,13 @@ def test_auto_init_matches_sample_scale(btc_sample_5k):
     assert abs(gt.cumulant(bg, 2) - s2) <= 0.05 * s2
 
 
+@pytest.fixture(scope="module")
+def benchmark_sample(btc_tables):
+    """The fit-mle benchmark's sample: 3000 draws from the default BTC table."""
+    _, cdf = btc_tables
+    return gt.sample(cdf, 3000, seed=2025)
+
+
 # --------------------------------------------------------------------------
 # a small end-to-end fit (reduced budget; the acceptance suite runs the
 # full-scale recoveries)
@@ -224,9 +231,13 @@ def test_small_fit_recovers_scale(btc_params, btc_tables, caplog):
         assert set(r.penalties) == {"truncation", "aliasing", "error"}
         assert 0 <= sum(r.penalties.values()) <= r.evaluations
     pilot, polish, hessian = events
+    assert all(r.seconds > 0.0 for r in events)
     # A simplex step may finish past the budget, by at most n + 1 = 8.
     assert 0 < pilot.evaluations <= options.probe_maxfev + 8 and pilot.plan is None
-    assert polish.evaluations > 0
+    # This sample's optimum sits near a bound of the polish plan: the
+    # L-BFGS-B run touches it, so the simplex restarts finish the polish.
+    assert polish.method == "L-BFGS-B, Nelder-Mead"
+    assert 0 < polish.quasi_newton_evaluations < polish.evaluations
     assert hessian.evaluations == 99 and sum(hessian.penalties.values()) == 0
     for r in (polish, hessian):
         assert set(r.plan) == {"n_freq", "xi", "x_min", "dx"}
@@ -244,6 +255,18 @@ def test_small_fit_recovers_scale(btc_params, btc_tables, caplog):
     assert abs(k2_fit - s2) <= 0.2 * s2
 
 
+def test_benchmark_fit_polishes_by_lbfgsb_alone(benchmark_sample, caplog):
+    # The simplex restarts needed 1921 polish evaluations on this sample.
+    caplog.set_level(logging.DEBUG, logger="gts_tail")
+    fit = gt.fit_mle(benchmark_sample, options=FitOptions(compute_se=False))
+    (polish,) = [r for r in caplog.records if getattr(r, "fit_phase", None) == "polish"]
+    assert polish.method == "L-BFGS-B"
+    assert polish.quasi_newton_evaluations == polish.evaluations <= 600
+    assert sum(polish.penalties.values()) == 0
+    assert fit.converged
+    assert fit.loglik >= -7725.019383194039 - 1e-6
+
+
 def test_hessian_symmetry(btc_params, btc_sample_5k):
     obs = np.asarray(btc_sample_5k.values)
     plan = _LikelihoodPlan(btc_params, obs, FitOptions(), _HESSIAN_HEADROOM)
@@ -254,8 +277,7 @@ def test_hessian_symmetry(btc_params, btc_sample_5k):
     assert asym <= 1e-6 * np.max(np.abs(H))
 
 
-# The default fit's optimum on the benchmark sample (3000 BTC draws, seed
-# 2025).
+# The default fit's optimum on the benchmark sample.
 _BENCHMARK_OPTIMUM = (
     -0.17621424400605676,
     0.2946565798221923,
@@ -267,14 +289,13 @@ _BENCHMARK_OPTIMUM = (
 )
 
 
-def test_hessian_steps_agree_at_the_benchmark_optimum(btc_tables):
+def test_hessian_steps_agree_at_the_benchmark_optimum(benchmark_sample):
     # Unlike the asymmetry above, this can fail: probes that cross a plan
     # bound, or a likelihood that is not smooth at the step scale, make the
     # two steps disagree (or give a zero Hessian, and a NaN ratio).
-    _, cdf = btc_tables
-    data = gt.sample(cdf, 3000, seed=2025)
     p = gt.validate_params(*_BENCHMARK_OPTIMUM)
-    plan = _LikelihoodPlan(p, np.asarray(data.values), FitOptions(), _HESSIAN_HEADROOM)
+    obs = np.asarray(benchmark_sample.values)
+    plan = _LikelihoodPlan(p, obs, FitOptions(), _HESSIAN_HEADROOM)
     neg = plan.objective(gt.RestrictedKind.FULL)
     t = _to_transformed(PARAM_NAMES, list(p.as_tuple()))
     H = _transformed_hessian(neg, t, 1e-4)
