@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.special import digamma as _digamma
 from scipy.special import gamma as _gamma
 
 from ._textio import text_stream
@@ -204,6 +205,89 @@ def _shifted_cf(p: GTSParams, xi: np.ndarray, shift: float) -> np.ndarray:
             re += c * (mod * np.cos(beta * arg) - lam_beta)
             im += (sign * c) * mod * np.sin(beta * arg)
     return _polar(re, im - shift * xi)
+
+
+def _shifted_cf_pullback(p: GTSParams, xi: np.ndarray, shift: float):
+    """(cf, pullback): _shifted_cf(p, xi, shift) to the bit, and the map from
+    complex weights w to Re sum_k w_k dpsi(xi_k)/d field for each field of
+    PARAM_NAMES.
+
+    The partials come from the kernel's own pieces.  Per side, with base
+    b = lam + sign*i*xi and psi_side = c*(b**beta - lam**beta):
+
+        d/d alpha = psi_side/alpha
+        d/d lam   = c*beta*(b**beta/b - lam**beta/lam)   (-alpha*(1/b - 1/lam) at beta = 0)
+        d/d beta  = -digamma(-beta)*psi_side + c*(b**beta log b - lam**beta log lam)
+
+    since d/d beta Gamma(-beta) = -Gamma(-beta) digamma(-beta); and
+    d/d mu = i*xi.  With b**beta = mod*(cos + sign*i*sin) of beta*atan(xi/lam),
+    1/b = (lam - sign*i*xi)/(lam**2 + xi**2) and log b = log|b| +
+    sign*i*atan(xi/lam), each weighted sum is a few real dot products over
+    the pieces the kernel keeps.  A side at beta = 0 reports 0 for its beta:
+    a fit reaches that point only where its coordinate map has zero slope
+    in beta, or with beta pinned.
+    """
+    re = np.zeros_like(xi)
+    im = p.mu * xi
+    sides = []
+    for alpha, beta, lam, sign, c, lam_beta in _tempered_sides(p):
+        r = xi / lam
+        arg = np.arctan(r)
+        if c is None:
+            # psi_side = -(side_re + i side_im)
+            side_re = 0.5 * alpha * np.log1p(r * r)
+            side_im = sign * alpha * arg
+            re -= side_re
+            im -= side_im
+            pieces = (side_re, side_im)
+        else:
+            log_square = np.log(lam * lam + xi * xi)
+            mod = np.exp((0.5 * beta) * log_square)
+            cos, sin = np.cos(beta * arg), np.sin(beta * arg)
+            power_re = mod * cos
+            re += c * (power_re - lam_beta)
+            im += (sign * c) * mod * sin
+            # b**beta = power_re + i power_im
+            pieces = (power_re, (sign * mod) * sin, log_square, arg)
+        sides.append((alpha, beta, lam, sign, c, lam_beta, pieces))
+    cf = _polar(re, im - shift * xi)
+
+    def pullback(w: np.ndarray) -> np.ndarray:
+        wr, wi = w.real, w.imag
+        total = wr.sum()
+        out = np.zeros(len(PARAM_NAMES))
+        out[0] = -_dot(xi, wi)
+        for k, (alpha, beta, lam, sign, c, lam_beta, pieces) in enumerate(sides):
+            # Re(w/b) = (lam wr + sign xi wi)/|b|**2, Im(w/b) = (lam wi - sign xi wr)/|b|**2.
+            square = lam * lam + xi * xi
+            over_re = (lam * wr + sign * (xi * wi)) / square
+            if c is None:
+                side_re, side_im = pieces
+                out[3 + k] = (_dot(side_im, wi) - _dot(side_re, wr)) / alpha
+                out[5 + k] = -alpha * (over_re.sum() - total / lam)
+                continue
+            power_re, power_im, log_square, arg = pieces
+            by_side = c * (_dot(power_re, wr) - lam_beta * total - _dot(power_im, wi))
+            out[3 + k] = by_side / alpha
+            # Re(w b**beta/b) and Re(w b**beta log b).
+            over_im = (lam * wi - sign * (xi * wr)) / square
+            over = _dot(power_re, over_re) - _dot(power_im, over_im)
+            log_re, log_im = 0.5 * log_square, sign * arg
+            logged = _dot(power_re * log_re - power_im * log_im, wr)
+            logged -= _dot(power_re * log_im + power_im * log_re, wi)
+            out[5 + k] = c * beta * (over - lam_beta / lam * total)
+            out[1 + k] = -float(_digamma(-beta)) * by_side + c * (
+                logged - lam_beta * math.log(lam) * total
+            )
+        return out
+
+    return cf, pullback
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a * b) by numpy's own loop: a BLAS dot splits the sum across
+    threads, so its rounding would follow the thread count."""
+    return float(np.einsum("i,i->", a, b))
 
 
 def _polar(log_modulus: np.ndarray, phase: np.ndarray) -> np.ndarray:

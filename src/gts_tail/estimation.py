@@ -6,25 +6,28 @@ before the log).  The surface is maximized in a transformed space (logit
 for the stability indices, log for intensities and tempering rates,
 identity for the drift).  One search path: a short Nelder-Mead pilot run
 from the moment-matched start (or the caller's) under per-evaluation grids,
-then an L-BFGS-B polish with forward-difference gradients on one likelihood
-plan frozen at the pilot's point.  When that polish fails, or any of its
-evaluations hits a plan bound (its line search stalls on the penalty),
-repeated simplex restarts on the same plan take over until a restart stops
+then an L-BFGS-B polish with the exact score on one likelihood plan frozen
+at the pilot's point.  When that polish fails, or any of its evaluations
+hits a plan bound (its line search stalls on the penalty), repeated
+simplex restarts on the same plan take over until a restart stops
 improving.  The full model and the restricted families share it; a
 RestrictedKind says which natural fields each free coordinate fills.
 
 A plan freezes the whole grid (x-range, node counts, cutoff, with headroom
 on the cutoff) and precomputes its inversion, so an evaluation costs one
-characteristic-function kernel, two FFTs and a gather.  It evaluates a law
-only inside the two bounds its grid is valid for (truncation and
-aliasing), and returns a penalty outside them.  Each phase's evaluation
-and penalty counts and wall time go to the "gts_tail" logger as one debug
-event.
+characteristic-function kernel, two FFTs and a gather.  Its score, in
+reverse mode, adds the gather's adjoint, one more FFT pair and the
+kernel's closed-form partials, whatever the number of free coordinates.
+It evaluates a law only inside the two bounds its grid is valid for
+(truncation and aliasing), and returns a penalty outside them.  Each
+phase's evaluation, score and penalty counts and wall time go to the
+"gts_tail" logger as one debug event.
 
 Standard errors come from the observed information: the Hessian of the
-negative log-likelihood at the optimum by central finite differences in the
-transformed coordinates, on a plan frozen at the estimate, inverted and
-mapped back to natural parameters by the delta method.
+negative log-likelihood at the optimum by central differences of the score
+in the transformed coordinates, on a plan frozen at the estimate,
+symmetrized, inverted and mapped back to natural parameters by the delta
+method.
 """
 
 from __future__ import annotations
@@ -55,8 +58,9 @@ from .spectral import (
     GridConfig,
     SpectralGrid,
     _brackets,
-    _frozen_pdf,
+    _FrozenPdf,
     _monotone_cubic,
+    _monotone_cubic_pullback,
     _next_pow2,
     _pdf_values,
     _tail_radius,
@@ -91,16 +95,21 @@ _LOG_FREQ_EPS = math.log(_FIT_FREQ_EPS)
 _HEADROOM = 4.0
 _HESSIAN_HEADROOM = 1.25
 # Simplex tolerances (the pilot keeps scipy's default xatol) and the relative
-# finite-difference step of the standard errors' Hessian.
+# step of the score differences behind the standard errors' Hessian.
 _FATOL = 1e-8
 _XATOL = 1e-6
 _HESSIAN_STEP = 1e-4
-# L-BFGS-B polish: the absolute forward-difference step in transformed
-# coordinates, and the relative-decrease and projected-gradient stopping
-# tolerances.  On 3000 BTC draws it reaches the simplex optimum to 3e-10
-# nats in 336 evaluations (the simplex restarts take 1921).
-_QN_EPS = 1e-7
-_QN_FTOL = 1e-15
+# Stability indices below 1e-7 are taken as 0, the bilateral-gamma limit,
+# and the logit coordinate is flat below it.  Near 0 the power form
+# c*(b**beta - lam**beta), with c about -alpha/beta, cancels: its error in
+# psi is about alpha*eps/beta, 1e-9 at beta = 1e-7 but 0.02 at 3e-15,
+# where an exact-score polish on 600 BTC draws gained 15 nats of rounding.
+_LOGIT_BETA_ZERO = math.log(1e-7 / (1.0 - 1e-7))
+# L-BFGS-B polish on the exact score: the relative-decrease and
+# projected-gradient stopping tolerances.  On the 7 of 14 checked samples
+# that it finishes alone, ftol 1e-14 stops within 1.3e-11 nats of 1e-15,
+# in 1-18 fewer score calls (37 on 3000 BTC draws).
+_QN_FTOL = 1e-14
 _QN_GTOL = 1e-8
 
 _log = logging.getLogger("gts_tail")
@@ -124,14 +133,14 @@ class FitOptions:
 
     The search is one pilot simplex run of at most ``probe_maxfev``
     likelihood evaluations, then one L-BFGS-B polish of at most ``maxfev``
-    evaluations plus one forward-difference gradient (step 1e-7).  If it
-    fails, or any of its evaluations hits a bound of the frozen plan, up
-    to ``polish_rounds`` simplex restarts of at most ``maxfev`` evaluations
-    each follow from the better of its point and the pilot's, stopping once
-    a restart improves the negative log-likelihood by less than 1e-6.
-    ``compute_se`` adds standard errors to a converged fit (Hessian step
-    1e-4, relative, on a plan frozen at the estimate with a cutoff 1.25
-    times its own).
+    evaluations, each with its exact score.  If it fails (an abnormal
+    line-search stop included), or any of its evaluations hits a bound of
+    the frozen plan, up to ``polish_rounds`` simplex restarts of at most
+    ``maxfev`` evaluations each follow from the better of its point and the
+    pilot's, stopping once a restart improves the negative log-likelihood
+    by less than 1e-6.  ``compute_se`` adds standard errors to a converged
+    fit: central differences of the score at steps of 1e-4, relative, on a
+    plan frozen at the estimate with a cutoff 1.25 times its own.
     """
 
     grid_m: int = 2**12
@@ -190,7 +199,7 @@ def _from_transformed(names, t):
     out = []
     for name, v in zip(names, t):
         if name.startswith("beta"):
-            out.append(1.0 / (1.0 + math.exp(-float(v))))
+            out.append(1.0 / (1.0 + math.exp(-float(v))) if v > _LOGIT_BETA_ZERO else 0.0)
         elif name == "mu":
             out.append(float(v))
         else:
@@ -233,14 +242,38 @@ def _base_grid_config(options: FitOptions) -> GridConfig:
     )
 
 
+def _densities(values: np.ndarray, h: np.ndarray, brackets) -> np.ndarray:
+    """Monotone-cubic density at bracketed observations, 0 off the grid."""
+    dens = _monotone_cubic(values, h, brackets)
+    return np.where(np.isnan(dens), 0.0, np.maximum(dens, 0.0))
+
+
+def _log_sum(dens: np.ndarray) -> float:
+    """Sum of log densities, each floored at 1e-300."""
+    return float(np.sum(np.log(np.maximum(dens, _DENSITY_FLOOR))))
+
+
 def _log_density_sum(values: np.ndarray, h: np.ndarray, brackets) -> float:
     """Sum of log monotone-cubic density over bracketed observations.
 
     Off-grid points count as density 0; every density is floored at 1e-300.
     """
-    dens = _monotone_cubic(values, h, brackets)
-    dens = np.where(np.isnan(dens), 0.0, np.maximum(dens, 0.0))
-    return float(np.sum(np.log(np.maximum(dens, _DENSITY_FLOOR))))
+    return _log_sum(_densities(values, h, brackets))
+
+
+def _neg_log_density_sum_and_grad(raw: np.ndarray, h: np.ndarray, brackets):
+    """(-_log_density_sum(max(raw, 0), h, brackets), to the bit, and its
+    gradient in the raw node values).
+
+    The gradient passes the clamp at 0 where a node is positive, and the
+    floor where a density is above it; elsewhere it is 0.
+    """
+    values = np.maximum(raw, 0.0)
+    dens = _densities(values, h, brackets)
+    kept = dens > _DENSITY_FLOOR
+    g = np.divide(-1.0, dens, out=np.zeros_like(dens), where=kept)
+    grad = _monotone_cubic_pullback(values, h, brackets, g)
+    return -_log_sum(dens), np.where(raw > 0.0, grad, 0.0)
 
 
 def _grid_log_density_sum(values: np.ndarray, grid: SpectralGrid, obs: np.ndarray) -> float:
@@ -268,19 +301,28 @@ def log_likelihood(p: GTSParams, data: ReturnSeries, grid_cfg: GridConfig | None
     return _grid_log_density_sum(pdf_table(p, grid).values, grid, obs)
 
 
+def _free_score(kind: RestrictedKind, by_field: np.ndarray) -> np.ndarray:
+    """The chain rule of ``kind.expand``: each free coordinate's derivative
+    is the sum over the natural fields it fills."""
+    index = {name: k for k, name in enumerate(PARAM_NAMES)}
+    return np.array([sum(by_field[index[f]] for f in fields) for _, fields in kind.fields])
+
+
 class _Likelihood:
     """One fit phase's likelihood, and how its evaluations went.
 
     ``objective(kind)`` is the negative log-likelihood in a kind's
-    transformed coordinates.  It returns the 1e15 penalty for a law the
-    phase cannot evaluate: one that ``penalty_cause`` names (a bound of a
-    frozen grid), or one whose evaluation raises.  The inverted density is
-    clamped at 0 instead of held to the public table invariants, so mild
-    truncation ripple (slowly decaying characteristic functions near the
-    restricted families) degrades the likelihood smoothly.  Evaluations
-    and penalties by cause are counted, and ``log`` reports them, with the
-    wall time since the phase's likelihood was built, as one debug event on
-    the "gts_tail" logger.
+    transformed coordinates; with ``score=True`` it returns the value and
+    its gradient there.  It returns the 1e15 penalty (with a zero score)
+    for a law the phase cannot evaluate: one that ``penalty_cause`` names
+    (a bound of a frozen grid), or one whose evaluation raises.  The
+    inverted density is clamped at 0 instead of held to the public table
+    invariants, so mild truncation ripple (slowly decaying characteristic
+    functions near the restricted families) degrades the likelihood
+    smoothly.  Evaluations, those of them that formed the score, and
+    penalties by cause are counted, and ``log`` reports them, with the wall
+    time since the phase's likelihood was built, as one debug event on the
+    "gts_tail" logger.
     """
 
     grid: SpectralGrid | None = None
@@ -288,6 +330,7 @@ class _Likelihood:
     def __init__(self):
         self._started = time.perf_counter()
         self.evaluations = 0
+        self.score_evaluations = 0
         self.penalties = dict.fromkeys(("truncation", "aliasing", "error"), 0)
 
     def penalty_cause(self, p: GTSParams) -> str | None:
@@ -296,20 +339,29 @@ class _Likelihood:
     def neg_loglik(self, p: GTSParams) -> float:
         raise NotImplementedError
 
-    def objective(self, kind: RestrictedKind):
+    def neg_loglik_and_score(self, p: GTSParams):
+        """(neg_loglik(p), its gradient in the seven natural fields)."""
+        raise NotImplementedError
+
+    def objective(self, kind: RestrictedKind, score: bool = False):
         names = kind.free_names
 
         def neg(t):
             self.evaluations += 1
+            self.score_evaluations += score
             try:
-                p = kind.expand(_from_transformed(names, t))
+                free = _from_transformed(names, t)
+                p = kind.expand(free)
                 cause = self.penalty_cause(p)
                 if cause is None:
-                    return self.neg_loglik(p)
+                    if not score:
+                        return self.neg_loglik(p)
+                    value, by_field = self.neg_loglik_and_score(p)
+                    return value, _free_score(kind, by_field) * _jacobian_diag(names, free)
             except (GtsError, FloatingPointError, OverflowError, ValueError):
                 cause = "error"
             self.penalties[cause] += 1
-            return _PENALTY
+            return (_PENALTY, np.zeros(len(names))) if score else _PENALTY
 
         return neg
 
@@ -322,10 +374,12 @@ class _Likelihood:
             n_freq=g.n_freq, xi=g.freq_cutoff, x_min=float(g.x_min), dx=float(g.dx)
         )
         _log.debug(
-            "fit phase %s: %d evaluations in %.3f s, penalties %s, plan %s%s",
-            phase, self.evaluations, seconds, self.penalties, plan,
+            "fit phase %s: %d evaluations (%d with the score) in %.3f s, penalties %s, "
+            "plan %s%s",
+            phase, self.evaluations, self.score_evaluations, seconds, self.penalties, plan,
             "".join(f", {k} {v}" for k, v in details.items()),
             extra=dict(fit_phase=phase, evaluations=self.evaluations,
+                       score_evaluations=self.score_evaluations,
                        penalties=dict(self.penalties), plan=plan, seconds=seconds,
                        **details),
         )
@@ -361,7 +415,10 @@ class _LikelihoodPlan(_Likelihood):
     and a period that clears its farther grid end from kappa_1 plus its
     tail radius (aliasing).  Anything else is penalized.  An evaluation is
     then one characteristic-function kernel, two FFTs, the clamp at 0 and
-    a monotone-cubic gather at the observations' precomputed brackets.
+    a monotone-cubic gather at the observations' precomputed brackets.  Its
+    score is exact, in reverse mode: the gather's adjoint gives the
+    gradient in the node values, one more FFT pair carries it back through
+    the inversion, and the kernel's partials in closed form finish it.
     """
 
     def __init__(self, p0: GTSParams, obs: np.ndarray, options: FitOptions, headroom: float):
@@ -375,7 +432,7 @@ class _LikelihoodPlan(_Likelihood):
             n_freq = 1 << (options.max_n_freq.bit_length() - 1)
             xi = math.sqrt(cutoff * math.pi * (n_freq - 0.5) / guard)
         self.grid = replace(g0, n_freq=n_freq, freq_cutoff=xi)
-        self._pdf = _frozen_pdf(self.grid)
+        self._pdf = _FrozenPdf(self.grid)
         x = self.grid.x()
         self._h = np.diff(x)
         self._brackets = _brackets(x, obs)
@@ -392,6 +449,11 @@ class _LikelihoodPlan(_Likelihood):
 
     def neg_loglik(self, p: GTSParams) -> float:
         return -_log_density_sum(np.maximum(self._pdf(p), 0.0), self._h, self._brackets)
+
+    def neg_loglik_and_score(self, p: GTSParams):
+        raw, pullback = self._pdf.with_pullback(p)
+        value, grad = _neg_log_density_sum_and_grad(raw, self._h, self._brackets)
+        return value, pullback(grad)
 
 
 # --------------------------------------------------------------------------
@@ -437,7 +499,8 @@ def fit_mle(
     options: FitOptions = FitOptions(),
 ) -> FitResult:
     """Fit by maximum likelihood: a pilot simplex run, then an L-BFGS-B
-    polish, with simplex restarts when it fails or touches a plan bound.
+    polish on the exact score, with simplex restarts when it fails or
+    touches a plan bound.
 
     Non-convergence is reported through ``converged=False`` on the result
     rather than raised.  Requires at least 100 observations and non-zero
@@ -476,14 +539,15 @@ def fit_mle(
     plan = _LikelihoodPlan(pilot_params, obs, options, _HEADROOM)
     neg = plan.objective(kind)
 
-    # Quasi-Newton polish on the smooth frozen plan.  Its line search stalls
-    # on the penalty wall, so its optimum stands only if no evaluation was
-    # penalized.
+    # Quasi-Newton polish on the smooth frozen plan, with its exact score.
+    # Its line search stalls on the penalty wall, so its optimum stands only
+    # if no evaluation was penalized.
     best = minimize(
-        neg,
+        plan.objective(kind, score=True),
         t_start,
+        jac=True,
         method="L-BFGS-B",
-        options=dict(maxfun=options.maxfev, eps=_QN_EPS, ftol=_QN_FTOL, gtol=_QN_GTOL),
+        options=dict(maxfun=options.maxfev, ftol=_QN_FTOL, gtol=_QN_GTOL),
     )
     quasi_newton_evaluations = plan.evaluations
     converged = bool(best.success) and sum(plan.penalties.values()) == 0
@@ -545,33 +609,26 @@ def _with_standard_errors(result: FitResult, data: ReturnSeries, options: FitOpt
     return replace(result, std_errors=se, z_pvalues=pv, hessian_fallback=fallback)
 
 
-def _transformed_hessian(neg, t, step_rel):
-    n = t.shape[0]
+def _score_hessian(score, t, step_rel):
+    """Central differences of the score at t, column i from steps
+    +-step_rel*max(|t_i|, 1) in coordinate i: 2n score calls.  Not
+    symmetrized."""
     h = step_rel * np.maximum(np.abs(t), 1.0)
-    H = np.empty((n, n))
-    f0 = neg(t)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h[i]
-        H[i, i] = (neg(t + ei) - 2.0 * f0 + neg(t - ei)) / h[i] ** 2
-    # One 4-point stencil per pair, mirrored: (i,j) and (j,i) share it.
-    for i in range(n):
-        for j in range(i + 1, n):
-            ei = np.zeros(n)
-            ej = np.zeros(n)
-            ei[i] = h[i]
-            ej[j] = h[j]
-            H[i, j] = H[j, i] = (
-                neg(t + ei + ej) - neg(t + ei - ej) - neg(t - ei + ej) + neg(t - ei - ej)
-            ) / (4.0 * h[i] * h[j])
-    return H
+    cols = []
+    for i, step in enumerate(h):
+        e = np.zeros_like(t)
+        e[i] = step
+        cols.append((score(t + e) - score(t - e)) / (2.0 * step))
+    return np.column_stack(cols)
 
 
 def standard_errors(fit: FitResult, data: ReturnSeries, options: FitOptions = FitOptions()):
     """(std_errors, z_pvalues, used_fallback) for the seven natural parameters.
 
-    The observed information is computed in the transformed space and mapped
-    back through the diagonal Jacobian of the coordinate-wise transforms.
+    The observed information is computed in the transformed space, from
+    central differences of the exact score (two score calls per free
+    coordinate), and mapped back through the diagonal Jacobian of the
+    coordinate-wise transforms.
     A singular Hessian falls back to the Moore-Penrose pseudo-inverse and
     emits SingularHessianWarning.  A Hessian probe that hits the likelihood
     penalty (an infeasible point, or one past a bound of the plan frozen at
@@ -586,18 +643,16 @@ def standard_errors(fit: FitResult, data: ReturnSeries, options: FitOptions = Fi
 
     obs = np.asarray(data.values, dtype=float)
     plan = _LikelihoodPlan(fit.params, obs, options, _HESSIAN_HEADROOM)
-    neg = plan.objective(kind)
+    neg = plan.objective(kind, score=True)
     walled = set()
 
-    def probe(s):
-        # A probe at the estimate itself implicates every coordinate.
-        v = neg(s)
-        if v >= _PENALTY:
-            moved = np.flatnonzero(s != t)
-            walled.update(moved.tolist() if moved.size else range(len(names)))
-        return v
+    def score(s):
+        value, grad = neg(s)
+        if value >= _PENALTY:
+            walled.update(np.flatnonzero(s != t).tolist())
+        return grad
 
-    H = _transformed_hessian(probe, t, _HESSIAN_STEP)
+    H = _score_hessian(score, t, _HESSIAN_STEP)
     plan.log("hessian")
     if walled:
         raise PenaltyWall(names[i] for i in sorted(walled))

@@ -32,7 +32,8 @@ from a real-arithmetic kernel that folds the grid phase into the
 characteristic function's own cos/sin pair; the public complex exponent
 stays the reference it is tested against.  A grid that stays fixed while
 the law changes (a fit's likelihood plan) precomputes everything but the
-characteristic function once (`_frozen_pdf`).
+characteristic function once (`_FrozenPdf`), and also carries a gradient
+back through the inversion by its transpose.
 
 A slow adaptive-quadrature oracle (`direct_quadrature_oracle`) evaluates the
 one-sided forms of the same inversion integrals at a single point for
@@ -58,6 +59,7 @@ from .core import (
     _mgf_exponent_values,
     _polar,
     _shifted_cf,
+    _shifted_cf_pullback,
     characteristic_function,
     cumulant,
 )
@@ -378,19 +380,49 @@ def _lagrange5_eval(x0: float, dx: float, values: np.ndarray, xq: np.ndarray) ->
 def _brackets(x: np.ndarray, q: np.ndarray):
     """(index, offset, outside): the bracket x[i] <= q < x[i+1] of each
     query point (the last bracket closed on the right, as PchipInterpolator
-    finds them), q - x[i], and whether q lies outside [x[0], x[-1]]."""
-    i = np.clip(np.searchsorted(x, q, side="right") - 1, 0, x.shape[0] - 2)
+    finds them), q - x[i], and whether q lies outside [x[0], x[-1]].
+
+    ``x`` is a uniform grid, so the index is floor((q - x[0])/dx), moved by
+    one where rounding put it next to the bracket: the same index as
+    searchsorted(x, q, side="right") - 1, clipped to the grid.
+    """
+    last = x.shape[0] - 2
+    pos = (q - x[0]) * ((x.shape[0] - 1) / (x[-1] - x[0]))
+    i = np.clip(np.floor(pos), 0, last).astype(np.intp)
+    i = np.clip(i - (x[i] > q) + (x[i + 1] <= q), 0, last)
     return i, q - x[i], ~((x[0] <= q) & (q <= x[-1]))
 
 
 def _pchip_edge(h0, h1, m0, m1):
-    # One-sided three-point slope, kept shape-preserving.
+    """One-sided three-point slope, kept shape-preserving, and its partial
+    derivatives in m0 and m1."""
     d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
     if np.sign(d) != np.sign(m0):
-        return 0.0
+        return 0.0, 0.0, 0.0
     if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
+        return 3.0 * m0, 3.0, 0.0
+    return d, (2 * h0 + h1) / (h0 + h1), -h0 / (h0 + h1)
+
+
+def _pchip_slopes(y: np.ndarray, h: np.ndarray):
+    """PCHIP's secant slopes and node slopes, and the pieces of its interior
+    rule: (mk, d, flat, w1, w2).
+
+    An interior slope is 0 where its secants change sign or one is 0
+    (``flat``), and their weighted harmonic mean (w1 + w2)/(w1/a + w2/b)
+    elsewhere; the ends take the shape-preserving three-point rule.
+    """
+    mk = (y[1:] - y[:-1]) / h
+    smk = np.sign(mk)
+    flat = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    d = np.empty_like(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)))
+    d[0] = _pchip_edge(h[0], h[1], mk[0], mk[1])[0]
+    d[-1] = _pchip_edge(h[-1], h[-2], mk[-1], mk[-2])[0]
+    return mk, d, flat, w1, w2
 
 
 def _monotone_cubic(y: np.ndarray, h: np.ndarray, brackets) -> np.ndarray:
@@ -403,17 +435,7 @@ def _monotone_cubic(y: np.ndarray, h: np.ndarray, brackets) -> np.ndarray:
     c3 + c2 s + c1 s**2 + c0 (s**2 s), computed only on the brackets the
     points fall in.
     """
-    mk = (y[1:] - y[:-1]) / h
-    smk = np.sign(mk)
-    flat = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
-    w1 = 2 * h[1:] + h[:-1]
-    w2 = h[1:] + 2 * h[:-1]
-    d = np.empty_like(y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)))
-    d[0] = _pchip_edge(h[0], h[1], mk[0], mk[1])
-    d[-1] = _pchip_edge(h[-1], h[-2], mk[-1], mk[-2])
-
+    mk, d = _pchip_slopes(y, h)[:2]
     i, s, outside = brackets
     dx, slope, d0 = h[i], mk[i], d[i]
     t = (d0 + d[i + 1] - 2 * slope) / dx
@@ -421,6 +443,40 @@ def _monotone_cubic(y: np.ndarray, h: np.ndarray, brackets) -> np.ndarray:
     out = y[i] + d0 * s + ((slope - d0) / dx - t) * s2 + (t / dx) * (s2 * s)
     out[outside] = np.nan
     return out
+
+
+def _monotone_cubic_pullback(y: np.ndarray, h: np.ndarray, brackets, g: np.ndarray) -> np.ndarray:
+    """The gradient in y of sum(g * _monotone_cubic(y, h, brackets)).
+
+    Reverse mode through the Hermite form y[i] (1 - H) + y[i+1] H +
+    h d[i] u (1 - u)**2 + h d[i+1] u**2 (u - 1), with u = s/h and
+    H = u**2 (3 - 2u), then through the node slopes to the secants (a
+    harmonic mean d of secants a and b has partials (w1/W)(d/a)**2 and
+    (w2/W)(d/b)**2, W = w1 + w2) and the secants to y.  Exact wherever the
+    interpolant is differentiable in y: away from nodes where a secant is 0
+    or changes sign, or where an end slope switches rule.  ``g`` must be 0
+    at points outside the grid.
+    """
+    mk, d, flat, w1, w2 = _pchip_slopes(y, h)
+    i, s, _ = brackets
+    m = y.shape[0]
+    u = s / h[i]
+    su = s * u
+    gy = np.bincount(i, g, m)
+    gd = np.bincount(i, g * (s - 2.0 * su + su * u), m)
+    gd += np.bincount(i + 1, g * (su * u - su), m)
+    gmk = np.bincount(i, g * su * (3.0 - 2.0 * u), m - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gmk[:-1] += np.where(flat, 0.0, gd[1:-1] * w1 / (w1 + w2) * (d[1:-1] / mk[:-1]) ** 2)
+        gmk[1:] += np.where(flat, 0.0, gd[1:-1] * w2 / (w1 + w2) * (d[1:-1] / mk[1:]) ** 2)
+    _, first, second = _pchip_edge(h[0], h[1], mk[0], mk[1])
+    gmk[:2] += gd[0] * np.array((first, second))
+    _, last, inner = _pchip_edge(h[-1], h[-2], mk[-1], mk[-2])
+    gmk[-2:] += gd[-1] * np.array((inner, last))
+    gmk /= h
+    gy[1:] += gmk
+    gy[:-1] -= gmk
+    return gy
 
 
 @dataclass(frozen=True)
@@ -505,7 +561,7 @@ def _invert(weighted: np.ndarray, grid: SpectralGrid, dxi: float) -> np.ndarray:
     return (phase * _bluestein(weighted, delta, grid.m)).real / np.pi
 
 
-def _frozen_pdf(grid: SpectralGrid):
+class _FrozenPdf:
     """p -> _pdf_values(p, grid) on one fixed grid, with its setup done once.
 
     The half-spectrum nodes, the quadrature weights folded into the input
@@ -514,17 +570,42 @@ def _frozen_pdf(grid: SpectralGrid):
     FFTs and a product; it agrees with _pdf_values to rounding (the same
     factors, multiplied in another order).
     """
-    xi, w, dxi = _half_spectrum(grid)
-    delta, phase = _output_phase(grid, dxi)
-    head, kernel, tail = _bluestein_setup(xi.shape[0], delta, grid.m)
-    head = w * head
-    tail = phase * tail / np.pi
 
-    def pdf_values(p: GTSParams) -> np.ndarray:
-        cf = _shifted_cf(p, xi, grid.x_min)
-        return (tail * _bluestein_convolve(cf * head, kernel, grid.m)).real
+    def __init__(self, grid: SpectralGrid):
+        xi, w, dxi = _half_spectrum(grid)
+        delta, phase = _output_phase(grid, dxi)
+        head, self._kernel, tail = _bluestein_setup(xi.shape[0], delta, grid.m)
+        self._xi = xi
+        self._x_min = grid.x_min
+        self._m = grid.m
+        self._head = w * head
+        self._tail = phase * tail / np.pi
 
-    return pdf_values
+    def _values(self, weighted: np.ndarray) -> np.ndarray:
+        return (self._tail * _bluestein_convolve(weighted, self._kernel, self._m)).real
+
+    def __call__(self, p: GTSParams) -> np.ndarray:
+        return self._values(_shifted_cf(p, self._xi, self._x_min) * self._head)
+
+    def with_pullback(self, p: GTSParams):
+        """(values, pullback): the call's values to the bit, and the map from
+        g to the gradient of sum(g * values) in the seven natural fields.
+
+        The values are Re(tail * A(a)) for the convolution A and the inputs
+        a = cf * head, so the gradient is Re sum_k (A^T(g tail))_k a_k
+        dpsi_k.  Both DFT matrices are symmetric, so A^T pads its input,
+        inverts, multiplies by the kernel and transforms back: one more FFT
+        pair, whatever the number of fields.
+        """
+        cf, cf_pullback = _shifted_cf_pullback(p, self._xi, self._x_min)
+        weighted = cf * self._head
+        size = self._kernel.shape[0]
+
+        def pullback(g: np.ndarray) -> np.ndarray:
+            u = sp_fft.fft(sp_fft.ifft(g * self._tail, size) * self._kernel)[: weighted.shape[0]]
+            return cf_pullback(u * weighted)
+
+        return self._values(weighted), pullback
 
 
 def _pdf_values(p: GTSParams, grid: SpectralGrid) -> np.ndarray:

@@ -1,5 +1,8 @@
 import logging
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
 
@@ -26,11 +29,45 @@ from gts_tail.estimation import (
     _auto_init,
     _from_transformed,
     _LikelihoodPlan,
+    _neg_log_density_sum_and_grad,
+    _score_hessian,
     _to_transformed,
-    _transformed_hessian,
     _with_standard_errors,
 )
-from gts_tail.spectral import GridConfig, _pdf_values, _tail_radius
+from gts_tail.spectral import GridConfig, _brackets, _pdf_values, _tail_radius
+
+# A divide or an invalid value (in the harmonic-mean slopes, or in 1/f on
+# the score's path) fails the test instead of leaking NaN into a result.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+def _transformed_hessian(neg, t, step_rel):
+    """The reference Hessian: central differences of the likelihood itself,
+    1 + 2n + 4 n(n-1)/2 calls (99 for seven coordinates)."""
+    n = t.shape[0]
+    h = step_rel * np.maximum(np.abs(t), 1.0)
+    H = np.empty((n, n))
+    f0 = neg(t)
+    for i in range(n):
+        ei = np.zeros(n)
+        ei[i] = h[i]
+        H[i, i] = (neg(t + ei) - 2.0 * f0 + neg(t - ei)) / h[i] ** 2
+    # One 4-point stencil per pair, mirrored: (i,j) and (j,i) share it.
+    for i in range(n):
+        for j in range(i + 1, n):
+            ei = np.zeros(n)
+            ej = np.zeros(n)
+            ei[i] = h[i]
+            ej[j] = h[j]
+            H[i, j] = H[j, i] = (
+                neg(t + ei + ej) - neg(t + ei - ej) - neg(t - ei + ej) + neg(t - ei - ej)
+            ) / (4.0 * h[i] * h[j])
+    return H
+
+
+def _plan_score(plan, kind):
+    with_score = plan.objective(kind, score=True)
+    return lambda t: with_score(t)[1]
 
 
 # --------------------------------------------------------------------------
@@ -238,7 +275,11 @@ def test_small_fit_recovers_scale(btc_params, btc_tables, caplog):
     # L-BFGS-B run touches it, so the simplex restarts finish the polish.
     assert polish.method == "L-BFGS-B, Nelder-Mead"
     assert 0 < polish.quasi_newton_evaluations < polish.evaluations
-    assert hessian.evaluations == 99 and sum(hessian.penalties.values()) == 0
+    assert polish.score_evaluations == polish.quasi_newton_evaluations
+    assert pilot.score_evaluations == 0
+    # Central differences of the score: two calls per coordinate.
+    assert hessian.evaluations == hessian.score_evaluations == 14
+    assert sum(hessian.penalties.values()) == 0
     for r in (polish, hessian):
         assert set(r.plan) == {"n_freq", "xi", "x_min", "dx"}
         assert r.plan["n_freq"] & (r.plan["n_freq"] - 1) == 0
@@ -256,23 +297,26 @@ def test_small_fit_recovers_scale(btc_params, btc_tables, caplog):
 
 
 def test_benchmark_fit_polishes_by_lbfgsb_alone(benchmark_sample, caplog):
-    # The simplex restarts needed 1921 polish evaluations on this sample.
+    # The simplex restarts needed 1921 polish evaluations on this sample,
+    # and L-BFGS-B on forward differences 336 (42 gradients).
     caplog.set_level(logging.DEBUG, logger="gts_tail")
     fit = gt.fit_mle(benchmark_sample, options=FitOptions(compute_se=False))
     (polish,) = [r for r in caplog.records if getattr(r, "fit_phase", None) == "polish"]
     assert polish.method == "L-BFGS-B"
-    assert polish.quasi_newton_evaluations == polish.evaluations <= 600
+    assert polish.quasi_newton_evaluations == polish.evaluations == polish.score_evaluations
+    assert polish.evaluations <= 80
     assert sum(polish.penalties.values()) == 0
     assert fit.converged
     assert fit.loglik >= -7725.019383194039 - 1e-6
 
 
 def test_hessian_symmetry(btc_params, btc_sample_5k):
+    # Each column differences the score along one coordinate, so symmetry
+    # is not built in: a wrong partial in the score breaks it.
     obs = np.asarray(btc_sample_5k.values)
     plan = _LikelihoodPlan(btc_params, obs, FitOptions(), _HESSIAN_HEADROOM)
-    neg = plan.objective(gt.RestrictedKind.FULL)
     t = _to_transformed(PARAM_NAMES, list(btc_params.as_tuple()))
-    H = _transformed_hessian(neg, t, _HESSIAN_STEP)
+    H = _score_hessian(_plan_score(plan, gt.RestrictedKind.FULL), t, _HESSIAN_STEP)
     asym = np.max(np.abs(H - H.T))
     assert asym <= 1e-6 * np.max(np.abs(H))
 
@@ -290,17 +334,21 @@ _BENCHMARK_OPTIMUM = (
 
 
 def test_hessian_steps_agree_at_the_benchmark_optimum(benchmark_sample):
-    # Unlike the asymmetry above, this can fail: probes that cross a plan
-    # bound, or a likelihood that is not smooth at the step scale, make the
-    # two steps disagree (or give a zero Hessian, and a NaN ratio).
+    # Probes that cross a plan bound, or a score that is not smooth at the
+    # step scale, make the two steps disagree (or give a zero Hessian, and
+    # a NaN ratio).  The likelihood's own differences are the reference.
     p = gt.validate_params(*_BENCHMARK_OPTIMUM)
     obs = np.asarray(benchmark_sample.values)
     plan = _LikelihoodPlan(p, obs, FitOptions(), _HESSIAN_HEADROOM)
-    neg = plan.objective(gt.RestrictedKind.FULL)
+    score = _plan_score(plan, gt.RestrictedKind.FULL)
     t = _to_transformed(PARAM_NAMES, list(p.as_tuple()))
-    H = _transformed_hessian(neg, t, 1e-4)
-    H_half = _transformed_hessian(neg, t, 5e-5)
-    assert np.max(np.abs(H - H_half)) / np.max(np.abs(H)) <= 1e-5
+    H = _score_hessian(score, t, 1e-4)
+    H_half = _score_hessian(score, t, 5e-5)
+    scale = np.max(np.abs(H))
+    assert np.max(np.abs(H - H_half)) <= 1e-5 * scale
+    reference = _transformed_hessian(plan.objective(gt.RestrictedKind.FULL), t, 1e-4)
+    assert np.max(np.abs(H - reference)) <= 1e-6 * scale
+    assert sum(plan.penalties.values()) == 0
 
 
 def _direct_neg_loglik(p, grid, obs):
@@ -362,6 +410,134 @@ def test_plan_penalizes_exactly_past_each_bound(btc_params, btc_sample_5k):
     assert plan.penalties == {"truncation": 1, "aliasing": 1, "error": 0}
 
 
+# Laws for the score check, each with the kind it is fitted as: the two
+# bundled estimates, a bilateral-gamma law (both sides on the log form),
+# an asymmetric law with far-apart indices, and a KoBoL and a CGMY point
+# (tied coordinates, whose score sums over their fields).
+_SCORE_LAWS = {
+    "btc": (gt.RestrictedKind.FULL, gt.BITCOIN_DAILY.params),
+    "eth": (gt.RestrictedKind.FULL, gt.ETHEREUM_DAILY.params),
+    "bilateral-gamma": (
+        gt.RestrictedKind.BILATERAL_GAMMA, gt.bilateral_gamma_params(0.1, 1.5, 1.2, 0.6, 0.5),
+    ),
+    "asymmetric": (
+        gt.RestrictedKind.FULL, gt.validate_params(0.3, 0.8, 0.05, 0.2, 1.1, 0.4, 1.5),
+    ),
+    "kobol": (gt.RestrictedKind.KOBOL, gt.kobol_params(-0.12, 0.36, 0.75, 0.54, 0.25, 0.17)),
+    "cgmy": (gt.RestrictedKind.CGMY, gt.cgmy_params(0.05, 0.55, 0.6, 0.4, 0.7)),
+}
+
+
+@pytest.mark.parametrize("law", list(_SCORE_LAWS))
+def test_score_matches_central_differences(law):
+    kind, p = _SCORE_LAWS[law]
+    cdf = gt.cdf_table(p, gt.build_grid(p, GridConfig(m=2**12)))
+    obs = np.asarray(gt.sample(cdf, 1000, seed=6).values)
+    plan = _LikelihoodPlan(p, obs, FitOptions(), _HEADROOM)
+    neg = plan.objective(kind)
+    with_score = plan.objective(kind, score=True)
+    # A point off the generating law, where the score is far from 0.
+    t0 = _to_transformed(kind.free_names, kind.reduce(p))
+    t = t0 + np.random.default_rng(2).normal(0.0, 0.03, t0.size)
+    value, score = with_score(t)
+    assert value == neg(t) < 1e15
+    step = 1e-5
+    fd = np.array([(neg(t + e) - neg(t - e)) / (2 * step) for e in step * np.eye(t.size)])
+    assert np.max(np.abs(score - fd)) <= 1e-6 * np.max(np.abs(score))
+    assert np.min(np.abs(score)) > 1e-3 * np.max(np.abs(score))
+    assert sum(plan.penalties.values()) == 0
+    assert plan.score_evaluations == 1 and plan.evaluations == 2 + 2 * t.size
+
+
+_SCORE_SCRIPT = """
+import numpy as np, gts_tail as gt
+from gts_tail.core import PARAM_NAMES
+from gts_tail.estimation import _HEADROOM, FitOptions, _LikelihoodPlan, _to_transformed
+p = gt.BITCOIN_DAILY.params
+cdf = gt.cdf_table(p, gt.build_grid(p, gt.GridConfig(m=2**12)))
+obs = np.asarray(gt.sample(cdf, 600, seed=1).values)
+plan = _LikelihoodPlan(p, obs, FitOptions(), _HEADROOM)
+t = _to_transformed(PARAM_NAMES, list(p.as_tuple())) + 0.01
+print([float(v).hex() for v in plan.objective(gt.RestrictedKind.FULL, score=True)(t)[1]])
+"""
+
+
+def test_score_is_independent_of_the_thread_count():
+    # A BLAS dot splits its sum across threads; the score's sums must not.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gt.__file__)))
+    out = []
+    for threads in ("1", "4"):
+        env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads)
+        r = subprocess.run([sys.executable, "-c", _SCORE_SCRIPT], env=env,
+                           capture_output=True, text=True, timeout=300)
+        assert r.returncode == 0, r.stderr
+        out.append(r.stdout)
+    assert out[0] == out[1]
+
+
+def test_penalized_score_is_zero(btc_params, btc_sample_5k):
+    plan = _LikelihoodPlan(btc_params, np.asarray(btc_sample_5k.values), FitOptions(), _HEADROOM)
+    with_score = plan.objective(gt.RestrictedKind.FULL, score=True)
+    # Intensities a thousandth of the estimate's: |cf| stays above 1e-8 at the cutoff.
+    p = _scaled(btc_params, alpha_scale=1e-3)
+    value, score = with_score(_to_transformed(PARAM_NAMES, list(p.as_tuple())))
+    assert value == 1e15 and np.array_equal(score, np.zeros(7))
+    assert plan.penalties["truncation"] == 1 and plan.score_evaluations == 1
+
+
+def test_stability_indices_below_1e_7_are_the_bilateral_gamma_limit():
+    # The power form cancels to rounding noise as beta -> 0, so the logit
+    # coordinate is flat below beta = 1e-7, at the beta = 0 law: the full
+    # model there is the bilateral-gamma kind, value and score.
+    p = gt.validate_params(0.1, 0.0, 0.0, 1.5, 1.2, 0.6, 0.5)
+    cdf = gt.cdf_table(p, gt.build_grid(p, GridConfig(m=2**12)))
+    obs = np.asarray(gt.sample(cdf, 1000, seed=6).values)
+    plan = _LikelihoodPlan(p, obs, FitOptions(), _HESSIAN_HEADROOM)
+    bg = gt.RestrictedKind.BILATERAL_GAMMA
+    t_bg = _to_transformed(bg.free_names, bg.reduce(p))
+    want, want_score = plan.objective(bg, score=True)(t_bg)
+    full = plan.objective(gt.RestrictedKind.FULL, score=True)
+    t = _to_transformed(PARAM_NAMES, list(p.as_tuple()))
+    assert _from_transformed(PARAM_NAMES, t)[1:3] == [0.0, 0.0]
+    for logit in (math.log(1e-7 / (1 - 1e-7)) - 1e-9, -40.0, -800.0):
+        t[1:3] = logit
+        value, score = full(t)
+        assert value == want < 1e15
+        assert np.array_equal(score[[0, 3, 4, 5, 6]], want_score) and score[1] == score[2] == 0.0
+    # Just above it the likelihood steps by its rounding there (1.2e-6 nats).
+    t[1] = math.log(1e-7 / (1 - 1e-7)) + 1e-9
+    assert _from_transformed(PARAM_NAMES, t)[1] > 0.0
+    assert abs(full(t)[0] - want) < 1e-5
+
+
+def test_log_density_gradient_matches_central_differences():
+    # A skewed bump minus an offset: both tails of the raw node values are
+    # negative and clamped to 0.  Observations in the bulk (away from the
+    # mode's zero slope), in the two intervals from the last clamped node to
+    # the first positive one, in the clamped tails, and off the grid.
+    x = np.linspace(-6.0, 6.0, 241)
+    raw = np.exp(-0.5 * x**2) * (1.0 + 0.4 * np.tanh(x)) / 2.5 - 1e-3
+    h = np.diff(x)
+    rng = np.random.default_rng(3)
+    positive = np.flatnonzero(raw > 0.0)
+    edges = [x[positive[0] - 1] + 0.6 * h[0], x[positive[-1]] + 0.4 * h[0]]
+    obs = np.concatenate([rng.uniform(-2.5, -0.5, 60), rng.uniform(0.5, 2.5, 60), edges,
+                          [-5.5, 5.2, -7.0, 8.0]])
+    brackets = _brackets(x, obs)
+    value, grad = _neg_log_density_sum_and_grad(raw, h, brackets)
+    clamped = raw < 0.0
+    assert clamped[:20].all() and clamped[-20:].all()
+    assert np.all(grad[clamped] == 0.0) and np.count_nonzero(grad) > 40
+    eps = 1e-9
+
+    def neg(v):
+        return _neg_log_density_sum_and_grad(v, h, brackets)[0]
+
+    fd = np.array([(neg(raw + e) - neg(raw - e)) / (2 * eps) for e in eps * np.eye(x.size)])
+    assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(grad))
+
+
 def test_transformed_hessian_closed_form_and_call_count():
     # f(t) = t.A.t/2 + sum_i c_i t_i**3 + sum_{i<j} B_ij t_i**2 t_j: every
     # pair has its own curvature, and central differences are exact on
@@ -384,6 +560,15 @@ def test_transformed_hessian_closed_form_and_call_count():
     H = _transformed_hessian(f, t0, 1e-4)
     assert np.max(np.abs(H - want)) <= 1e-6 * np.max(np.abs(want))
     assert len(calls) == 1 + 2 * n + 4 * (n * (n - 1) // 2) == 99
+
+    def score(t):
+        calls.append(1)
+        return A @ t + 3.0 * c * t**2 + 2.0 * t * (B @ t) + B.T @ (t**2)
+
+    calls.clear()
+    H = _score_hessian(score, t0, 1e-4)
+    assert np.max(np.abs(H - want)) <= 1e-6 * np.max(np.abs(want))
+    assert len(calls) == 2 * n == 14
 
 
 # A point that needs 8191.999996 of 8192 frequency nodes at its own cutoff
