@@ -185,35 +185,25 @@ def _tempered_sides(p: GTSParams):
 def _shifted_cf(p: GTSParams, xi: np.ndarray, shift: float) -> np.ndarray:
     """exp(psi(xi) - i*shift*xi) at real xi, in real arithmetic.
 
-    Each base lam + sign*i*xi enters through its log-modulus
-    0.5*log(lam**2 + xi**2) and its argument sign*atan(xi/lam) (the
-    log1p/atan form of -alpha*log(base/lam) at beta = 0), so psi costs real
-    log/atan/exp/cos/sin instead of complex powers.  The result is one real
-    exp of Re psi times the unit phasor of Im psi - shift*xi; it agrees with
-    exp(characteristic_exponent(p, xi) - 1j*shift*xi) to rounding.
+    It agrees with exp(characteristic_exponent(p, xi) - 1j*shift*xi) to
+    rounding; _shifted_cf_pullback computes it.
     """
-    re = np.zeros_like(xi)
-    im = p.mu * xi
-    for alpha, beta, lam, sign, c, lam_beta in _tempered_sides(p):
-        r = xi / lam
-        arg = np.arctan(r)
-        if c is None:
-            re -= 0.5 * alpha * np.log1p(r * r)
-            im -= sign * alpha * arg
-        else:
-            mod = np.exp((0.5 * beta) * np.log(lam * lam + xi * xi))
-            re += c * (mod * np.cos(beta * arg) - lam_beta)
-            im += (sign * c) * mod * np.sin(beta * arg)
-    return _polar(re, im - shift * xi)
+    return _shifted_cf_pullback(p, xi, shift)[0]
 
 
 def _shifted_cf_pullback(p: GTSParams, xi: np.ndarray, shift: float):
-    """(cf, pullback): _shifted_cf(p, xi, shift) to the bit, and the map from
-    complex weights w to Re sum_k w_k dpsi(xi_k)/d field for each field of
+    """(cf, pullback): _shifted_cf(p, xi, shift), and the map from complex
+    weights w to Re sum_k w_k dpsi(xi_k)/d field for each field of
     PARAM_NAMES.
 
-    The partials come from the kernel's own pieces.  Per side, with base
-    b = lam + sign*i*xi and psi_side = c*(b**beta - lam**beta):
+    Each base b = lam + sign*i*xi enters through its log-modulus
+    0.5*log(lam**2 + xi**2) and its argument sign*atan(xi/lam) (the
+    log1p/atan form of -alpha*log(b/lam) at beta = 0), so psi costs real
+    log/atan/exp/cos/sin instead of complex powers.  The result is one real
+    exp of Re psi times the unit phasor of Im psi - shift*xi.
+
+    The partials come from the kernel's own pieces.  Per side, with
+    psi_side = c*(b**beta - lam**beta):
 
         d/d alpha = psi_side/alpha
         d/d lam   = c*beta*(b**beta/b - lam**beta/lam)   (-alpha*(1/b - 1/lam) at beta = 0)
@@ -243,12 +233,12 @@ def _shifted_cf_pullback(p: GTSParams, xi: np.ndarray, shift: float):
         else:
             log_square = np.log(lam * lam + xi * xi)
             mod = np.exp((0.5 * beta) * log_square)
-            cos, sin = np.cos(beta * arg), np.sin(beta * arg)
-            power_re = mod * cos
+            sin = np.sin(beta * arg)
+            # b**beta = power_re + i*sign*mod*sin
+            power_re = mod * np.cos(beta * arg)
             re += c * (power_re - lam_beta)
             im += (sign * c) * mod * sin
-            # b**beta = power_re + i power_im
-            pieces = (power_re, (sign * mod) * sin, log_square, arg)
+            pieces = (power_re, mod, sin, log_square, arg)
         sides.append((alpha, beta, lam, sign, c, lam_beta, pieces))
     cf = _polar(re, im - shift * xi)
 
@@ -266,7 +256,8 @@ def _shifted_cf_pullback(p: GTSParams, xi: np.ndarray, shift: float):
                 out[3 + k] = (_dot(side_im, wi) - _dot(side_re, wr)) / alpha
                 out[5 + k] = -alpha * (over_re.sum() - total / lam)
                 continue
-            power_re, power_im, log_square, arg = pieces
+            power_re, mod, sin, log_square, arg = pieces
+            power_im = (sign * mod) * sin
             by_side = c * (_dot(power_re, wr) - lam_beta * total - _dot(power_im, wi))
             out[3 + k] = by_side / alpha
             # Re(w b**beta/b) and Re(w b**beta log b).

@@ -125,6 +125,23 @@ class PenaltyWall(NumericalError):
         super().__init__("Hessian probes hit the likelihood penalty along: " + ", ".join(self.coordinates))
 
 
+class BoundaryEstimate(NumericalError):
+    """Hessian probes reach a free stability index's bilateral-gamma limit.
+
+    The fit takes a stability index below 1e-7 as 0, so the likelihood is
+    flat in its coordinate there.  ``coordinates`` names the free
+    coordinates whose probes reach it; the observed information is singular
+    along them and gives no Wald standard error.
+    """
+
+    def __init__(self, coordinates):
+        self.coordinates = tuple(coordinates)
+        super().__init__(
+            "the likelihood is flat along " + ", ".join(self.coordinates)
+            + ": the estimate sits at the bilateral-gamma limit beta = 0"
+        )
+
+
 # ------------------------------------------------------------------ warnings
 
 class MultipleRootsWarning(UserWarning):
@@ -133,4 +150,5 @@ class MultipleRootsWarning(UserWarning):
 
 class SingularHessianWarning(UserWarning):
     """Standard errors fall back to a pseudo-inverse of the Hessian, or are
-    omitted because its probes hit the likelihood penalty."""
+    omitted because its probes hit the likelihood penalty or a stability
+    index's limit 0."""

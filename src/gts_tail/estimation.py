@@ -27,7 +27,8 @@ Standard errors come from the observed information: the Hessian of the
 negative log-likelihood at the optimum by central differences of the score
 in the transformed coordinates, on a plan frozen at the estimate,
 symmetrized, inverted and mapped back to natural parameters by the delta
-method.
+method.  At a free stability index of 0 the likelihood is flat in its
+coordinate, and the fit reports no standard errors.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from scipy.special import erfc
 
 from .core import PARAM_NAMES, GTSParams, RestrictedKind, _log_modulus, cumulant, validate_params
 from .errors import (
+    BoundaryEstimate,
     DegenerateData,
     DomainError,
     GtsError,
@@ -62,6 +64,7 @@ from .spectral import (
     _monotone_cubic,
     _monotone_cubic_pullback,
     _next_pow2,
+    _pchip_slopes,
     _pdf_values,
     _tail_radius,
     build_grid,
@@ -242,9 +245,9 @@ def _base_grid_config(options: FitOptions) -> GridConfig:
     )
 
 
-def _densities(values: np.ndarray, h: np.ndarray, brackets) -> np.ndarray:
+def _densities(values: np.ndarray, h: np.ndarray, brackets, pchip=None) -> np.ndarray:
     """Monotone-cubic density at bracketed observations, 0 off the grid."""
-    dens = _monotone_cubic(values, h, brackets)
+    dens = _monotone_cubic(values, h, brackets, pchip)
     return np.where(np.isnan(dens), 0.0, np.maximum(dens, 0.0))
 
 
@@ -269,10 +272,11 @@ def _neg_log_density_sum_and_grad(raw: np.ndarray, h: np.ndarray, brackets):
     floor where a density is above it; elsewhere it is 0.
     """
     values = np.maximum(raw, 0.0)
-    dens = _densities(values, h, brackets)
+    pchip = _pchip_slopes(values, h)
+    dens = _densities(values, h, brackets, pchip)
     kept = dens > _DENSITY_FLOOR
     g = np.divide(-1.0, dens, out=np.zeros_like(dens), where=kept)
-    grad = _monotone_cubic_pullback(values, h, brackets, g)
+    grad = _monotone_cubic_pullback(pchip, h, brackets, g)
     return -_log_sum(dens), np.where(raw > 0.0, grad, 0.0)
 
 
@@ -600,20 +604,25 @@ def fit_mle(
 def _with_standard_errors(result: FitResult, data: ReturnSeries, options: FitOptions) -> FitResult:
     """The fit with its standard errors, or without them (and flagged as a
     fallback, with SingularHessianWarning) when the Hessian's probes hit the
-    likelihood penalty."""
+    likelihood penalty or a stability index's limit 0."""
     try:
         se, pv, fallback = standard_errors(result, data, options)
-    except PenaltyWall as exc:
+    except (PenaltyWall, BoundaryEstimate) as exc:
         warnings.warn(f"standard errors omitted: {exc}", SingularHessianWarning, stacklevel=3)
         return replace(result, hessian_fallback=True)
     return replace(result, std_errors=se, z_pvalues=pv, hessian_fallback=fallback)
 
 
+def _probe_steps(t, step_rel):
+    """The Hessian's step in each coordinate: step_rel*max(|t_i|, 1)."""
+    return step_rel * np.maximum(np.abs(t), 1.0)
+
+
 def _score_hessian(score, t, step_rel):
     """Central differences of the score at t, column i from steps
-    +-step_rel*max(|t_i|, 1) in coordinate i: 2n score calls.  Not
+    +-_probe_steps(t, step_rel)[i] in coordinate i: 2n score calls.  Not
     symmetrized."""
-    h = step_rel * np.maximum(np.abs(t), 1.0)
+    h = _probe_steps(t, step_rel)
     cols = []
     for i, step in enumerate(h):
         e = np.zeros_like(t)
@@ -632,14 +641,21 @@ def standard_errors(fit: FitResult, data: ReturnSeries, options: FitOptions = Fi
     A singular Hessian falls back to the Moore-Penrose pseudo-inverse and
     emits SingularHessianWarning.  A Hessian probe that hits the likelihood
     penalty (an infeasible point, or one past a bound of the plan frozen at
-    the estimate) raises PenaltyWall naming the coordinates probed.  Structurally
-    pinned parameters of a restricted fit report a standard error of 0 and
-    a p-value of 1.
+    the estimate) raises PenaltyWall naming the coordinates probed.  A free
+    stability index whose probes reach 1e-7, below which the fit takes it
+    as 0, raises BoundaryEstimate: the likelihood is flat in its coordinate
+    there, so the information is singular along it.  Structurally pinned
+    parameters of a restricted fit report a standard error of 0 and a
+    p-value of 1.
     """
     kind = fit.kind
     names = kind.free_names
     free = kind.reduce(fit.params)
     t = _to_transformed(names, free)
+    lowest = t - _probe_steps(t, _HESSIAN_STEP)
+    flat = [n for n, low in zip(names, lowest) if n.startswith("beta") and low <= _LOGIT_BETA_ZERO]
+    if flat:
+        raise BoundaryEstimate(flat)
 
     obs = np.asarray(data.values, dtype=float)
     plan = _LikelihoodPlan(fit.params, obs, options, _HESSIAN_HEADROOM)

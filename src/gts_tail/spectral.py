@@ -45,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy import fft as sp_fft
@@ -404,9 +405,22 @@ def _pchip_edge(h0, h1, m0, m1):
     return d, (2 * h0 + h1) / (h0 + h1), -h0 / (h0 + h1)
 
 
-def _pchip_slopes(y: np.ndarray, h: np.ndarray):
-    """PCHIP's secant slopes and node slopes, and the pieces of its interior
-    rule: (mk, d, flat, w1, w2).
+class _Pchip(NamedTuple):
+    """PCHIP's pieces on one set of node values: the secant slopes ``mk``,
+    the node slopes ``d``, its interior rule's ``flat`` nodes and weights
+    ``w1``, ``w2``, and the partials of the two end slopes in their two
+    secants, (d[0] in mk[0], mk[1]) and (d[-1] in mk[-1], mk[-2])."""
+
+    mk: np.ndarray
+    d: np.ndarray
+    flat: np.ndarray
+    w1: np.ndarray
+    w2: np.ndarray
+    ends: tuple
+
+
+def _pchip_slopes(y: np.ndarray, h: np.ndarray) -> _Pchip:
+    """PCHIP's secant slopes and node slopes, with the pieces of its rules.
 
     An interior slope is 0 where its secants change sign or one is 0
     (``flat``), and their weighted harmonic mean (w1 + w2)/(w1/a + w2/b)
@@ -420,22 +434,23 @@ def _pchip_slopes(y: np.ndarray, h: np.ndarray):
     d = np.empty_like(y)
     with np.errstate(divide="ignore", invalid="ignore"):
         d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)))
-    d[0] = _pchip_edge(h[0], h[1], mk[0], mk[1])[0]
-    d[-1] = _pchip_edge(h[-1], h[-2], mk[-1], mk[-2])[0]
-    return mk, d, flat, w1, w2
+    d[0], *first = _pchip_edge(h[0], h[1], mk[0], mk[1])
+    d[-1], *last = _pchip_edge(h[-1], h[-2], mk[-1], mk[-2])
+    return _Pchip(mk, d, flat, w1, w2, (first, last))
 
 
-def _monotone_cubic(y: np.ndarray, h: np.ndarray, brackets) -> np.ndarray:
+def _monotone_cubic(y: np.ndarray, h: np.ndarray, brackets, pchip: _Pchip | None = None):
     """PchipInterpolator(x, y, extrapolate=False) at the bracketed points.
 
-    ``h`` is np.diff(x) and ``brackets`` is _brackets(x, points).  Bit for
+    ``h`` is np.diff(x), ``brackets`` is _brackets(x, points) and ``pchip``
+    is _pchip_slopes(y, h), computed here if not given.  Bit for
     bit what scipy returns (NaN outside the grid): its node slopes
     (weighted harmonic means, zero at sign changes, the shape-preserving
     end rule), its Hermite coefficients, and its power-sum evaluation
     c3 + c2 s + c1 s**2 + c0 (s**2 s), computed only on the brackets the
     points fall in.
     """
-    mk, d = _pchip_slopes(y, h)[:2]
+    mk, d = (_pchip_slopes(y, h) if pchip is None else pchip)[:2]
     i, s, outside = brackets
     dx, slope, d0 = h[i], mk[i], d[i]
     t = (d0 + d[i + 1] - 2 * slope) / dx
@@ -445,8 +460,9 @@ def _monotone_cubic(y: np.ndarray, h: np.ndarray, brackets) -> np.ndarray:
     return out
 
 
-def _monotone_cubic_pullback(y: np.ndarray, h: np.ndarray, brackets, g: np.ndarray) -> np.ndarray:
-    """The gradient in y of sum(g * _monotone_cubic(y, h, brackets)).
+def _monotone_cubic_pullback(pchip: _Pchip, h: np.ndarray, brackets, g: np.ndarray) -> np.ndarray:
+    """The gradient in y of sum(g * _monotone_cubic(y, h, brackets)), from
+    ``pchip`` = _pchip_slopes(y, h).
 
     Reverse mode through the Hermite form y[i] (1 - H) + y[i+1] H +
     h d[i] u (1 - u)**2 + h d[i+1] u**2 (u - 1), with u = s/h and
@@ -457,9 +473,9 @@ def _monotone_cubic_pullback(y: np.ndarray, h: np.ndarray, brackets, g: np.ndarr
     or changes sign, or where an end slope switches rule.  ``g`` must be 0
     at points outside the grid.
     """
-    mk, d, flat, w1, w2 = _pchip_slopes(y, h)
+    mk, d, flat, w1, w2, (first, last) = pchip
     i, s, _ = brackets
-    m = y.shape[0]
+    m = d.shape[0]
     u = s / h[i]
     su = s * u
     gy = np.bincount(i, g, m)
@@ -469,10 +485,8 @@ def _monotone_cubic_pullback(y: np.ndarray, h: np.ndarray, brackets, g: np.ndarr
     with np.errstate(divide="ignore", invalid="ignore"):
         gmk[:-1] += np.where(flat, 0.0, gd[1:-1] * w1 / (w1 + w2) * (d[1:-1] / mk[:-1]) ** 2)
         gmk[1:] += np.where(flat, 0.0, gd[1:-1] * w2 / (w1 + w2) * (d[1:-1] / mk[1:]) ** 2)
-    _, first, second = _pchip_edge(h[0], h[1], mk[0], mk[1])
-    gmk[:2] += gd[0] * np.array((first, second))
-    _, last, inner = _pchip_edge(h[-1], h[-2], mk[-1], mk[-2])
-    gmk[-2:] += gd[-1] * np.array((inner, last))
+    gmk[:2] += gd[0] * np.array(first)
+    gmk[-2:] += gd[-1] * np.array(last[::-1])
     gmk /= h
     gy[1:] += gmk
     gy[:-1] -= gmk

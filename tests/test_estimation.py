@@ -14,6 +14,7 @@ from scipy.special import erfc
 import gts_tail as gt
 from gts_tail.core import PARAM_NAMES, _log_modulus
 from gts_tail.errors import (
+    BoundaryEstimate,
     DegenerateData,
     DomainError,
     OutOfGrid,
@@ -351,6 +352,37 @@ def test_hessian_steps_agree_at_the_benchmark_optimum(benchmark_sample):
     assert sum(plan.penalties.values()) == 0
 
 
+# The default fit's optimum on 3000 BTC draws (seed 4): beta_plus near 0.
+_BTC_SEED_4_OPTIMUM = (
+    0.33098398074725316,
+    0.0005521293665741955,
+    0.4486438788763536,
+    0.7422050521910897,
+    0.5552503388549381,
+    0.3294539883764297,
+    0.16582560914501052,
+)
+
+
+def test_score_hessian_resolves_a_stability_index_near_zero(btc_tables):
+    # The logit of beta_plus = 5.5e-4 has a curvature of about 1e-3, at the
+    # noise floor of second differences of the likelihood: those read it as
+    # 0.0020 at step 1e-4 and 0.0034 at 5e-5, and its standard error as
+    # 0.0136 and 0.0100.  Differences of the score agree on it.
+    _, cdf = btc_tables
+    obs = np.asarray(gt.sample(cdf, 3000, seed=4).values)
+    p = gt.validate_params(*_BTC_SEED_4_OPTIMUM)
+    plan = _LikelihoodPlan(p, obs, FitOptions(), _HESSIAN_HEADROOM)
+    score = _plan_score(plan, gt.RestrictedKind.FULL)
+    t = _to_transformed(PARAM_NAMES, list(p.as_tuple()))
+    H = _score_hessian(score, t, 1e-4)
+    H_half = _score_hessian(score, t, 5e-5)
+    assert np.max(np.abs(H - H_half)) <= 1e-5 * np.max(np.abs(H))
+    assert 5e-4 < H[1, 1] < 2e-3
+    assert abs(H[1, 1] - H_half[1, 1]) <= 0.01 * H[1, 1]
+    assert sum(plan.penalties.values()) == 0
+
+
 def _direct_neg_loglik(p, grid, obs):
     # The same frozen grid through the table path and scipy's PCHIP.
     f = np.maximum(_pdf_values(p, grid), 0.0)
@@ -606,6 +638,23 @@ def test_standard_errors_refuse_probes_across_the_penalty(btc_tables):
     kept = _with_standard_errors(fit, data, FitOptions())
     assert not kept.hessian_fallback
     assert all(0.02 < se < 0.5 for se in kept.std_errors)
+
+
+def test_standard_errors_omitted_at_a_stability_index_of_zero():
+    # A full fit of bilateral-gamma draws that ends with beta_minus below
+    # 1e-7, where the fit takes it as 0 and the likelihood is flat in its
+    # logit: the information is singular along it, and a pseudo-inverse
+    # would report its standard error as 0 with a p-value of 1.
+    p = gt.bilateral_gamma_params(0.0, 1.5, 1.5, 0.6, 0.6)
+    data = gt.sample(gt.cdf_table(p, gt.build_grid(p, GridConfig(m=2**12))), 500, seed=1)
+    with pytest.warns(SingularHessianWarning, match="flat along beta_minus"):
+        fit = gt.fit_mle(data)
+    assert fit.converged and fit.params.beta_minus == 0.0 < fit.params.beta_plus
+    assert fit.std_errors is None and fit.z_pvalues is None
+    assert fit.hessian_fallback
+    with pytest.raises(BoundaryEstimate) as exc:
+        gt.standard_errors(fit, data)
+    assert exc.value.coordinates == ("beta_minus",)
 
 
 @pytest.mark.parametrize(

@@ -325,7 +325,7 @@ def test_monotone_cubic_pullback_matches_central_differences(mirrored):
     i = np.clip(np.searchsorted(x, q, side="right") - 1, 0, m - 2)
     brackets = (i, q - x[i], np.zeros(q.size, dtype=bool))
     g = rng.uniform(0.5, 2.0, q.size)
-    grad = _monotone_cubic_pullback(y, h, brackets, g)
+    grad = _monotone_cubic_pullback(_pchip_slopes(y, h), h, brackets, g)
 
     def weighted(v):
         return g @ _monotone_cubic(v, h, brackets)
