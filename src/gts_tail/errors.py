@@ -126,12 +126,13 @@ class PenaltyWall(NumericalError):
 
 
 class BoundaryEstimate(NumericalError):
-    """Hessian probes reach a free stability index's bilateral-gamma limit.
+    """A free stability index sits at its bilateral-gamma limit 0.
 
     The fit takes a stability index below 1e-7 as 0, so the likelihood is
     flat in its coordinate there.  ``coordinates`` names the free
-    coordinates whose probes reach it; the observed information is singular
-    along them and gives no Wald standard error.
+    coordinates whose limit 0 lowers the likelihood by less than 1e-4 nats;
+    the observed information says nothing about them and gives no Wald
+    standard error.
     """
 
     def __init__(self, coordinates):

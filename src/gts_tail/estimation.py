@@ -4,14 +4,15 @@ The likelihood of a return sample is evaluated through the Fourier-inverted
 density (monotone cubic interpolation between grid nodes, floored at 1e-300
 before the log).  The surface is maximized in a transformed space (logit
 for the stability indices, log for intensities and tempering rates,
-identity for the drift).  One search path: a short Nelder-Mead pilot run
-from the moment-matched start (or the caller's) under per-evaluation grids,
-then an L-BFGS-B polish with the exact score on one likelihood plan frozen
-at the pilot's point.  When that polish fails, or any of its evaluations
-hits a plan bound (its line search stalls on the penalty), repeated
-simplex restarts on the same plan take over until a restart stops
-improving.  The full model and the restricted families share it; a
-RestrictedKind says which natural fields each free coordinate fills.
+identity for the drift).  One search path: an L-BFGS-B pilot with the
+exact score, each law on its own automatic grid, from the moment-matched
+start (or the caller's), then an L-BFGS-B polish with the exact score on
+one likelihood plan frozen at the pilot's point, its first steps short.
+When that polish fails, or any of its evaluations hits a plan bound (its
+line search stalls on the penalty), repeated simplex restarts on the same
+plan take over until a restart stops improving.  The full model and the
+restricted families share it; a RestrictedKind says which natural fields
+each free coordinate fills.
 
 A plan freezes the whole grid (x-range, node counts, cutoff, with headroom
 on the cutoff) and precomputes its inversion, so an evaluation costs one
@@ -27,8 +28,8 @@ Standard errors come from the observed information: the Hessian of the
 negative log-likelihood at the optimum by central differences of the score
 in the transformed coordinates, on a plan frozen at the estimate,
 symmetrized, inverted and mapped back to natural parameters by the delta
-method.  At a free stability index of 0 the likelihood is flat in its
-coordinate, and the fit reports no standard errors.
+method.  Where a free stability index's limit 0 lowers the likelihood by
+less than 1e-4 nats, the fit reports no standard errors.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ from .spectral import (
     _monotone_cubic_pullback,
     _next_pow2,
     _pchip_slopes,
-    _pdf_values,
     _tail_radius,
     build_grid,
     pdf_table,
@@ -91,14 +91,15 @@ _FIT_WIDTH_SDS = 20.0
 _FIT_FREQ_EPS = 1e-8
 _LOG_FREQ_EPS = math.log(_FIT_FREQ_EPS)
 # A frozen likelihood plan's cutoff, in multiples of the cutoff of the law
-# it is frozen at.  The polish plan is frozen at the pilot point: from there
-# to the optimum of 3000 BTC draws the cutoff grows 2.8x.  The Hessian's
-# plan is frozen at the estimate, and its probes move 1e-4 from it; at 4x
-# it would need 65536 nodes on that sample instead of 16384.
-_HEADROOM = 4.0
+# it is frozen at.  The polish plan is frozen at the pilot point, which the
+# exact-score pilot leaves next to the optimum: on 14 checked samples 1.25x,
+# 1.5x and 4x sent none to the simplex restarts, 2x sent one.  At 4x the
+# polish plan of 3000 BTC draws needs 65536 nodes instead of 16384.  The
+# Hessian's plan is frozen at the estimate, and its probes move 1e-4 from it.
+_HEADROOM = 1.5
 _HESSIAN_HEADROOM = 1.25
-# Simplex tolerances (the pilot keeps scipy's default xatol) and the relative
-# step of the score differences behind the standard errors' Hessian.
+# Simplex restart tolerances, and the relative step of the score
+# differences behind the standard errors' Hessian.
 _FATOL = 1e-8
 _XATOL = 1e-6
 _HESSIAN_STEP = 1e-4
@@ -108,12 +109,30 @@ _HESSIAN_STEP = 1e-4
 # psi is about alpha*eps/beta, 1e-9 at beta = 1e-7 but 0.02 at 3e-15,
 # where an exact-score polish on 600 BTC draws gained 15 nats of rounding.
 _LOGIT_BETA_ZERO = math.log(1e-7 / (1.0 - 1e-7))
+# A free stability index whose limit 0 costs the likelihood less than this
+# is an estimate at that limit: its coordinate is flat there, and no Wald
+# standard error applies.  A fit of 3000 BTC draws that stopped at 1.014e-7
+# is 8.7e-7 nats above its limit law.
+_BOUNDARY_NATS = 1e-4
+# L-BFGS-B pilot: each law on its own automatic grid, so the grid moves
+# with the law and the score misses that part of the likelihood's change.
+# Its relative-decrease and projected-gradient tolerances are loose: the
+# polish's took 1373 pilot calls on 14 checked samples instead of 760, six
+# of those runs ending in a failed line search, and the polishes after
+# them took as many calls.
+_PILOT_FTOL = 1e-10
+_PILOT_GTOL = 1e-5
 # L-BFGS-B polish on the exact score: the relative-decrease and
-# projected-gradient stopping tolerances.  On the 7 of 14 checked samples
-# that it finishes alone, ftol 1e-14 stops within 1.3e-11 nats of 1e-15,
-# in 1-18 fewer score calls (37 on 3000 BTC draws).
+# projected-gradient stopping tolerances.  On 14 checked samples ftol 1e-15
+# took 1-16 more score calls on seven, for at most 6e-9 nats, and sent one
+# to the simplex restarts.
 _QN_FTOL = 1e-14
 _QN_GTOL = 1e-8
+# The polish runs in u = (t - t_start)/0.01.  From a nearly stationary start
+# L-BFGS-B's first trial step has unit length along -g: run in t, the
+# polish crossed a plan bound within 3-38 calls on 7 of 14 checked samples.
+# Scales from 0.003 to 0.1 sent none of them to the simplex restarts.
+_POLISH_SCALE = 0.01
 
 _log = logging.getLogger("gts_tail")
 
@@ -126,7 +145,7 @@ class FitOptions:
     lighter than the default table resolution (20 standard deviations each
     side, cutoff at |cf| < 1e-8).  The pilot sizes a grid per evaluation.
     The polish then freezes one plan at the pilot's point: its x-range, a
-    cutoff four times the pilot's, and the frequency node count the
+    cutoff 1.5 times the pilot's, and the frequency node count the
     aliasing bound asks for at that cutoff, at most ``max_n_freq`` (a
     power of two).  The likelihood is then a smooth function of the
     parameters.  Laws the frozen grid cannot resolve (a characteristic
@@ -134,16 +153,17 @@ class FitOptions:
     the grid), such as stability indices near zero with small intensities,
     are treated as infeasible by the optimizer.
 
-    The search is one pilot simplex run of at most ``probe_maxfev``
-    likelihood evaluations, then one L-BFGS-B polish of at most ``maxfev``
-    evaluations, each with its exact score.  If it fails (an abnormal
-    line-search stop included), or any of its evaluations hits a bound of
-    the frozen plan, up to ``polish_rounds`` simplex restarts of at most
-    ``maxfev`` evaluations each follow from the better of its point and the
-    pilot's, stopping once a restart improves the negative log-likelihood
-    by less than 1e-6.  ``compute_se`` adds standard errors to a converged
-    fit: central differences of the score at steps of 1e-4, relative, on a
-    plan frozen at the estimate with a cutoff 1.25 times its own.
+    The search is one L-BFGS-B pilot of at most ``probe_maxfev`` score
+    calls (scipy may finish the iteration under way past it), then one
+    L-BFGS-B polish of at most ``maxfev``, each with its exact score.  If
+    the polish fails (an abnormal line-search stop included), or any of its
+    evaluations hits a bound of the frozen plan, up to ``polish_rounds``
+    simplex restarts of at most ``maxfev`` evaluations each follow from the
+    better of its point and the pilot's, stopping once a restart improves
+    the negative log-likelihood by less than 1e-6.  ``compute_se`` adds
+    standard errors to a converged fit: central differences of the score at
+    steps of 1e-4, relative, on a plan frozen at the estimate with a cutoff
+    1.25 times its own.
     """
 
     grid_m: int = 2**12
@@ -280,11 +300,6 @@ def _neg_log_density_sum_and_grad(raw: np.ndarray, h: np.ndarray, brackets):
     return -_log_sum(dens), np.where(raw > 0.0, grad, 0.0)
 
 
-def _grid_log_density_sum(values: np.ndarray, grid: SpectralGrid, obs: np.ndarray) -> float:
-    x = grid.x()
-    return _log_density_sum(values, np.diff(x), _brackets(x, obs))
-
-
 def log_likelihood(p: GTSParams, data: ReturnSeries, grid_cfg: GridConfig | None = None) -> float:
     """Sum of log density over the observations.
 
@@ -302,7 +317,8 @@ def log_likelihood(p: GTSParams, data: ReturnSeries, grid_cfg: GridConfig | None
     outside = obs[(obs < grid.x_min) | (obs > grid.x_max)]
     if outside.size:
         raise OutOfGrid(outside)
-    return _grid_log_density_sum(pdf_table(p, grid).values, grid, obs)
+    x = grid.x()
+    return _log_density_sum(pdf_table(p, grid).values, np.diff(x), _brackets(x, obs))
 
 
 def _free_score(kind: RestrictedKind, by_field: np.ndarray) -> np.ndarray:
@@ -397,9 +413,14 @@ class _AutoGrids(_Likelihood):
         self._obs = obs
         self._cfg = _base_grid_config(options)
 
-    def neg_loglik(self, p: GTSParams) -> float:
+    def neg_loglik_and_score(self, p: GTSParams):
+        """The score on p's own grid, which it holds fixed: it misses the
+        part of the likelihood's change that comes from the grid moving."""
         grid = build_grid(p, _likelihood_grid(p, self._obs, self._cfg))
-        return -_grid_log_density_sum(np.maximum(_pdf_values(p, grid), 0.0), grid, self._obs)
+        raw, pullback = _FrozenPdf(grid).with_pullback(p)
+        x = grid.x()
+        value, grad = _neg_log_density_sum_and_grad(raw, np.diff(x), _brackets(x, self._obs))
+        return value, pullback(grad)
 
 
 class _LikelihoodPlan(_Likelihood):
@@ -502,9 +523,9 @@ def fit_mle(
     kind: RestrictedKind = RestrictedKind.FULL,
     options: FitOptions = FitOptions(),
 ) -> FitResult:
-    """Fit by maximum likelihood: a pilot simplex run, then an L-BFGS-B
-    polish on the exact score, with simplex restarts when it fails or
-    touches a plan bound.
+    """Fit by maximum likelihood: an L-BFGS-B pilot on per-law grids, then
+    an L-BFGS-B polish on a frozen plan, both on the exact score, with
+    simplex restarts when the polish fails or touches a plan bound.
 
     Non-convergence is reported through ``converged=False`` on the result
     rather than raised.  Requires at least 100 observations and non-zero
@@ -526,33 +547,28 @@ def fit_mle(
     init_params = init if init is not None else _auto_init(obs, kind)
     t0 = _to_transformed(names, kind.reduce(init_params))
 
-    # Pilot pass under per-evaluation automatic grids: cheap, tolerant of
-    # the discrete node-count switches, and it lands near the data's true
-    # decay scale.  The polish grid is then frozen from that point, so the
+    # Pilot on per-evaluation automatic grids, from the start to next to
+    # the optimum.  The polish plan is then frozen from that point, so the
     # polished likelihood is smooth, with headroom for the optimum.
     auto = _AutoGrids(obs, options)
     pilot = minimize(
-        auto.objective(kind),
+        auto.objective(kind, score=True),
         t0,
-        method="Nelder-Mead",
-        options=dict(maxfev=options.probe_maxfev, fatol=_FATOL, adaptive=True),
+        jac=True,
+        method="L-BFGS-B",
+        options=dict(maxfun=options.probe_maxfev, ftol=_PILOT_FTOL, gtol=_PILOT_GTOL),
     )
-    auto.log("pilot")
+    auto.log("pilot", method="L-BFGS-B", status=pilot.message)
     t_start = pilot.x if pilot.fun < _PENALTY else t0
     pilot_params = kind.expand(_from_transformed(names, t_start))
     plan = _LikelihoodPlan(pilot_params, obs, options, _HEADROOM)
     neg = plan.objective(kind)
 
-    # Quasi-Newton polish on the smooth frozen plan, with its exact score.
-    # Its line search stalls on the penalty wall, so its optimum stands only
-    # if no evaluation was penalized.
-    best = minimize(
-        plan.objective(kind, score=True),
-        t_start,
-        jac=True,
-        method="L-BFGS-B",
-        options=dict(maxfun=options.maxfev, ftol=_QN_FTOL, gtol=_QN_GTOL),
-    )
+    # Quasi-Newton polish on the smooth frozen plan.  Its line search stalls
+    # on the penalty wall, so its optimum stands only if no evaluation was
+    # penalized.
+    best = _polish(plan, kind, t_start, options.maxfev)
+    status = best.message
     quasi_newton_evaluations = plan.evaluations
     converged = bool(best.success) and sum(plan.penalties.values()) == 0
     method = "L-BFGS-B"
@@ -579,7 +595,8 @@ def fit_mle(
                 converged = bool(r.success)
                 break
             prev = r.fun
-    plan.log("polish", method=method, quasi_newton_evaluations=quasi_newton_evaluations)
+    plan.log("polish", method=method, status=status,
+             quasi_newton_evaluations=quasi_newton_evaluations)
 
     params = kind.expand(_from_transformed(names, best.x))
     loglik = -float(best.fun)
@@ -601,10 +618,32 @@ def fit_mle(
     return result
 
 
+def _polish(plan: _LikelihoodPlan, kind: RestrictedKind, t_start: np.ndarray, maxfev: int):
+    """L-BFGS-B on the plan's exact score from t_start, run in
+    u = (t - t_start)/_POLISH_SCALE so that its first trial step is short,
+    with the projected-gradient tolerance scaled to match.  The result's x
+    is in t."""
+    score = plan.objective(kind, score=True)
+
+    def scaled(u):
+        value, grad = score(t_start + _POLISH_SCALE * u)
+        return value, _POLISH_SCALE * grad
+
+    r = minimize(
+        scaled,
+        np.zeros_like(t_start),
+        jac=True,
+        method="L-BFGS-B",
+        options=dict(maxfun=maxfev, ftol=_QN_FTOL, gtol=_QN_GTOL * _POLISH_SCALE),
+    )
+    r.x = t_start + _POLISH_SCALE * r.x
+    return r
+
+
 def _with_standard_errors(result: FitResult, data: ReturnSeries, options: FitOptions) -> FitResult:
     """The fit with its standard errors, or without them (and flagged as a
     fallback, with SingularHessianWarning) when the Hessian's probes hit the
-    likelihood penalty or a stability index's limit 0."""
+    likelihood penalty or a free stability index sits at its limit 0."""
     try:
         se, pv, fallback = standard_errors(result, data, options)
     except (PenaltyWall, BoundaryEstimate) as exc:
@@ -613,16 +652,11 @@ def _with_standard_errors(result: FitResult, data: ReturnSeries, options: FitOpt
     return replace(result, std_errors=se, z_pvalues=pv, hessian_fallback=fallback)
 
 
-def _probe_steps(t, step_rel):
-    """The Hessian's step in each coordinate: step_rel*max(|t_i|, 1)."""
-    return step_rel * np.maximum(np.abs(t), 1.0)
-
-
 def _score_hessian(score, t, step_rel):
     """Central differences of the score at t, column i from steps
-    +-_probe_steps(t, step_rel)[i] in coordinate i: 2n score calls.  Not
+    +-step_rel*max(|t_i|, 1) in coordinate i: 2n score calls.  Not
     symmetrized."""
-    h = _probe_steps(t, step_rel)
+    h = step_rel * np.maximum(np.abs(t), 1.0)
     cols = []
     for i, step in enumerate(h):
         e = np.zeros_like(t)
@@ -642,28 +676,34 @@ def standard_errors(fit: FitResult, data: ReturnSeries, options: FitOptions = Fi
     emits SingularHessianWarning.  A Hessian probe that hits the likelihood
     penalty (an infeasible point, or one past a bound of the plan frozen at
     the estimate) raises PenaltyWall naming the coordinates probed.  A free
-    stability index whose probes reach 1e-7, below which the fit takes it
-    as 0, raises BoundaryEstimate: the likelihood is flat in its coordinate
-    there, so the information is singular along it.  Structurally pinned
-    parameters of a restricted fit report a standard error of 0 and a
-    p-value of 1.
+    stability index whose limit 0 is inside the plan's bounds and lowers its
+    likelihood by less than 1e-4 nats raises BoundaryEstimate: the fit
+    stopped against the 1e-7 below which it takes the index as 0, where
+    its coordinate is flat, so the information says nothing about it.
+    Structurally pinned parameters of a restricted fit report a standard
+    error of 0 and a p-value of 1.
     """
     kind = fit.kind
     names = kind.free_names
     free = kind.reduce(fit.params)
     t = _to_transformed(names, free)
-    lowest = t - _probe_steps(t, _HESSIAN_STEP)
-    flat = [n for n, low in zip(names, lowest) if n.startswith("beta") and low <= _LOGIT_BETA_ZERO]
-    if flat:
-        raise BoundaryEstimate(flat)
-
     obs = np.asarray(data.values, dtype=float)
     plan = _LikelihoodPlan(fit.params, obs, options, _HESSIAN_HEADROOM)
-    neg = plan.objective(kind, score=True)
+    at_estimate = plan.neg_loglik(fit.params)
+    at_zero = []
+    for i, name in enumerate(names):
+        if name.startswith("beta"):
+            limit = kind.expand([0.0 if j == i else v for j, v in enumerate(free)])
+            if plan.penalty_cause(limit) is None and plan.neg_loglik(limit) < at_estimate + _BOUNDARY_NATS:
+                at_zero.append(name)
+    if at_zero:
+        raise BoundaryEstimate(at_zero)
+
+    with_score = plan.objective(kind, score=True)
     walled = set()
 
     def score(s):
-        value, grad = neg(s)
+        value, grad = with_score(s)
         if value >= _PENALTY:
             walled.update(np.flatnonzero(s != t).tolist())
         return grad

@@ -31,6 +31,7 @@ from gts_tail.estimation import (
     _from_transformed,
     _LikelihoodPlan,
     _neg_log_density_sum_and_grad,
+    _polish,
     _score_hessian,
     _to_transformed,
     _with_standard_errors,
@@ -270,14 +271,16 @@ def test_small_fit_recovers_scale(btc_params, btc_tables, caplog):
         assert 0 <= sum(r.penalties.values()) <= r.evaluations
     pilot, polish, hessian = events
     assert all(r.seconds > 0.0 for r in events)
-    # A simplex step may finish past the budget, by at most n + 1 = 8.
-    assert 0 < pilot.evaluations <= options.probe_maxfev + 8 and pilot.plan is None
-    # This sample's optimum sits near a bound of the polish plan: the
-    # L-BFGS-B run touches it, so the simplex restarts finish the polish.
-    assert polish.method == "L-BFGS-B, Nelder-Mead"
-    assert 0 < polish.quasi_newton_evaluations < polish.evaluations
-    assert polish.score_evaluations == polish.quasi_newton_evaluations
-    assert pilot.score_evaluations == 0
+    # Both optimizer runs are L-BFGS-B on the exact score.  scipy checks
+    # the budget between iterations, so the pilot may finish the one under
+    # way: at most one line search (maxls = 20 calls) past it.
+    assert pilot.method == polish.method == "L-BFGS-B"
+    assert 0 < pilot.score_evaluations == pilot.evaluations <= options.probe_maxfev + 20
+    assert pilot.plan is None
+    assert polish.quasi_newton_evaluations == polish.evaluations == polish.score_evaluations
+    assert sum(polish.penalties.values()) == 0
+    # Each run's stop message, which says why a polish fell back.
+    assert "CONVERGENCE" in pilot.status and "CONVERGENCE" in polish.status
     # Central differences of the score: two calls per coordinate.
     assert hessian.evaluations == hessian.score_evaluations == 14
     assert sum(hessian.penalties.values()) == 0
@@ -309,6 +312,73 @@ def test_benchmark_fit_polishes_by_lbfgsb_alone(benchmark_sample, caplog):
     assert sum(polish.penalties.values()) == 0
     assert fit.converged
     assert fit.loglik >= -7725.019383194039 - 1e-6
+
+
+def test_polish_first_step_stays_inside_the_plan(eth_tables, caplog):
+    # From the nearly stationary pilot point, a unit first step along -g in
+    # the transformed coordinates crossed this sample's plan truncation
+    # bound on the third call and sent the fit to the simplex restarts.
+    _, cdf = eth_tables
+    caplog.set_level(logging.DEBUG, logger="gts_tail")
+    fit = gt.fit_mle(gt.sample(cdf, 3000, seed=2), options=FitOptions(compute_se=False))
+    (polish,) = [r for r in caplog.records if getattr(r, "fit_phase", None) == "polish"]
+    assert polish.method == "L-BFGS-B" and sum(polish.penalties.values()) == 0
+    assert fit.converged
+
+
+@pytest.fixture(scope="module")
+def btc_seed_4_fit(btc_tables):
+    """3000 BTC draws (seed 4), their default fit and the warnings it gave.
+    The fit stops at beta_plus 1.014e-7, 1.4 % above the 1e-7 below which
+    it takes a stability index as 0."""
+    _, cdf = btc_tables
+    data = gt.sample(cdf, 3000, seed=4)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        warnings.simplefilter("error", RuntimeWarning)
+        fit = gt.fit_mle(data)
+    return data, fit, caught
+
+
+def test_standard_errors_omitted_at_the_stability_index_guard(btc_seed_4_fit):
+    # The Hessian's probes (1e-4 of the logit, relative) do not reach the
+    # guard, and the delta method gave beta_plus a Wald standard error
+    # below 1e-5.  Its limit 0 lowers the likelihood by 8.7e-7 nats.
+    data, fit, caught = btc_seed_4_fit
+    assert fit.converged and 1e-7 < fit.params.beta_plus < 2e-7
+    assert fit.std_errors is None and fit.z_pvalues is None and fit.hessian_fallback
+    (warned,) = [w for w in caught if w.category is SingularHessianWarning]
+    assert "flat along beta_plus:" in str(warned.message)
+    with pytest.raises(BoundaryEstimate) as exc:
+        gt.standard_errors(fit, data)
+    assert exc.value.coordinates == ("beta_plus",)
+
+
+def test_wall_sample_fit_reaches_the_optimum_of_a_plan_frozen_there(btc_seed_4_fit):
+    # With a polish plan frozen short of the optimum, this sample's fit
+    # stopped 0.127 nats below it: a plan frozen at the fit's point, with
+    # the same headroom, and one more polish found those nats.
+    data, fit, _ = btc_seed_4_fit
+    plan = _LikelihoodPlan(fit.params, np.asarray(data.values), FitOptions(), _HEADROOM)
+    t = _to_transformed(PARAM_NAMES, list(fit.params.as_tuple()))
+    start = plan.objective(gt.RestrictedKind.FULL)(t)
+    again = _polish(plan, gt.RestrictedKind.FULL, t, FitOptions().maxfev)
+    assert start - again.fun < 1e-4
+
+
+def test_simplex_restarts_finish_a_polish_stopped_by_a_plan_bound(caplog):
+    # The CLI fit test's sample, 600 BTC draws on a 1024-point grid: its
+    # optimum sits at beta_plus = 0, the L-BFGS-B polish reaches the
+    # truncation bound of its plan, and the simplex restarts take over.
+    p = gt.BITCOIN_DAILY.params
+    data = gt.sample(gt.cdf_table(p, gt.build_grid(p, GridConfig(m=2**12))), 600, seed=5)
+    caplog.set_level(logging.DEBUG, logger="gts_tail")
+    fit = gt.fit_mle(data, options=FitOptions(grid_m=1024, compute_se=False))
+    (polish,) = [r for r in caplog.records if getattr(r, "fit_phase", None) == "polish"]
+    assert polish.method == "L-BFGS-B, Nelder-Mead"
+    assert 0 < polish.quasi_newton_evaluations == polish.score_evaluations < polish.evaluations
+    assert polish.penalties["truncation"] > 0
+    assert fit.converged and fit.params.beta_plus == 0.0
 
 
 def test_hessian_symmetry(btc_params, btc_sample_5k):
@@ -641,20 +711,21 @@ def test_standard_errors_refuse_probes_across_the_penalty(btc_tables):
 
 
 def test_standard_errors_omitted_at_a_stability_index_of_zero():
-    # A full fit of bilateral-gamma draws that ends with beta_minus below
-    # 1e-7, where the fit takes it as 0 and the likelihood is flat in its
-    # logit: the information is singular along it, and a pseudo-inverse
-    # would report its standard error as 0 with a p-value of 1.
+    # A full fit of bilateral-gamma draws that ends with both stability
+    # indices below 1e-7, where the fit takes them as 0, the generating
+    # law's value, and the likelihood is flat in their logits: the
+    # information is singular along them, and a pseudo-inverse would report
+    # their standard errors as 0 with a p-value of 1.
     p = gt.bilateral_gamma_params(0.0, 1.5, 1.5, 0.6, 0.6)
     data = gt.sample(gt.cdf_table(p, gt.build_grid(p, GridConfig(m=2**12))), 500, seed=1)
-    with pytest.warns(SingularHessianWarning, match="flat along beta_minus"):
+    with pytest.warns(SingularHessianWarning, match="flat along beta_plus, beta_minus"):
         fit = gt.fit_mle(data)
-    assert fit.converged and fit.params.beta_minus == 0.0 < fit.params.beta_plus
+    assert fit.converged and fit.params.beta_plus == fit.params.beta_minus == 0.0
     assert fit.std_errors is None and fit.z_pvalues is None
     assert fit.hessian_fallback
     with pytest.raises(BoundaryEstimate) as exc:
         gt.standard_errors(fit, data)
-    assert exc.value.coordinates == ("beta_minus",)
+    assert exc.value.coordinates == ("beta_plus", "beta_minus")
 
 
 @pytest.mark.parametrize(
