@@ -6,13 +6,11 @@ before the log).  The surface is maximized in a transformed space (logit
 for the stability indices, log for intensities and tempering rates,
 identity for the drift).  One search path: an L-BFGS-B pilot with the
 exact score, each law on its own automatic grid, from the moment-matched
-start (or the caller's), then an L-BFGS-B polish with the exact score on
-one likelihood plan frozen at the pilot's point, its first steps short.
-When that polish fails, or any of its evaluations hits a plan bound (its
-line search stalls on the penalty), repeated simplex restarts on the same
-plan take over until a restart stops improving.  The full model and the
-restricted families share it; a RestrictedKind says which natural fields
-each free coordinate fills.
+start (or the caller's), then L-BFGS-B polish rounds with the exact score,
+each on a likelihood plan frozen where it starts, its first steps short; a
+round that fails or touches a plan bound hands its point to the next.  The
+full model and the restricted families share it; a RestrictedKind says
+which natural fields each free coordinate fills.
 
 A plan freezes the whole grid (x-range, node counts, cutoff, with headroom
 on the cutoff) and precomputes its inversion, so an evaluation costs one
@@ -34,6 +32,7 @@ less than 1e-4 nats, the fit reports no standard errors.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import time
@@ -47,6 +46,7 @@ from scipy.special import erfc
 from .core import PARAM_NAMES, GTSParams, RestrictedKind, _log_modulus, cumulant, validate_params
 from .errors import (
     BoundaryEstimate,
+    ConfigError,
     DegenerateData,
     DomainError,
     GtsError,
@@ -91,18 +91,17 @@ _FIT_WIDTH_SDS = 20.0
 _FIT_FREQ_EPS = 1e-8
 _LOG_FREQ_EPS = math.log(_FIT_FREQ_EPS)
 # A frozen likelihood plan's cutoff, in multiples of the cutoff of the law
-# it is frozen at.  The polish plan is frozen at the pilot point, which the
-# exact-score pilot leaves next to the optimum: on 14 checked samples 1.25x,
-# 1.5x and 4x sent none to the simplex restarts, 2x sent one.  At 4x the
-# polish plan of 3000 BTC draws needs 65536 nodes instead of 16384.  The
+# it is frozen at.  The first polish plan is frozen at the pilot point,
+# which the exact-score pilot leaves next to the optimum: on 14 checked
+# samples 1.25x, 1.5x and 4x needed no second round, 2x needed one.  At 4x
+# the polish plan of 3000 BTC draws needs 65536 nodes instead of 16384.  The
 # Hessian's plan is frozen at the estimate, and its probes move 1e-4 from it.
 _HEADROOM = 1.5
 _HESSIAN_HEADROOM = 1.25
-# Simplex restart tolerances, and the relative step of the score
-# differences behind the standard errors' Hessian.
-_FATOL = 1e-8
-_XATOL = 1e-6
-_HESSIAN_STEP = 1e-4
+# A polish round that gains under this many nats on its own plan ends the
+# fit; plans frozen at nearby points differ by up to 0.11 nats at grid_m 1024.
+_ROUND_GAIN = 1e-6
+_HESSIAN_STEP = 1e-4  # relative step of the Hessian's score differences
 # Stability indices below 1e-7 are taken as 0, the bilateral-gamma limit,
 # and the logit coordinate is flat below it.  Near 0 the power form
 # c*(b**beta - lam**beta), with c about -alpha/beta, cancels: its error in
@@ -124,14 +123,14 @@ _PILOT_FTOL = 1e-10
 _PILOT_GTOL = 1e-5
 # L-BFGS-B polish on the exact score: the relative-decrease and
 # projected-gradient stopping tolerances.  On 14 checked samples ftol 1e-15
-# took 1-16 more score calls on seven, for at most 6e-9 nats, and sent one
-# to the simplex restarts.
+# took 1-16 more score calls on seven, for at most 6e-9 nats, and needed
+# a second round on one.
 _QN_FTOL = 1e-14
 _QN_GTOL = 1e-8
 # The polish runs in u = (t - t_start)/0.01.  From a nearly stationary start
 # L-BFGS-B's first trial step has unit length along -g: run in t, the
 # polish crossed a plan bound within 3-38 calls on 7 of 14 checked samples.
-# Scales from 0.003 to 0.1 sent none of them to the simplex restarts.
+# Scales from 0.003 to 0.1 needed no second round on any of them.
 _POLISH_SCALE = 0.01
 
 _log = logging.getLogger("gts_tail")
@@ -144,23 +143,24 @@ class FitOptions:
     The likelihood grid has ``grid_m`` spatial points and is deliberately
     lighter than the default table resolution (20 standard deviations each
     side, cutoff at |cf| < 1e-8).  The pilot sizes a grid per evaluation.
-    The polish then freezes one plan at the pilot's point: its x-range, a
-    cutoff 1.5 times the pilot's, and the frequency node count the
-    aliasing bound asks for at that cutoff, at most ``max_n_freq`` (a
-    power of two).  The likelihood is then a smooth function of the
-    parameters.  Laws the frozen grid cannot resolve (a characteristic
-    function still above 1e-8 at the cutoff, or density aliases reaching
-    the grid), such as stability indices near zero with small intensities,
-    are treated as infeasible by the optimizer.
+    Each polish round freezes one plan where it starts: its x-range, a
+    cutoff 1.5 times that law's, and the frequency node count the aliasing
+    bound asks for at that cutoff, at most ``max_n_freq`` (a power of
+    two).  The likelihood is then a smooth function of the parameters.
+    Laws the frozen grid cannot resolve (a characteristic function still
+    above 1e-8 at the cutoff, or density aliases reaching the grid), such
+    as stability indices near zero with small intensities, are treated as
+    infeasible by the optimizer.
 
     The search is one L-BFGS-B pilot of at most ``probe_maxfev`` score
-    calls (scipy may finish the iteration under way past it), then one
-    L-BFGS-B polish of at most ``maxfev``, each with its exact score.  If
-    the polish fails (an abnormal line-search stop included), or any of its
-    evaluations hits a bound of the frozen plan, up to ``polish_rounds``
-    simplex restarts of at most ``maxfev`` evaluations each follow from the
-    better of its point and the pilot's, stopping once a restart improves
-    the negative log-likelihood by less than 1e-6.  ``compute_se`` adds
+    calls (scipy may finish the iteration under way past it), then
+    L-BFGS-B polish rounds of ``maxfev`` score calls in total, all with
+    the exact score.  A round that succeeds without touching a bound of its
+    plan converges the fit.  Otherwise the plan is re-frozen where the
+    round stopped, unless the round gained under 1e-6 nats on its own plan
+    (converged if it succeeded), the budget is spent, or the plan cannot
+    grow: it would need more than ``max_n_freq`` nodes, or the round
+    touched a bound of a plan already at that budget.  ``compute_se`` adds
     standard errors to a converged fit: central differences of the score at
     steps of 1e-4, relative, on a plan frozen at the estimate with a cutoff
     1.25 times its own.
@@ -170,7 +170,6 @@ class FitOptions:
     max_n_freq: int = 2**17
     probe_maxfev: int = 400
     maxfev: int = 4000
-    polish_rounds: int = 6
     compute_se: bool = True
 
 
@@ -524,8 +523,8 @@ def fit_mle(
     options: FitOptions = FitOptions(),
 ) -> FitResult:
     """Fit by maximum likelihood: an L-BFGS-B pilot on per-law grids, then
-    an L-BFGS-B polish on a frozen plan, both on the exact score, with
-    simplex restarts when the polish fails or touches a plan bound.
+    L-BFGS-B polish rounds, each on a plan frozen where it starts, all on
+    the exact score (FitOptions says when the rounds stop).
 
     Non-convergence is reported through ``converged=False`` on the result
     rather than raised.  Requires at least 100 observations and non-zero
@@ -559,44 +558,39 @@ def fit_mle(
         options=dict(maxfun=options.probe_maxfev, ftol=_PILOT_FTOL, gtol=_PILOT_GTOL),
     )
     auto.log("pilot", method="L-BFGS-B", status=pilot.message)
-    t_start = pilot.x if pilot.fun < _PENALTY else t0
-    pilot_params = kind.expand(_from_transformed(names, t_start))
-    plan = _LikelihoodPlan(pilot_params, obs, options, _HEADROOM)
-    neg = plan.objective(kind)
+    t = pilot.x if pilot.fun < _PENALTY else t0
 
-    # Quasi-Newton polish on the smooth frozen plan.  Its line search stalls
-    # on the penalty wall, so its optimum stands only if no evaluation was
-    # penalized.
-    best = _polish(plan, kind, t_start, options.maxfev)
-    status = best.message
-    quasi_newton_evaluations = plan.evaluations
-    converged = bool(best.success) and sum(plan.penalties.values()) == 0
-    method = "L-BFGS-B"
-    if not converged:
-        # Repeated simplex runs from the better of the two points, each
-        # restarted (and so re-inflated) from the previous vertex;
-        # ill-conditioned valleys stall a single run long before the
-        # stationary point.
-        method = "L-BFGS-B, Nelder-Mead"
-        x0 = best.x if best.fun < neg(t_start) else t_start
-        best = None
-        prev = math.inf
-        for _ in range(max(options.polish_rounds, 1)):
-            r = minimize(
-                neg,
-                x0,
-                method="Nelder-Mead",
-                options=dict(maxfev=options.maxfev, fatol=_FATOL, xatol=_XATOL, adaptive=True),
-            )
-            if best is None or r.fun <= best.fun:
-                best = r
-            x0 = r.x
-            if prev - r.fun < 1e-6:
-                converged = bool(r.success)
-                break
-            prev = r.fun
-    plan.log("polish", method=method, status=status,
-             quasi_newton_evaluations=quasi_newton_evaluations)
+    # Quasi-Newton polish rounds, each on a plan frozen where it starts, on
+    # which the likelihood is smooth.  A round's line search stalls on the
+    # plan's penalty wall, so its optimum stands only if no evaluation was
+    # penalized; otherwise the next round re-freezes the plan where it stopped.
+    def freeze(t):
+        return _LikelihoodPlan(kind.expand(_from_transformed(names, t)), obs, options, _HEADROOM)
+
+    plan, budget, stop = freeze(t), options.maxfev, None
+    for round_ in itertools.count(1):
+        best = _polish(plan, kind, t, budget)
+        budget -= plan.score_evaluations
+        touched = sum(plan.penalties.values()) > 0
+        if best.success and not touched:
+            stop = "converged"
+        elif best.gain < _ROUND_GAIN:
+            stop = "converged" if best.success else "stalled"
+        elif budget <= 0:
+            stop = "maxfev"
+        elif touched and 2 * plan.grid.n_freq > options.max_n_freq:
+            stop = "max_n_freq"
+        else:
+            try:
+                refrozen = freeze(best.x)
+            except ConfigError:
+                stop = "max_n_freq"
+        plan.log("polish", method="L-BFGS-B", round=round_, status=best.message,
+                 gain=best.gain, stop=stop)
+        if stop is not None:
+            break
+        plan, t = refrozen, best.x
+    converged = stop == "converged"
 
     params = kind.expand(_from_transformed(names, best.x))
     loglik = -float(best.fun)
@@ -622,11 +616,13 @@ def _polish(plan: _LikelihoodPlan, kind: RestrictedKind, t_start: np.ndarray, ma
     """L-BFGS-B on the plan's exact score from t_start, run in
     u = (t - t_start)/_POLISH_SCALE so that its first trial step is short,
     with the projected-gradient tolerance scaled to match.  The result's x
-    is in t."""
+    is in t, and its ``gain`` is the drop in value from t_start."""
     score = plan.objective(kind, score=True)
+    values = []
 
     def scaled(u):
         value, grad = score(t_start + _POLISH_SCALE * u)
+        values.append(value)
         return value, _POLISH_SCALE * grad
 
     r = minimize(
@@ -637,6 +633,7 @@ def _polish(plan: _LikelihoodPlan, kind: RestrictedKind, t_start: np.ndarray, ma
         options=dict(maxfun=maxfev, ftol=_QN_FTOL, gtol=_QN_GTOL * _POLISH_SCALE),
     )
     r.x = t_start + _POLISH_SCALE * r.x
+    r.gain = values[0] - r.fun
     return r
 
 

@@ -314,11 +314,11 @@ def test_criterion_9_model_ordering(recovery_fits):
     # inferior on this data by hundreds of nats, and its slowly decaying
     # characteristic function makes each evaluation expensive.
     bg_opts = FitOptions(
-        probe_maxfev=200, maxfev=1500, polish_rounds=2,
+        probe_maxfev=200, maxfev=1500,
         compute_se=False, max_n_freq=2**15, grid_m=2**11,
     )
     kob_opts = FitOptions(
-        probe_maxfev=250, maxfev=2500, polish_rounds=3,
+        probe_maxfev=250, maxfev=2500,
         compute_se=False, max_n_freq=2**15, grid_m=2**11,
     )
 
@@ -336,7 +336,7 @@ def test_criterion_9_model_ordering(recovery_fits):
 
     # The full-model optimum is at least the better of the cold fit and a
     # polish warm-started from the Kobol solution (nested subspace).
-    warm_opts = FitOptions(probe_maxfev=200, maxfev=2000, polish_rounds=2, compute_se=False)
+    warm_opts = FitOptions(probe_maxfev=200, maxfev=2000, compute_se=False)
     full_warm = gt.fit_mle(data, init=kob.params, options=warm_opts)
     full_ll = max(full_fit.loglik, full_warm.loglik)
     full_aic = min(full_fit.aic, full_warm.aic)
@@ -436,7 +436,7 @@ def test_criterion_11_determinism(tmp_path, tables):
 
     # Fit determinism: two runs with identical seeds and settings.
     small = gt.sample(cdf, 300, seed=1)
-    fast = FitOptions(probe_maxfev=150, maxfev=800, polish_rounds=1, compute_se=False, grid_m=1024)
+    fast = FitOptions(probe_maxfev=150, maxfev=800, compute_se=False, grid_m=1024)
     fit_a = gt.fit_mle(small, options=fast)
     fit_b = gt.fit_mle(small, options=fast)
     assert fit_a.params == fit_b.params

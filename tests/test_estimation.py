@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -165,7 +165,9 @@ def test_unknown_kind_is_a_domain_error(kind):
 
 def test_fit_options_are_the_settings_callers_set():
     names = [f.name for f in fields(FitOptions)]
-    assert names == ["grid_m", "max_n_freq", "probe_maxfev", "maxfev", "polish_rounds", "compute_se"]
+    assert names == ["grid_m", "max_n_freq", "probe_maxfev", "maxfev", "compute_se"]
+    with pytest.raises(TypeError):
+        FitOptions(polish_rounds=6)
 
 
 def test_information_criteria_formula():
@@ -260,7 +262,7 @@ def benchmark_sample(btc_tables):
 def test_small_fit_recovers_scale(btc_params, btc_tables, caplog):
     _, cdf = btc_tables
     data = gt.sample(cdf, 1500, seed=3)
-    options = FitOptions(probe_maxfev=300, maxfev=3000, polish_rounds=4, compute_se=True)
+    options = FitOptions(probe_maxfev=300, maxfev=3000, compute_se=True)
     caplog.set_level(logging.DEBUG, logger="gts_tail")
     fit = gt.fit_mle(data, options=options)
     # One debug event per phase, with its counts and its frozen plan.
@@ -277,9 +279,11 @@ def test_small_fit_recovers_scale(btc_params, btc_tables, caplog):
     assert pilot.method == polish.method == "L-BFGS-B"
     assert 0 < pilot.score_evaluations == pilot.evaluations <= options.probe_maxfev + 20
     assert pilot.plan is None
-    assert polish.quasi_newton_evaluations == polish.evaluations == polish.score_evaluations
+    assert polish.evaluations == polish.score_evaluations
     assert sum(polish.penalties.values()) == 0
-    # Each run's stop message, which says why a polish fell back.
+    # One polish round, its gain on its own plan, and why the fit stopped.
+    assert polish.round == 1 and polish.gain >= 0.0 and polish.stop == "converged"
+    # Each run's stop message, which says why a round did not converge.
     assert "CONVERGENCE" in pilot.status and "CONVERGENCE" in polish.status
     # Central differences of the score: two calls per coordinate.
     assert hessian.evaluations == hessian.score_evaluations == 14
@@ -307,7 +311,8 @@ def test_benchmark_fit_polishes_by_lbfgsb_alone(benchmark_sample, caplog):
     fit = gt.fit_mle(benchmark_sample, options=FitOptions(compute_se=False))
     (polish,) = [r for r in caplog.records if getattr(r, "fit_phase", None) == "polish"]
     assert polish.method == "L-BFGS-B"
-    assert polish.quasi_newton_evaluations == polish.evaluations == polish.score_evaluations
+    assert polish.round == 1 and polish.stop == "converged"
+    assert polish.evaluations == polish.score_evaluations
     assert polish.evaluations <= 80
     assert sum(polish.penalties.values()) == 0
     assert fit.converged
@@ -366,19 +371,63 @@ def test_wall_sample_fit_reaches_the_optimum_of_a_plan_frozen_there(btc_seed_4_f
     assert start - again.fun < 1e-4
 
 
-def test_simplex_restarts_finish_a_polish_stopped_by_a_plan_bound(caplog):
+# The estimate the since deleted Nelder-Mead restarts returned on the CLI
+# fit test's sample.
+_SIMPLEX_ESTIMATE = (
+    0.49332791623814154,
+    0.0,
+    0.5898236583895793,
+    0.547172655837462,
+    0.4492222172236955,
+    0.2689131157497614,
+    0.08257928359250555,
+)
+
+
+def test_polish_rounds_refreeze_the_plan_past_a_plan_bound(caplog):
     # The CLI fit test's sample, 600 BTC draws on a 1024-point grid: its
-    # optimum sits at beta_plus = 0, the L-BFGS-B polish reaches the
-    # truncation bound of its plan, and the simplex restarts take over.
+    # optimum sits at beta_plus = 0, and the first polish round reaches the
+    # truncation bound of its plan on the way there.
     p = gt.BITCOIN_DAILY.params
     data = gt.sample(gt.cdf_table(p, gt.build_grid(p, GridConfig(m=2**12))), 600, seed=5)
     caplog.set_level(logging.DEBUG, logger="gts_tail")
-    fit = gt.fit_mle(data, options=FitOptions(grid_m=1024, compute_se=False))
-    (polish,) = [r for r in caplog.records if getattr(r, "fit_phase", None) == "polish"]
-    assert polish.method == "L-BFGS-B, Nelder-Mead"
-    assert 0 < polish.quasi_newton_evaluations == polish.score_evaluations < polish.evaluations
-    assert polish.penalties["truncation"] > 0
-    assert fit.converged and fit.params.beta_plus == 0.0
+    options = FitOptions(grid_m=1024, compute_se=False)
+    fit = gt.fit_mle(data, options=options)
+    rounds = [r for r in caplog.records if getattr(r, "fit_phase", None) == "polish"]
+    assert len(rounds) >= 2
+    assert all(r.method == "L-BFGS-B" for r in rounds)
+    assert [r.round for r in rounds] == list(range(1, len(rounds) + 1))
+    assert rounds[0].penalties["truncation"] > 0
+    assert rounds[-1].stop == "converged" and fit.converged
+    assert all(r.stop is None for r in rounds[:-1])
+    # The rounds stop next to the 1e-7 below which a fit takes beta as 0.
+    assert fit.params.beta_plus < 1e-6
+    # On one plan, frozen at the new estimate, the rounds beat the restarts.
+    plan = _LikelihoodPlan(
+        fit.params, np.asarray(data.values), replace(options, max_n_freq=2**20), _HEADROOM
+    )
+    neg = plan.objective(gt.RestrictedKind.FULL)
+    simplex = gt.validate_params(*_SIMPLEX_ESTIMATE)
+    gain = neg(_to_transformed(PARAM_NAMES, list(simplex.as_tuple()))) - neg(
+        _to_transformed(PARAM_NAMES, list(fit.params.as_tuple()))
+    )
+    assert gain >= 0.05
+
+
+def test_polish_rounds_stop_at_the_frequency_node_budget(btc_tables, caplog):
+    # Criterion 9's bilateral-gamma fit: each round touches a bound of its
+    # plan, until a plan at the 2**15-node budget cannot grow further.
+    _, cdf = btc_tables
+    data = gt.sample(cdf, 5000, seed=11)
+    options = FitOptions(
+        probe_maxfev=200, maxfev=1500, compute_se=False, max_n_freq=2**15, grid_m=2**11
+    )
+    caplog.set_level(logging.DEBUG, logger="gts_tail")
+    fit = gt.fit_mle(data, kind=gt.RestrictedKind.BILATERAL_GAMMA, options=options)
+    rounds = [r for r in caplog.records if getattr(r, "fit_phase", None) == "polish"]
+    assert fit.converged is False
+    assert rounds[-1].stop == "max_n_freq"
+    assert rounds[-1].plan["n_freq"] == 2**15
 
 
 def test_hessian_symmetry(btc_params, btc_sample_5k):
