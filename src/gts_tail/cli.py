@@ -89,14 +89,17 @@ def _write_json(payload, path) -> None:
 
 def _cmd_eval_cf(args) -> int:
     p = _read_params(args.params)
+    # Every row before the output opens: a non-finite xi leaves no partial file.
+    rows = []
+    for xi in args.xi:
+        psi = characteristic_exponent(p, complex(xi))
+        cf = characteristic_function(p, complex(xi))
+        rows.append(
+            f"{_fmt(xi)},{_fmt(psi.real)},{_fmt(psi.imag)},{_fmt(cf.real)},{_fmt(cf.imag)}\n"
+        )
     with text_stream(_out(args.out), "w") as out:
         out.write("xi,psi_re,psi_im,cf_re,cf_im\n")
-        for xi in args.xi:
-            psi = characteristic_exponent(p, complex(xi))
-            cf = characteristic_function(p, complex(xi))
-            out.write(
-                f"{_fmt(xi)},{_fmt(psi.real)},{_fmt(psi.imag)},{_fmt(cf.real)},{_fmt(cf.imag)}\n"
-            )
+        out.writelines(rows)
     return 0
 
 

@@ -150,9 +150,13 @@ def _one_sided_exponent(alpha, beta, lam, z):
 def characteristic_exponent(p: GTSParams, xi):
     """psi(xi) = log E[exp(i xi Y)].  Accepts scalars or arrays.
 
-    psi(0) = 0 exactly and conj(psi(xi)) = psi(-xi).
+    psi(0) = 0 exactly and conj(psi(xi)) = psi(-xi).  Raises NonFinite
+    for a NaN or infinite xi.
     """
     xi = np.asarray(xi, dtype=complex)
+    finite = np.isfinite(xi)
+    if not finite.all():
+        raise NonFinite(f"xi is not finite: {complex(xi[~finite][0])}")
     out = (
         1j * p.mu * xi
         + _one_sided_exponent(p.alpha_plus, p.beta_plus, p.lambda_plus, -1j * xi)
@@ -162,7 +166,8 @@ def characteristic_exponent(p: GTSParams, xi):
 
 
 def characteristic_function(p: GTSParams, xi):
-    """exp(psi(xi)); |cf| <= 1 with equality only at xi = 0."""
+    """exp(psi(xi)); |cf| <= 1 with equality only at xi = 0.  Raises
+    NonFinite for a NaN or infinite xi."""
     out = np.exp(characteristic_exponent(p, xi))
     return out if isinstance(out, np.ndarray) and out.ndim else complex(out)
 

@@ -40,7 +40,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import erfc
 
 from .core import PARAM_NAMES, GTSParams, RestrictedKind, _log_modulus, cumulant, validate_params
@@ -550,12 +549,8 @@ def fit_mle(
     # the optimum.  The polish plan is then frozen from that point, so the
     # polished likelihood is smooth, with headroom for the optimum.
     auto = _AutoGrids(obs, options)
-    pilot = minimize(
-        auto.objective(kind, score=True),
-        t0,
-        jac=True,
-        method="L-BFGS-B",
-        options=dict(maxfun=options.probe_maxfev, ftol=_PILOT_FTOL, gtol=_PILOT_GTOL),
+    pilot = _lbfgsb(
+        auto.objective(kind, score=True), t0, options.probe_maxfev, _PILOT_FTOL, _PILOT_GTOL
     )
     auto.log("pilot", method="L-BFGS-B", status=pilot.message)
     t = pilot.x if pilot.fun < _PENALTY else t0
@@ -625,16 +620,21 @@ def _polish(plan: _LikelihoodPlan, kind: RestrictedKind, t_start: np.ndarray, ma
         values.append(value)
         return value, _POLISH_SCALE * grad
 
-    r = minimize(
-        scaled,
-        np.zeros_like(t_start),
-        jac=True,
-        method="L-BFGS-B",
-        options=dict(maxfun=maxfev, ftol=_QN_FTOL, gtol=_QN_GTOL * _POLISH_SCALE),
-    )
+    r = _lbfgsb(scaled, np.zeros_like(t_start), maxfev, _QN_FTOL, _QN_GTOL * _POLISH_SCALE)
     r.x = t_start + _POLISH_SCALE * r.x
     r.gain = values[0] - r.fun
     return r
+
+
+def _lbfgsb(fun, x0: np.ndarray, maxfun: int, ftol: float, gtol: float):
+    """scipy's L-BFGS-B on ``fun``, which returns (value, gradient).
+    scipy.optimize is imported here, on the first fit, so that importing
+    gts_tail does not load it."""
+    from scipy.optimize import minimize
+
+    return minimize(
+        fun, x0, jac=True, method="L-BFGS-B", options=dict(maxfun=maxfun, ftol=ftol, gtol=gtol)
+    )
 
 
 def _with_standard_errors(result: FitResult, data: ReturnSeries, options: FitOptions) -> FitResult:

@@ -45,12 +45,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 from scipy import fft as sp_fft
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 from scipy.special import ndtr
 
 from ._textio import text_stream
@@ -65,6 +63,9 @@ from .core import (
     cumulant,
 )
 from .errors import ConfigError, ConvergenceFailure, NumericalFailure, SizeError
+
+if TYPE_CHECKING:
+    from scipy.interpolate import PchipInterpolator
 
 __all__ = [
     "GridConfig",
@@ -297,7 +298,14 @@ def build_grid(p: GTSParams, cfg: GridConfig = GridConfig()) -> SpectralGrid:
     grid half-width plus a Chernoff tail radius, which keeps the density's
     aliases off the grid.  It may be below m: the half-spectrum transform
     returns m values from any n/2 inputs.
+
+    Raises ConfigError when freq_eps is not in (0, 1) or a width setting is
+    not finite.
     """
+    if not 0.0 < cfg.freq_eps < 1.0:
+        raise ConfigError(f"freq_eps must lie in (0, 1), got {cfg.freq_eps}")
+    if not (math.isfinite(cfg.width_sds) and math.isfinite(cfg.min_half_width)):
+        raise ConfigError("grid width_sds and min_half_width must be finite")
     m = max(256, _next_pow2(cfg.m))
     k1 = cumulant(p, 1)
     k2 = cumulant(p, 2)
@@ -513,7 +521,10 @@ class DensityTable:
     @cached_property
     def monotone_interpolator(self) -> PchipInterpolator:
         """Shape-preserving cubic through the table (scipy's PCHIP, which the
-        likelihood's own gather reproduces bit for bit)."""
+        likelihood's own gather reproduces bit for bit).  scipy.interpolate
+        is imported on first use."""
+        from scipy.interpolate import PchipInterpolator
+
         return PchipInterpolator(self.grid.x(), self.values, extrapolate=False)
 
     def trapezoid_mass(self) -> float:
@@ -704,8 +715,10 @@ def direct_quadrature_oracle(p: GTSParams, x: float, abs_tol: float = 1e-10):
 
     with QUADPACK oscillatory-weight integration on the trigonometric
     factors.  Raises ConvergenceFailure when the reported error estimate
-    exceeds ``abs_tol``.
+    exceeds ``abs_tol``.  scipy.integrate is imported on first use.
     """
+    from scipy.integrate import quad
+
     x = float(x)
     cutoff = _oracle_cutoff(p)
 

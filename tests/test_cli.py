@@ -207,6 +207,31 @@ def test_exit_code_numerical_error(params_file):
     assert r.returncode == 3
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--freq-eps", "0"),
+        ("--freq-eps", "-1"),
+        ("--freq-eps", "1"),
+        ("--freq-eps", "2"),
+        ("--grid-min-half-width", "inf"),
+    ],
+)
+def test_grid_flags_outside_their_domain_exit_2(params_file, flags):
+    r = run_cli("pdf", "--params", params_file, "--grid-m", "1024", "--out", "-", *flags)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("xi", ["nan", "inf"])
+def test_eval_cf_non_finite_frequency_exit_2(params_file, tmp_path, xi):
+    out = tmp_path / "cf.csv"
+    r = run_cli("eval-cf", "--params", params_file, "--xi", "1.0", xi, "--out", str(out))
+    assert r.returncode == 2
+    assert "not finite" in r.stderr
+    assert not out.exists()
+
+
 def test_exit_code_io_error(params_file):
     r = run_cli("pdf", "--params", params_file, "--out", "/nonexistent-dir/x.csv")
     assert r.returncode == 4

@@ -118,6 +118,18 @@ def test_cf_is_exp_of_exponent(eth_params):
     assert abs(lhs - rhs) < 1e-14
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "xi", [math.nan, math.inf, -math.inf, complex(1.0, math.inf), [0.5, math.nan]]
+)
+def test_non_finite_frequency_rejected(btc_params, xi):
+    # Raised before any arithmetic: no NaN result and no numpy RuntimeWarning.
+    with pytest.raises(NonFinite):
+        gt.characteristic_exponent(btc_params, xi)
+    with pytest.raises(NonFinite):
+        gt.characteristic_function(btc_params, xi)
+
+
 # Laws for the real-arithmetic kernel: the two references, a bilateral-gamma
 # law (beta = 0 on both sides), and a strongly asymmetric law with a
 # beta = 0 upper side.

@@ -228,6 +228,25 @@ def test_narrow_grid_raises(btc_params):
         gt.cdf_table(btc_params, grid)
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [
+        dict(freq_eps=0.0),
+        dict(freq_eps=-1.0),
+        dict(freq_eps=1.0),
+        dict(freq_eps=2.0),
+        dict(freq_eps=float("nan")),
+        dict(width_sds=float("inf")),
+        dict(width_sds=float("nan")),
+        dict(min_half_width=float("inf")),
+        dict(min_half_width=float("nan")),
+    ],
+)
+def test_grid_settings_outside_their_domain_raise_config_error(btc_params, setting):
+    with pytest.raises(ConfigError):
+        gt.build_grid(btc_params, GridConfig(**setting))
+
+
 # --------------------------------------------------------------------------
 # half-spectrum inversion against the full symmetric sum
 # --------------------------------------------------------------------------
