@@ -67,7 +67,8 @@ def _table(args, make=cdf_table, params=None):
 
 
 def _add_grid_flags(p):
-    p.add_argument("--grid-m", type=int, default=2**14, help="spatial points (power of two)")
+    p.add_argument("--grid-m", type=int, default=2**14,
+                   help="spatial points (rounded up to a power of two, at most 2**22)")
     p.add_argument("--grid-width-sds", type=float, default=20.0, help="half-width in std devs")
     p.add_argument("--grid-min-half-width", type=float, default=0.0, help="half-width floor (%%)")
     p.add_argument("--freq-eps", type=float, default=1e-12, help="|cf| cutoff threshold")

@@ -13,10 +13,11 @@ full model and the restricted families share it; a RestrictedKind says
 which natural fields each free coordinate fills.
 
 A plan freezes the whole grid (x-range, node counts, cutoff, with headroom
-on the cutoff) and precomputes its inversion, so an evaluation costs one
-characteristic-function kernel, two FFTs and a gather.  Its score, in
-reverse mode, adds the gather's adjoint, one more FFT pair and the
-kernel's closed-form partials, whatever the number of free coordinates.
+on the cutoff and on the period) and precomputes its inversion, so an
+evaluation costs one characteristic-function kernel, one FFT and a gather.
+Its score, in reverse mode, adds the gather's adjoint, one more FFT and
+the kernel's closed-form partials, whatever the number of free
+coordinates.
 It evaluates a law only inside the two bounds its grid is valid for
 (truncation and aliasing), and returns a penalty outside them.  Each
 phase's evaluation, score and penalty counts and wall time go to the
@@ -40,6 +41,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy.special import erfc
 
 from .core import PARAM_NAMES, GTSParams, RestrictedKind, _log_modulus, cumulant, validate_params
@@ -59,11 +61,13 @@ from .spectral import (
     _ALIAS_MASS,
     GridConfig,
     SpectralGrid,
+    _aligned_grid,
     _brackets,
-    _FrozenPdf,
+    _freq_cutoff,
+    _Inversion,
     _monotone_cubic,
     _monotone_cubic_pullback,
-    _next_pow2,
+    _nodes_reaching,
     _pchip_slopes,
     _tail_radius,
     build_grid,
@@ -92,11 +96,19 @@ _LOG_FREQ_EPS = math.log(_FIT_FREQ_EPS)
 # A frozen likelihood plan's cutoff, in multiples of the cutoff of the law
 # it is frozen at.  The first polish plan is frozen at the pilot point,
 # which the exact-score pilot leaves next to the optimum: on 14 checked
-# samples 1.25x, 1.5x and 4x needed no second round, 2x needed one.  At 4x
-# the polish plan of 3000 BTC draws needs 65536 nodes instead of 16384.  The
-# Hessian's plan is frozen at the estimate, and its probes move 1e-4 from it.
+# samples 1.25x, 1.5x and 4x needed no second round, 2x needed one.  The
+# node count grows with the cutoff, so 4x would take 2.7 times the nodes.
+# The Hessian's plan is frozen at the estimate, and its probes move 1e-4
+# from it.
 _HEADROOM = 1.5
 _HESSIAN_HEADROOM = 1.25
+# A frozen plan's period, in multiples of the guard (grid half-width plus
+# 1e-9 tail radius) of the law it is frozen at: the room its laws have
+# before the aliasing bound.  With the bare guard (the period only rounded
+# up to a fast FFT length) the first polish round touched that bound on 4
+# of the 14 checked samples (no Hessian probe did); from 1.03 on no round
+# did.  Each 1 % costs about 1 % more nodes and FFT length.
+_PLAN_PERIOD = 1.1
 # A polish round that gains under this many nats on its own plan ends the
 # fit; plans frozen at nearby points differ by up to 0.11 nats at grid_m 1024.
 _ROUND_GAIN = 1e-6
@@ -143,9 +155,10 @@ class FitOptions:
     lighter than the default table resolution (20 standard deviations each
     side, cutoff at |cf| < 1e-8).  The pilot sizes a grid per evaluation.
     Each polish round freezes one plan where it starts: its x-range, a
-    cutoff 1.5 times that law's, and the frequency node count the aliasing
-    bound asks for at that cutoff, at most ``max_n_freq`` (a power of
-    two).  The likelihood is then a smooth function of the parameters.
+    period 1.1 times the one the aliasing bound asks for, as a fast FFT
+    length, and the fewest frequency nodes that reach 1.5 times that law's
+    cutoff, at most ``max_n_freq``.  The likelihood is then a smooth
+    function of the parameters.
     Laws the frozen grid cannot resolve (a characteristic function still
     above 1e-8 at the cutoff, or density aliases reaching the grid), such
     as stability indices near zero with small intensities, are treated as
@@ -159,7 +172,10 @@ class FitOptions:
     round stopped, unless the round gained under 1e-6 nats on its own plan
     (converged if it succeeded), the budget is spent, or the plan cannot
     grow: it would need more than ``max_n_freq`` nodes, or the round
-    touched a bound of a plan already at that budget.  ``compute_se`` adds
+    touched a bound of a plan already at that budget.  The last round's
+    point moves to the limit 0 of a free stability index where that is
+    better on its plan (the logit runs off to -inf there, and the polish
+    stops short of it in the flat).  ``compute_se`` adds
     standard errors to a converged fit: central differences of the score at
     steps of 1e-4, relative, on a plan frozen at the estimate with a cutoff
     1.25 times its own.
@@ -415,7 +431,7 @@ class _AutoGrids(_Likelihood):
         """The score on p's own grid, which it holds fixed: it misses the
         part of the likelihood's change that comes from the grid moving."""
         grid = build_grid(p, _likelihood_grid(p, self._obs, self._cfg))
-        raw, pullback = _FrozenPdf(grid).with_pullback(p)
+        raw, pullback = _Inversion(grid).pdf_with_pullback(p)
         x = grid.x()
         value, grad = _neg_log_density_sum_and_grad(raw, np.diff(x), _brackets(x, self._obs))
         return value, pullback(grad)
@@ -425,41 +441,46 @@ class _LikelihoodPlan(_Likelihood):
     """The likelihood on one frozen grid, its inversion precomputed.
 
     Frozen at a law p0: the x-range of p0's likelihood grid (x_min, dx, m),
-    a cutoff Xi of ``headroom`` times p0's own, and the smallest power of
-    two n_freq whose period pi (n_freq - 1/2)/Xi clears p0's half-width
-    plus its 1e-9 tail radius (build_grid's aliasing bound), at most
-    ``max_n_freq``.  When that budget binds, Xi is the geometric mean of
-    p0's cutoff and the largest cutoff the budget's period clears, so p0
-    keeps the same room from both bounds.  A p0 whose own grid needs more
-    than the budget raises ConfigError, as build_grid does.
+    an FFT-aligned frequency step 2 pi/(N dx) whose period N dx is the
+    fast FFT length at or above 1.1 times p0's guard (its half-width plus
+    its 1e-9 tail radius, build_grid's aliasing bound), and the fewest
+    (even) n_freq nodes whose top node reaches ``headroom`` times p0's
+    cutoff, at most ``max_n_freq``.  When that budget binds, the plan takes
+    the budget's nodes with the period P and top node Xi at which
+    P/guard = Xi/cutoff, so p0 keeps the same room from both bounds.  A p0
+    whose own grid needs more than the budget raises ConfigError, as
+    build_grid does.
 
     A law is evaluated only where the frozen grid is valid for it, by the
     two bounds build_grid sizes grids with: |cf(Xi)| <= 1e-8 (truncation)
     and a period that clears its farther grid end from kappa_1 plus its
     tail radius (aliasing).  Anything else is penalized.  An evaluation is
-    then one characteristic-function kernel, two FFTs, the clamp at 0 and
-    a monotone-cubic gather at the observations' precomputed brackets.  Its
+    then one characteristic-function kernel, one FFT, the clamp at 0 and a
+    monotone-cubic gather at the observations' precomputed brackets.  Its
     score is exact, in reverse mode: the gather's adjoint gives the
-    gradient in the node values, one more FFT pair carries it back through
-    the inversion, and the kernel's partials in closed form finish it.
+    gradient in the node values, one more FFT carries it back through the
+    inversion, and the kernel's partials in closed form finish it.
     """
 
     def __init__(self, p0: GTSParams, obs: np.ndarray, options: FitOptions, headroom: float):
         super().__init__()
         g0 = build_grid(p0, _likelihood_grid(p0, obs, _base_grid_config(options)))
-        cutoff = g0.freq_cutoff
+        cutoff = _freq_cutoff(p0, _FIT_FREQ_EPS)
         guard = 0.5 * (g0.x_max - g0.x_min) + _tail_radius(p0, _ALIAS_MASS)
-        xi = headroom * cutoff
-        n_freq = _next_pow2(xi * guard / math.pi + 0.5)
-        if n_freq > options.max_n_freq:
-            n_freq = 1 << (options.max_n_freq.bit_length() - 1)
-            xi = math.sqrt(cutoff * math.pi * (n_freq - 0.5) / guard)
-        self.grid = replace(g0, n_freq=n_freq, freq_cutoff=xi)
-        self._pdf = _FrozenPdf(self.grid)
+        n_fft = sp_fft.next_fast_len(math.ceil(_PLAN_PERIOD * guard / g0.dx))
+        n_freq = _nodes_reaching(headroom * cutoff, n_fft, g0.dx)
+        budget = options.max_n_freq - options.max_n_freq % 2
+        if n_freq > budget:
+            # The budget's nodes span P Xi = pi (budget - 1).
+            n_freq = budget
+            period = math.sqrt(math.pi * (budget - 1) * guard / cutoff)
+            n_fft = sp_fft.next_fast_len(math.ceil(period / g0.dx))
+        self.grid = _aligned_grid(g0.x_min, g0.x_max, g0.m, n_fft, n_freq)
+        self._pdf = _Inversion(self.grid)
         x = self.grid.x()
         self._h = np.diff(x)
         self._brackets = _brackets(x, obs)
-        self._period = math.pi * (n_freq - 0.5) / xi
+        self._period = n_fft * self.grid.dx
 
     def penalty_cause(self, p: GTSParams) -> str | None:
         g = self.grid
@@ -471,10 +492,10 @@ class _LikelihoodPlan(_Likelihood):
         return None
 
     def neg_loglik(self, p: GTSParams) -> float:
-        return -_log_density_sum(np.maximum(self._pdf(p), 0.0), self._h, self._brackets)
+        return -_log_density_sum(np.maximum(self._pdf.pdf(p), 0.0), self._h, self._brackets)
 
     def neg_loglik_and_score(self, p: GTSParams):
-        raw, pullback = self._pdf.with_pullback(p)
+        raw, pullback = self._pdf.pdf_with_pullback(p)
         value, grad = _neg_log_density_sum_and_grad(raw, self._h, self._brackets)
         return value, pullback(grad)
 
@@ -573,13 +594,15 @@ def fit_mle(
             stop = "converged" if best.success else "stalled"
         elif budget <= 0:
             stop = "maxfev"
-        elif touched and 2 * plan.grid.n_freq > options.max_n_freq:
+        elif touched and plan.grid.n_freq + 2 > options.max_n_freq:
             stop = "max_n_freq"
         else:
             try:
                 refrozen = freeze(best.x)
             except ConfigError:
                 stop = "max_n_freq"
+        if stop is not None:
+            _try_limits(plan, kind, best)
         plan.log("polish", method="L-BFGS-B", round=round_, status=best.message,
                  gain=best.gain, stop=stop)
         if stop is not None:
@@ -624,6 +647,30 @@ def _polish(plan: _LikelihoodPlan, kind: RestrictedKind, t_start: np.ndarray, ma
     r.x = t_start + _POLISH_SCALE * r.x
     r.gain = values[0] - r.fun
     return r
+
+
+def _try_limits(plan: _LikelihoodPlan, kind: RestrictedKind, r) -> None:
+    """Move the polish result ``r`` to a free stability index's limit 0,
+    the other coordinates held, where that lowers the plan's value.
+
+    The logit of an index whose optimum is its limit runs off to -inf,
+    where the likelihood flattens out, and L-BFGS-B stops wherever its
+    gains fall under its tolerance: on 3000 BTC draws (seed 4) at
+    beta_plus 1.3e-6 to 1.1e-5, with the last ulps of the draws, up to
+    2e-5 nats below the limit law.  The logit is flat
+    below the limit's threshold, so a polish never leaves it again, and
+    this runs only on the fit's last round.
+    """
+    neg = plan.objective(kind)
+    for i, name in enumerate(kind.free_names):
+        if name.startswith("beta"):
+            t = r.x.copy()
+            t[i] = _LOGIT_BETA_ZERO
+            if plan.penalty_cause(kind.expand(_from_transformed(kind.free_names, t))) is None:
+                value = neg(t)
+                if value < r.fun:
+                    r.gain += r.fun - value
+                    r.x, r.fun = t, value
 
 
 def _lbfgsb(fun, x0: np.ndarray, maxfun: int, ftol: float, gtol: float):

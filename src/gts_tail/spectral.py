@@ -7,8 +7,8 @@ The density on a uniform x-grid comes from the truncated inversion integral
 with the frequency samples weighted by a closed Newton-Cotes rule of order 4
 (the trapezoid rule with corrected weights on the four nodes at each end,
 which is composite Simpson with a 3/8 patch averaged end for end) and the
-oscillatory sum over all grid points evaluated in one shot by a fractional
-FFT.  The CDF uses the same machinery on the integrand
+oscillatory sum over all grid points evaluated in one shot by an FFT.  The
+CDF uses the same machinery on the integrand
 
     (cf(xi) - cf_ref(xi)) / (i xi)
 
@@ -23,17 +23,20 @@ truncation boundary, and its own inversion is known in closed form:
 Both integrands are Hermitian, the frequency grid is symmetric with an even
 node count n, and the Newton-Cotes weights are palindromic, so each weighted
 sum equals (1/pi) * Re of its positive half alone: n/2 nodes starting at
-xi = dxi/2.  Only that half is sampled, and one Bluestein transform returns
-just the m grid values, on a linear convolution of length n/2 + m - 1
-(rounded up to a fast FFT size).  So n need not reach m: it is the smallest
-power of two whose spatial period 2*pi/dxi keeps the density's aliases off
-the grid (see `build_grid`).  The samples cf(xi) exp(-i x_min xi) come
-from a real-arithmetic kernel that folds the grid phase into the
-characteristic function's own cos/sin pair; the public complex exponent
-stays the reference it is tested against.  A grid that stays fixed while
-the law changes (a fit's likelihood plan) precomputes everything but the
-characteristic function once (`_FrozenPdf`), and also carries a gradient
-back through the inversion by its transpose.
+xi = dxi/2.  Only that half is sampled.  The step is aligned with the
+x-grid, dxi = 2*pi/(N*dx) for a fast FFT length N, so the half sum at every
+grid point is a phase times one plain length-N DFT of the samples (folded
+mod N when n/2 > N, read cyclically when m > N).  N dx is the spatial period
+that keeps the density's aliases off the grid, and n is the fewest even
+nodes whose top one reaches the cutoff (see `build_grid`); neither need
+reach m.  The samples cf(xi) exp(-i x_min xi) come from a real-arithmetic
+kernel that folds the grid phase into the characteristic function's own
+cos/sin pair; the public complex exponent stays the reference it is tested
+against.  Tables and a fit's likelihood share one inversion (`_Inversion`);
+a grid that stays fixed while the law changes (a fit's likelihood plan)
+builds it once, and also carries a gradient back through it by its
+transpose.  `frft`, the fractional FFT at any spacing, is public and tested
+but no table needs it.
 
 A slow adaptive-quadrature oracle (`direct_quadrature_oracle`) evaluates the
 one-sided forms of the same inversion integrals at a single point for
@@ -89,65 +92,39 @@ _MONOTONE_SLACK = 1e-10
 _ENDPOINT_TOL = 1e-6
 # Tail mass past the Chernoff radius that a grid's aliasing bound clears.
 _ALIAS_MASS = 1e-9
+# Ceiling on GridConfig.m: a table of 2**22 points is 32 MiB, and its
+# inversion holds a few complex arrays of about that length.
+_MAX_M = 2**22
 
 
 # --------------------------------------------------------------------------
 # fractional FFT
 # --------------------------------------------------------------------------
 
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
-def _bluestein_setup(n: int, delta: float, m: int):
-    """(head, kernel, tail) of the n-input, m-output transform at spacing delta.
-
-    The Bluestein identity 2jk = j**2 + k**2 - (k-j)**2 turns
-    G(k) = sum_j seq[j] * exp(-2 pi i j k delta) into tail * (linear
-    convolution of seq * head with a chirp kernel), where head and tail are
-    the chirp on the inputs and on the outputs.  The kernel comes back as
-    its FFT on the fast length at or above n + m - 1; it and the chirps
-    depend only on (n, delta, m), so a fixed grid computes them once.
-    """
-    size = sp_fft.next_fast_len(n + m - 1)
-    t = np.arange(max(n, m), dtype=float)
-    chirp = np.exp(-1j * np.pi * delta * (t * t))
-    # Kernel conj(chirp) at lags -(n-1)..m-1, negative lags wrapped to the end.
-    v = np.zeros(size, dtype=complex)
-    v[:m] = np.conj(chirp[:m])
-    v[size - n + 1 :] = np.conj(chirp[1:n][::-1])
-    return chirp[:n], sp_fft.fft(v), chirp[:m]
-
-
-def _bluestein_convolve(chirped: np.ndarray, kernel: np.ndarray, m: int) -> np.ndarray:
-    """First m values of the chirped inputs convolved with the kernel (two FFTs)."""
-    return sp_fft.ifft(sp_fft.fft(chirped, kernel.shape[0]) * kernel)[:m]
-
-
-def _bluestein(seq: np.ndarray, delta: float, m: int) -> np.ndarray:
-    """G(k) = sum_j seq[j] * exp(-2 pi i j k delta) for k = 0..m-1.
-
-    Any input length n and output count m, by the Bluestein split above
-    (three FFTs with the kernel's).
-    """
-    head, kernel, tail = _bluestein_setup(seq.shape[0], delta, m)
-    return tail * _bluestein_convolve(seq * head, kernel, m)
-
-
 def frft(seq, delta: float) -> np.ndarray:
     """G(k) = sum_j seq[j] * exp(-2 pi i j k delta) for k = 0..n-1.
 
-    Evaluates the sum for arbitrary real spacing ``delta`` in O(n log n)
-    with the same Bluestein core the tables use, here with as many outputs
-    as inputs (a linear convolution of length 2n - 1).
+    Evaluates the sum for arbitrary real spacing ``delta`` and any length
+    n >= 1 in O(n log n) by Bluestein's identity 2jk = j**2 + k**2 - (k-j)**2:
+    G is the output chirp times the linear convolution of the chirped inputs
+    with a conjugate-chirp kernel, on a fast FFT length at or above 2n - 1.
+    The tables do not need it: their frequency step is aligned with the
+    x-grid, which makes their sums plain DFTs.
 
-    ``len(seq)`` must be a power of two.
+    Raises SizeError for an empty or non-1-D sequence.
     """
     a = np.asarray(seq, dtype=complex)
+    if a.ndim != 1 or a.shape[0] < 1:
+        raise SizeError(f"frft needs a nonempty 1-D sequence, got shape {a.shape}")
     n = a.shape[0]
-    if not _is_pow2(n):
-        raise SizeError(f"frft length must be a power of two, got {n}")
-    return _bluestein(a, delta, n)
+    size = sp_fft.next_fast_len(2 * n - 1)
+    t = np.arange(n, dtype=float)
+    chirp = np.exp(-1j * np.pi * delta * (t * t))
+    # Kernel conj(chirp) at lags -(n-1)..n-1, negative lags wrapped to the end.
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:n] = np.conj(chirp)
+    kernel[size - n + 1 :] = np.conj(chirp[1:][::-1])
+    return chirp * sp_fft.ifft(sp_fft.fft(a * chirp, size) * sp_fft.fft(kernel))[:n]
 
 
 # End weights of the order-4 rule, written as the Simpson and 3/8 averages
@@ -179,8 +156,8 @@ def newton_cotes_weights(n: int) -> np.ndarray:
     interior weight is 1 and the four at each end are 17/48, 59/48, 43/48
     and 49/48 (to the ulp, see ``_NC_ENDS``).  This is composite Simpson
     closed by a 3/8 patch and averaged with its mirror image, bit for bit
-    on every even n (all frequency node counts are powers of two); odd n
-    gets the same end-corrected trapezoid rule.  Cubics integrate exactly.
+    on every even n (all frequency node counts are even); odd n gets the
+    same end-corrected trapezoid rule.  Cubics integrate exactly.
     """
     return _newton_cotes_cached(int(n))[0]
 
@@ -194,16 +171,19 @@ class GridConfig:
     """User-tunable knobs for table construction.
 
     m:              number of spatial points (rounded up to a power of two,
-                    minimum 256)
+                    minimum 256, at most 2**22)
     width_sds:      half-width of the x-range in standard deviations
     min_half_width: absolute floor for the half-width (percent)
     freq_eps:       |cf| threshold defining the frequency cutoff
-    n_freq:         frequency node count override (power of two, any size
-                    at or above the aliasing bound, also below m); None
-                    selects the smallest power of two above that bound
-    max_n_freq:     budget on frequency nodes; slowly decaying characteristic
-                    functions (stability indices near zero) can demand more
-                    nodes than any sane budget, which raises ConfigError
+    n_freq:         frequency node count override (even, at least 8, any
+                    size whose nodes reach the cutoff with a period that
+                    clears the aliasing bound, also below m); None selects
+                    the fewest nodes that reach the cutoff on the shortest
+                    fast period above that bound
+    max_n_freq:     budget on frequency nodes and on the transform length;
+                    slowly decaying characteristic functions (stability
+                    indices near zero) can demand more nodes than any sane
+                    budget, which raises ConfigError
     """
 
     m: int = 2**14
@@ -216,7 +196,12 @@ class GridConfig:
 
 @dataclass(frozen=True)
 class SpectralGrid:
-    """Uniform evaluation grid plus the frequency discretization behind it."""
+    """Uniform evaluation grid plus the frequency discretization behind it.
+
+    The n_freq frequency nodes are -Xi + l*dxi with dxi = 2 Xi/(n_freq - 1)
+    and Xi = freq_cutoff.  Grids from build_grid align dxi with dx: the
+    spatial period 2 pi/dxi is a whole number ``n_fft`` of grid steps.
+    """
 
     x_min: float
     x_max: float
@@ -228,9 +213,47 @@ class SpectralGrid:
     def x(self) -> np.ndarray:
         return self.x_min + self.dx * np.arange(self.m)
 
+    @property
+    def n_fft(self) -> int:
+        """N with dxi = 2 pi/(N dx): the length of the inversion's FFT.
+
+        Raises ConfigError when the period is not a whole number of steps
+        (a grid not built by build_grid, or one whose fields were replaced).
+        """
+        steps = math.pi * (self.n_freq - 1) / (self.freq_cutoff * self.dx)
+        n = round(steps)
+        if not (n >= 1 and abs(steps - n) <= 1e-9 * n):
+            raise ConfigError(
+                f"frequency step is not 2*pi/(N*dx) for a whole N (period {steps!r} steps); "
+                "build grids with build_grid"
+            )
+        return n
+
 
 def _next_pow2(n: float) -> int:
     return 1 << max(0, math.ceil(math.log2(max(1.0, n))))
+
+
+def _aligned_grid(x_min: float, x_max: float, m: int, n_fft: int, n_freq: int) -> SpectralGrid:
+    """The grid of m points on [x_min, x_max] with frequency step
+    2 pi/(n_fft dx) and n_freq nodes: its cutoff is the top node."""
+    dx = (x_max - x_min) / (m - 1)
+    dxi = 2.0 * math.pi / (n_fft * dx)
+    return SpectralGrid(x_min, x_max, m, dx, n_freq, (0.5 * n_freq - 0.5) * dxi)
+
+
+def _nodes_reaching(cutoff: float, n_fft: int, dx: float) -> int:
+    """The smallest even node count, at least 8, whose top node
+    (n/2 - 1/2) dxi reaches ``cutoff`` at dxi = 2 pi/(n_fft dx)."""
+    return 2 * max(4, math.ceil(cutoff * n_fft * dx / (2.0 * math.pi) + 0.5))
+
+
+def _fast_len_at_most(n: int) -> int:
+    """The largest fast FFT length at most n (n >= 1): 11-smooth numbers
+    lie a few apart at the lengths grids use."""
+    while sp_fft.next_fast_len(n) != n:
+        n -= 1
+    return n
 
 
 def _freq_cutoff(p: GTSParams, eps: float) -> float:
@@ -292,69 +315,67 @@ def build_grid(p: GTSParams, cfg: GridConfig = GridConfig()) -> SpectralGrid:
 
     The x-range is centered on the mean kappa_1 with half-width
     max(width_sds * sqrt(kappa_2), min_half_width).  The frequency cutoff Xi
-    is the bisection solution of |cf(Xi)| = freq_eps.  The frequency node
-    count n is the smallest power of two whose spatial period
-    2*pi*(n-1)/(2*Xi) = pi*(n-1)/Xi, give or take half a node, clears the
-    grid half-width plus a Chernoff tail radius, which keeps the density's
-    aliases off the grid.  It may be below m: the half-spectrum transform
-    returns m values from any n/2 inputs.
+    is the bisection solution of |cf(Xi)| = freq_eps.  The frequency step is
+    dxi = 2 pi/(N dx), which makes each inversion one plain length-N FFT.
+    The sampled transform repeats with spatial period 2 pi/dxi = N dx, so N
+    is the fast FFT length at or above guard/dx, where the guard is the grid
+    half-width plus a Chernoff tail radius: the density's aliases one period
+    away then clear the grid.  The node count n_freq is the smallest even
+    count whose top node (n_freq/2 - 1/2) dxi reaches Xi, and the grid's
+    freq_cutoff is that top node.  It may be below m, and N may be below m
+    or below n_freq/2.  An explicit n_freq keeps Xi: N is the longest fast
+    length at which its nodes still reach Xi, and its period must clear the
+    guard.
 
-    Raises ConfigError when freq_eps is not in (0, 1) or a width setting is
-    not finite.
+    Raises ConfigError when freq_eps is not in (0, 1), a width setting is
+    not finite, m is above 2**22, an explicit n_freq is odd, below 8 or
+    below the aliasing bound, or the grid needs more than max_n_freq nodes
+    or transform points.
     """
     if not 0.0 < cfg.freq_eps < 1.0:
         raise ConfigError(f"freq_eps must lie in (0, 1), got {cfg.freq_eps}")
     if not (math.isfinite(cfg.width_sds) and math.isfinite(cfg.min_half_width)):
         raise ConfigError("grid width_sds and min_half_width must be finite")
+    if cfg.m > _MAX_M:
+        raise ConfigError(f"grid m={cfg.m} is over the ceiling of {_MAX_M} spatial points")
     m = max(256, _next_pow2(cfg.m))
     k1 = cumulant(p, 1)
     k2 = cumulant(p, 2)
     half_width = max(cfg.width_sds * math.sqrt(k2), cfg.min_half_width)
     if not half_width > 0.0:
         raise ConfigError("grid half-width must be positive")
+    x_min = k1 - half_width
+    x_max = k1 + half_width
+    dx = (x_max - x_min) / (m - 1)
 
     cutoff = _freq_cutoff(p, cfg.freq_eps)
 
-    # Aliasing bound: the sampled transform repeats with spatial period
-    # 2*pi/dxi = pi*(n-1)/Xi, so the copies of the density one period away
-    # from kappa_1 must clear the grid.  The weights are 1 on every interior
-    # node (the end corrections touch four nodes a side), so they add no
-    # copies at half the period.  The bound has half a node of slack,
-    # pi*(n-1/2)/Xi >= guard: a copy's edge may reach pi/(2*Xi) into the
-    # tail radius, which raises its 1e-9 mass bound by a factor of about
-    # exp(lambda*pi/(2*Xi)), under 1.004 on the BTC and ETH grids.  Without
-    # the slack the wall of a frozen likelihood grid sits half a node
-    # further in, and fits whose optimum lies on that wall lose likelihood
-    # (1.3e-3 nats on 1500 BTC draws).
+    # Aliasing bound: the copies of the density one period N dx away from
+    # kappa_1 must clear the grid.  The weights are 1 on every interior node
+    # (the end corrections touch four nodes a side), so they add no copies
+    # at half the period.
     guard = half_width + _tail_radius(p, _ALIAS_MASS)
-    needed = cutoff * guard / math.pi + 0.5
-    if cfg.n_freq is not None:
-        n_freq = int(cfg.n_freq)
-        if not _is_pow2(n_freq):
-            raise ConfigError("n_freq must be a power of two")
-        if n_freq < needed:
-            raise ConfigError(
-                f"n_freq={n_freq} below the aliasing bound {int(needed)} for this "
-                "parameter set; results would fold back onto the grid"
-            )
+    if cfg.n_freq is None:
+        n_fft = sp_fft.next_fast_len(math.ceil(guard / dx))
+        n_freq = _nodes_reaching(cutoff, n_fft, dx)
     else:
-        n_freq = _next_pow2(needed)
-    if n_freq > cfg.max_n_freq:
+        n_freq = int(cfg.n_freq)
+        if n_freq < 8 or n_freq % 2:
+            raise ConfigError(f"n_freq must be an even count of at least 8, got {n_freq}")
+        n_fft = _fast_len_at_most(max(1, math.floor(math.pi * (n_freq - 1) / (cutoff * dx))))
+        if n_fft * dx < guard:
+            raise ConfigError(
+                f"n_freq={n_freq} below the aliasing bound for this parameter set: its "
+                f"period of {n_fft} steps falls short of the {guard / dx:.1f} steps to clear; "
+                "results would fold back onto the grid"
+            )
+    if max(n_freq, n_fft) > cfg.max_n_freq:
         raise ConfigError(
-            f"frequency grid needs {n_freq} nodes, over the budget {cfg.max_n_freq}; "
-            "the characteristic function decays too slowly for this inversion"
+            f"frequency grid needs {n_freq} nodes and a {n_fft}-point transform, over the "
+            f"budget {cfg.max_n_freq}; the characteristic function decays too slowly for "
+            "this inversion"
         )
-
-    x_min = k1 - half_width
-    x_max = k1 + half_width
-    return SpectralGrid(
-        x_min=x_min,
-        x_max=x_max,
-        m=m,
-        dx=(x_max - x_min) / (m - 1),
-        n_freq=n_freq,
-        freq_cutoff=cutoff,
-    )
+    return _aligned_grid(x_min, x_max, m, n_fft, n_freq)
 
 
 # --------------------------------------------------------------------------
@@ -550,93 +571,77 @@ class CdfTable:
         return float(out[0]) if scalar else out
 
 
-def _half_spectrum(grid: SpectralGrid):
-    """Positive half of the symmetric frequency grid and its weights.
-
-    The n_freq nodes -Xi + l*dxi (dxi = 2 Xi/(n_freq - 1)) are symmetric
-    about 0 with an even count, so the upper half begins at dxi/2; its
-    quadrature weights (times dxi) are the upper half of the palindromic
-    Newton-Cotes vector.
-    """
-    n = grid.n_freq
-    half = n // 2
-    dxi = 2.0 * grid.freq_cutoff / (n - 1)
-    xi = dxi * (0.5 + np.arange(half))
-    w = newton_cotes_weights(n)[half:] * dxi
-    return xi, w, dxi
+def _dft(a: np.ndarray, n: int) -> np.ndarray:
+    """sum_k a_k exp(-2 pi i r k/n) for r = 0..n-1: one length-n FFT of
+    ``a`` zero-padded to n, or folded mod n when longer."""
+    if a.shape[0] > n:
+        a = np.pad(a, (0, -a.shape[0] % n)).reshape(-1, n).sum(axis=0)
+    return sp_fft.fft(a, n)
 
 
-def _output_phase(grid: SpectralGrid, dxi: float):
-    """(delta, phase): the transform spacing dx dxi/(2 pi) and exp(-i j dx dxi/2)."""
-    delta = grid.dx * dxi / (2.0 * np.pi)
-    return delta, np.exp(-1j * np.pi * delta * np.arange(grid.m))
+class _Inversion:
+    """The half-spectrum inversion on one grid, and its transpose.
 
+    ``xi`` holds the positive half of the symmetric frequency grid, the
+    n_freq/2 nodes (k + 1/2) dxi, and ``weights`` their quadrature weights
+    (the upper half of the palindromic Newton-Cotes vector, times dxi).
+    Calling the inversion on an integrand's weighted samples a_k, already
+    multiplied by exp(-i x_min xi_k), gives
 
-def _invert(weighted: np.ndarray, grid: SpectralGrid, dxi: float) -> np.ndarray:
-    """(1/pi) Re sum_k weighted[k] exp(-i (x_j - x_min) xi_k) for all j.
+        (1/pi) Re sum_k a_k exp(-i (x_j - x_min) xi_k)      for j < m,
 
-    ``weighted`` holds a Hermitian integrand's positive half, already
-    weighted and multiplied by exp(-i x_min xi_k); with xi_k = (k + 1/2) dxi
-    the sum is exp(-i j dx dxi/2) times a fractional transform at spacing
-    delta = dx dxi/(2 pi), of which only the m grid outputs are computed.
-    Twice the real part of the half sum is the full symmetric sum, so this
-    is (1/2pi) times the full-spectrum inversion.
-    """
-    delta, phase = _output_phase(grid, dxi)
-    return (phase * _bluestein(weighted, delta, grid.m)).real / np.pi
-
-
-class _FrozenPdf:
-    """p -> _pdf_values(p, grid) on one fixed grid, with its setup done once.
-
-    The half-spectrum nodes, the quadrature weights folded into the input
-    chirp, the kernel's FFT, and the output chirp times the grid phase and
-    1/pi depend on the grid alone.  A call is then one _shifted_cf, two
-    FFTs and a product; it agrees with _pdf_values to rounding (the same
-    factors, multiplied in another order).
+    which for a Hermitian integrand is (1/2pi) times the full-spectrum sum.
+    The grid's step dxi = 2 pi/(N dx) makes the phase of term (j, k)
+    exp(-i pi j/N) exp(-2 pi i j k/N): the sum is exp(-i pi j/N) times a
+    length-N DFT of the inputs folded mod N, read at j mod N.  The
+    half-node factor flips sign each time j passes a multiple of N.  So
+    every inversion is one FFT, and its transpose another.
     """
 
     def __init__(self, grid: SpectralGrid):
-        xi, w, dxi = _half_spectrum(grid)
-        delta, phase = _output_phase(grid, dxi)
-        head, self._kernel, tail = _bluestein_setup(xi.shape[0], delta, grid.m)
-        self._xi = xi
-        self._x_min = grid.x_min
-        self._m = grid.m
-        self._head = w * head
-        self._tail = phase * tail / np.pi
+        n = grid.n_fft
+        half = grid.n_freq // 2
+        dxi = 2.0 * np.pi / (n * grid.dx)
+        self.xi = dxi * (0.5 + np.arange(half))
+        self.weights = newton_cotes_weights(grid.n_freq)[half:] * dxi
+        self.x_min = grid.x_min
+        self._n = n
+        self._phase = np.exp((-1j * np.pi / n) * np.arange(grid.m)) / np.pi
 
-    def _values(self, weighted: np.ndarray) -> np.ndarray:
-        return (self._tail * _bluestein_convolve(weighted, self._kernel, self._m)).real
+    def __call__(self, a: np.ndarray) -> np.ndarray:
+        # np.resize repeats the DFT with period N out to the m grid points.
+        return (self._phase * np.resize(_dft(a, self._n), self._phase.shape[0])).real
 
-    def __call__(self, p: GTSParams) -> np.ndarray:
-        return self._values(_shifted_cf(p, self._xi, self._x_min) * self._head)
+    def transpose(self, g: np.ndarray) -> np.ndarray:
+        """u with sum(g * self(a)) = Re sum_k u_k a_k for every a, g real:
+        the outputs folded mod N, one FFT (the DFT matrix is symmetric), and
+        the result read at k mod N."""
+        return np.resize(_dft(g * self._phase, self._n), self.xi.shape[0])
 
-    def with_pullback(self, p: GTSParams):
-        """(values, pullback): the call's values to the bit, and the map from
-        g to the gradient of sum(g * values) in the seven natural fields.
+    def pdf(self, p: GTSParams) -> np.ndarray:
+        """_pdf_values(p, grid): one _shifted_cf and one FFT."""
+        return self(_shifted_cf(p, self.xi, self.x_min) * self.weights)
 
-        The values are Re(tail * A(a)) for the convolution A and the inputs
-        a = cf * head, so the gradient is Re sum_k (A^T(g tail))_k a_k
-        dpsi_k.  Both DFT matrices are symmetric, so A^T pads its input,
-        inverts, multiplies by the kernel and transforms back: one more FFT
-        pair, whatever the number of fields.
+    def pdf_with_pullback(self, p: GTSParams):
+        """(values, pullback): pdf(p) to the bit, and the map from g to the
+        gradient of sum(g * values) in the seven natural fields.
+
+        The values are the inversion of a = cf * weights, so the gradient
+        is Re sum_k (transpose(g))_k a_k dpsi_k: one more FFT, whatever the
+        number of fields.
         """
-        cf, cf_pullback = _shifted_cf_pullback(p, self._xi, self._x_min)
-        weighted = cf * self._head
-        size = self._kernel.shape[0]
+        cf, cf_pullback = _shifted_cf_pullback(p, self.xi, self.x_min)
+        weighted = cf * self.weights
 
         def pullback(g: np.ndarray) -> np.ndarray:
-            u = sp_fft.fft(sp_fft.ifft(g * self._tail, size) * self._kernel)[: weighted.shape[0]]
-            return cf_pullback(u * weighted)
+            return cf_pullback(self.transpose(g) * weighted)
 
-        return self._values(weighted), pullback
+        return self(weighted), pullback
 
 
 def _pdf_values(p: GTSParams, grid: SpectralGrid) -> np.ndarray:
     """Raw inverted density values, unclamped and unchecked."""
-    xi, w, dxi = _half_spectrum(grid)
-    return _invert(w * _shifted_cf(p, xi, grid.x_min), grid, dxi)
+    return _Inversion(grid).pdf(p)
 
 
 def pdf_table(p: GTSParams, grid: SpectralGrid) -> DensityTable:
@@ -665,13 +670,14 @@ def pdf_table(p: GTSParams, grid: SpectralGrid) -> DensityTable:
 
 def _cdf_values(p: GTSParams, grid: SpectralGrid) -> np.ndarray:
     """Raw inverted distribution-function values, unclipped and unchecked."""
-    xi, w, dxi = _half_spectrum(grid)
+    inv = _Inversion(grid)
+    xi = inv.xi
     k1 = cumulant(p, 1)
     k2 = cumulant(p, 2)
     # cf and cf_ref, both times exp(-i x_min xi).
     ref = _polar(-0.5 * k2 * xi * xi, k1 * xi - grid.x_min * xi)
     h = (_shifted_cf(p, xi, grid.x_min) - ref) / (1j * xi)
-    corr = _invert(w * h, grid, dxi)
+    corr = inv(inv.weights * h)
     return ndtr((grid.x() - k1) / math.sqrt(k2)) - corr
 
 

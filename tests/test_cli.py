@@ -223,6 +223,13 @@ def test_grid_flags_outside_their_domain_exit_2(params_file, flags):
     assert "Traceback" not in r.stderr
 
 
+def test_grid_m_over_the_ceiling_exit_2(params_file):
+    # 1e11 points would ask for a 0.8 TB grid; the ceiling is 2**22.
+    r = run_cli("pdf", "--params", params_file, "--grid-m", "100000000000", "--out", os.devnull)
+    assert r.returncode == 2
+    assert "ceiling" in r.stderr and "Traceback" not in r.stderr
+
+
 @pytest.mark.parametrize("xi", ["nan", "inf"])
 def test_eval_cf_non_finite_frequency_exit_2(params_file, tmp_path, xi):
     out = tmp_path / "cf.csv"

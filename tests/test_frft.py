@@ -48,6 +48,16 @@ def test_matches_brute_force_many_seeds(n):
         assert np.max(np.abs(got - want)) <= 1e-10
 
 
-def test_rejects_non_power_of_two():
+@pytest.mark.parametrize("n", [48, 37, 1])
+def test_any_length_matches_brute_force(n):
+    # Bluestein's identity holds at every length, even or odd.
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=n) + 1j * rng.normal(size=n)
+        delta = float(rng.uniform(-0.15, 0.15))
+        assert np.max(np.abs(frft(a, delta) - brute_force(a, delta))) <= 1e-10
+
+
+def test_rejects_an_empty_sequence():
     with pytest.raises(SizeError):
-        frft(np.zeros(48, dtype=complex), 0.01)
+        frft(np.zeros(0, dtype=complex), 0.01)

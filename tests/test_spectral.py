@@ -1,19 +1,26 @@
+import math
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from scipy import fft as sp_fft
 from scipy.integrate import quad
 from scipy.special import ndtr
 from scipy.stats import gamma as gamma_dist
 
 import gts_tail as gt
+from gts_tail.core import PARAM_NAMES
 from gts_tail.errors import ConfigError, NumericalFailure
 from gts_tail.spectral import (
     GridConfig,
+    _aligned_grid,
     _brackets,
     _cdf_values,
+    _freq_cutoff,
+    _Inversion,
     _monotone_cubic,
     _monotone_cubic_pullback,
+    _nodes_reaching,
     _pchip_edge,
     _pchip_slopes,
     _pdf_values,
@@ -55,45 +62,103 @@ def test_grid_honors_min_half_width(btc_params):
     assert grid.x_max - grid.x_min >= 400.0 - 1e-9
 
 
-@pytest.mark.parametrize("asset, n_freq", [("btc", 2**14), ("eth", 2**13)])
-def test_grid_takes_the_smallest_full_period_clearing_the_guard(asset, n_freq):
+def _fast_length_below(n):
+    return next(k for k in range(n - 1, 0, -1) if sp_fft.next_fast_len(k) == k)
+
+
+def test_grid_m_above_its_ceiling_raises_before_allocating(btc_params):
+    # 1e11 points would need a 0.8 TB x-grid; 2**22 is the ceiling.  (At
+    # the ceiling BTC's period needs 5.4 million transform points, over the
+    # default budget.)
+    assert gt.build_grid(btc_params, GridConfig(m=2**22, max_n_freq=2**23)).m == 2**22
+    with pytest.raises(ConfigError, match="ceiling"):
+        gt.build_grid(btc_params, GridConfig(m=2**22 + 1))
+    with pytest.raises(ConfigError, match="ceiling"):
+        gt.build_grid(btc_params, GridConfig(m=100_000_000_000))
+
+
+# pow2: the node count the sizing by powers of two took for each preset.
+@pytest.mark.parametrize("asset, pow2", [("btc", 2**14), ("eth", 2**13)])
+def test_grid_takes_the_smallest_full_period_clearing_the_guard(asset, pow2):
     p = gt.BITCOIN_DAILY.params if asset == "btc" else gt.ETHEREUM_DAILY.params
     grid = gt.build_grid(p)
     # Half-width plus the 1e-9 tail radius: what one period must clear.
     guard = 0.5 * (grid.x_max - grid.x_min) + _tail_radius(p, 1e-9)
-    n, cutoff = grid.n_freq, grid.freq_cutoff
-    assert n == n_freq
-    # The period of n nodes clears the guard; half of them fall short even
-    # with the bound's half-node slack.
-    assert np.pi * (n - 1) / cutoff >= guard
-    assert np.pi * (n // 2 - 0.5) / cutoff < guard
+    n, N, dx = grid.n_freq, grid.n_fft, grid.dx
+    # The period of N steps clears the guard; the next shorter fast FFT
+    # length falls short.
+    assert N * dx >= guard
+    assert sp_fft.next_fast_len(N) == N
+    assert _fast_length_below(N) * dx < guard
+    # n is the smallest even count whose top node reaches the bisected
+    # cutoff at the aligned step, and the grid's cutoff is that top node.
+    dxi = 2.0 * np.pi / (N * dx)
+    cutoff = _freq_cutoff(p, 1e-12)
+    assert n % 2 == 0
+    assert (n / 2 - 0.5) * dxi >= cutoff > (n / 2 - 1.5) * dxi
+    assert grid.freq_cutoff == pytest.approx((n / 2 - 0.5) * dxi, rel=1e-14)
+    # Fewer nodes than the power of two, and the transform need not reach m.
+    assert n < pow2 and N != grid.m
+
+
+def _with_period(grid, n_fft):
+    """``grid`` with its frequency step set by n_fft, and the fewest nodes
+    that still reach its cutoff."""
+    n_freq = _nodes_reaching(grid.freq_cutoff, n_fft, grid.dx)
+    return _aligned_grid(grid.x_min, grid.x_max, grid.m, n_fft, n_freq)
 
 
 @pytest.mark.parametrize("asset", ["btc", "eth"])
 def test_half_the_chosen_nodes_alias_onto_the_density(asset):
+    # Half the period at the same cutoff: half the nodes.
     p = gt.BITCOIN_DAILY.params if asset == "btc" else gt.ETHEREUM_DAILY.params
     grid = gt.build_grid(p)
+    halved = _with_period(grid, grid.n_fft // 2)
+    assert halved.n_freq <= grid.n_freq // 2 + 2
     with pytest.raises(NumericalFailure, match="excursion"):
-        gt.pdf_table(p, replace(grid, n_freq=grid.n_freq // 2))
+        gt.pdf_table(p, halved)
 
 
 @pytest.mark.parametrize("asset", ["btc", "eth"])
 def test_doubling_the_chosen_nodes_moves_no_table(asset, btc_tables, eth_tables):
+    # Twice the period at the same cutoff: twice the nodes.
     p = gt.BITCOIN_DAILY.params if asset == "btc" else gt.ETHEREUM_DAILY.params
     pdf, cdf = btc_tables if asset == "btc" else eth_tables
-    doubled = replace(pdf.grid, n_freq=2 * pdf.grid.n_freq)
+    doubled = _with_period(pdf.grid, 2 * pdf.grid.n_fft)
+    assert doubled.n_freq >= 2 * pdf.grid.n_freq - 2
     assert np.max(np.abs(gt.pdf_table(p, doubled).values - pdf.values)) <= 1e-12
-    assert np.max(np.abs(gt.cdf_table(p, doubled).values - cdf.values)) <= 1e-12
+    # BTC's period clears its guard by only 0.05 %, and the aliases left
+    # move its CDF by up to 2.9e-12 at the far end.
+    assert np.max(np.abs(gt.cdf_table(p, doubled).values - cdf.values)) <= 5e-12
+
+
+def test_a_grid_off_the_aligned_step_is_refused(btc_tables):
+    # Twice the nodes at the same cutoff put the period at a fraction of a
+    # grid step, where no plain FFT applies.
+    p = gt.BITCOIN_DAILY.params
+    grid = btc_tables[0].grid
+    with pytest.raises(ConfigError, match="whole N"):
+        gt.pdf_table(p, replace(grid, n_freq=2 * grid.n_freq))
 
 
 def test_explicit_n_freq_below_m_needs_only_the_aliasing_bound(eth_params):
-    # ETH needs 8192 nodes; the default m is 16384.
-    grid = gt.build_grid(eth_params, GridConfig(n_freq=2**13))
-    assert grid.n_freq == 2**13 < grid.m
+    # ETH's automatic count is below the default m = 16384.  An explicit
+    # count keeps the cutoff and takes the longest fast period at which its
+    # nodes reach it: the automatic count clears the aliasing bound, and
+    # the next smaller even count does not.
+    n = gt.build_grid(eth_params).n_freq
+    grid = gt.build_grid(eth_params, GridConfig(n_freq=n))
+    guard = 0.5 * (grid.x_max - grid.x_min) + _tail_radius(eth_params, 1e-9)
+    assert grid.n_freq == n < grid.m
+    assert grid.n_fft * grid.dx >= guard
+    assert grid.freq_cutoff >= _freq_cutoff(eth_params, 1e-12)
     with pytest.raises(ConfigError, match="aliasing bound"):
-        gt.build_grid(eth_params, GridConfig(n_freq=2**12))
-    with pytest.raises(ConfigError, match="power of two"):
-        gt.build_grid(eth_params, GridConfig(n_freq=12288))
+        gt.build_grid(eth_params, GridConfig(n_freq=n - 2))
+    with pytest.raises(ConfigError, match="even count"):
+        gt.build_grid(eth_params, GridConfig(n_freq=n + 1))
+    # Twice the nodes at the same cutoff: about twice the period.
+    doubled = gt.build_grid(eth_params, GridConfig(n_freq=2 * n))
+    assert doubled.n_freq == 2 * n and doubled.n_fft >= 2 * grid.n_fft - 64
 
 
 def test_newton_cotes_weights_integrate_polynomials():
@@ -275,13 +340,20 @@ def _direct_sums(p, grid):
     return pdf, ndtr((grid.x() - k1) / np.sqrt(k2)) - corr
 
 
+def _with_nodes(grid, n_freq):
+    """``grid`` with n_freq nodes, its top node nearest its cutoff."""
+    n_fft = round(math.pi * (n_freq - 1) / (grid.freq_cutoff * grid.dx))
+    return _aligned_grid(grid.x_min, grid.x_max, grid.m, n_fft, n_freq)
+
+
 @pytest.mark.parametrize("n_freq", [256, 1024])
 @pytest.mark.parametrize("law", ["btc", "asym"])
 def test_half_spectrum_matches_direct_sum(law, n_freq):
     # These grids alias for BTC (its raw values fail the table invariants),
     # so the raw inversions are compared; the sums themselves must agree.
+    # BTC's periods are 5 and 22 steps, so its inputs fold mod N.
     p = gt.BITCOIN_DAILY.params if law == "btc" else gt.validate_params(*_ASYM)
-    grid = replace(gt.build_grid(p, GridConfig(m=256)), n_freq=n_freq)
+    grid = _with_nodes(gt.build_grid(p, GridConfig(m=256)), n_freq)
     pdf, cdf = _direct_sums(p, grid)
     assert np.max(np.abs(_pdf_values(p, grid) - pdf)) <= 1e-12
     assert np.max(np.abs(_cdf_values(p, grid) - cdf)) <= 1e-12
@@ -290,10 +362,71 @@ def test_half_spectrum_matches_direct_sum(law, n_freq):
 @pytest.mark.parametrize("n_freq", [256, 1024])
 def test_tables_match_direct_sum(n_freq):
     p = gt.validate_params(*_ASYM)
-    grid = replace(gt.build_grid(p, GridConfig(m=256)), n_freq=n_freq)
+    grid = _with_nodes(gt.build_grid(p, GridConfig(m=256)), n_freq)
     pdf, cdf = _direct_sums(p, grid)
     assert np.max(np.abs(gt.pdf_table(p, grid).values - np.maximum(pdf, 0.0))) <= 1e-12
     assert np.max(np.abs(gt.cdf_table(p, grid).values - np.clip(cdf, 0.0, 1.0))) <= 1e-12
+
+
+# (n_fft, n_freq) on the 256-point grid of _ASYM, whose cutoff is 32.3: a
+# transform longer than the grid, one that the outputs wrap around twice
+# (with the half-node sign flip), and one that the inputs fold onto (256 inputs
+# on 64 points).
+_REGIMES = {"n_fft>=m": (512, None), "n_fft<m": (100, None), "folded": (64, 512)}
+
+
+def _regime_grid(regime):
+    p = gt.validate_params(*_ASYM)
+    grid = gt.build_grid(p, GridConfig(m=256))
+    n_fft, n_freq = _REGIMES[regime]
+    if n_freq is None:
+        return p, _with_period(grid, n_fft)
+    return p, _aligned_grid(grid.x_min, grid.x_max, grid.m, n_fft, n_freq)
+
+
+@pytest.mark.parametrize("regime", list(_REGIMES))
+def test_aligned_inversion_matches_direct_sum(regime):
+    p, grid = _regime_grid(regime)
+    n_fft, m, half = grid.n_fft, grid.m, grid.n_freq // 2
+    assert {"n_fft>=m": n_fft >= m, "n_fft<m": n_fft < m, "folded": half > n_fft}[regime]
+    pdf, cdf = _direct_sums(p, grid)
+    assert np.max(np.abs(_pdf_values(p, grid) - pdf)) <= 1e-12
+    assert np.max(np.abs(_cdf_values(p, grid) - cdf)) <= 1e-12
+
+
+@pytest.mark.parametrize("regime", list(_REGIMES))
+def test_inversion_transpose_is_its_adjoint(regime):
+    # <A a, g> = <a, A^T g> for complex inputs a and real outputs g, with
+    # <a, u> = Re sum(a * u) on the input side.
+    _, grid = _regime_grid(regime)
+    inv = _Inversion(grid)
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        a = rng.normal(size=inv.xi.size) + 1j * rng.normal(size=inv.xi.size)
+        g = rng.normal(size=grid.m)
+        lhs = float(np.sum(g * inv(a)))
+        rhs = float(np.sum(inv.transpose(g) * a).real)
+        assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(g)) * np.sum(np.abs(a))
+
+
+@pytest.mark.parametrize("regime", list(_REGIMES))
+def test_inversion_pullback_matches_central_differences(regime):
+    # The gradient of sum(g * pdf) in each natural field against central
+    # differences of the values at relative steps of 1e-6, with _ASYM's
+    # upper stability index moved off its limit 0.
+    p, grid = _regime_grid(regime)
+    p = replace(p, beta_plus=0.3)
+    inv = _Inversion(grid)
+    g = np.random.default_rng(5).normal(size=grid.m)
+    values, pullback = inv.pdf_with_pullback(p)
+    assert np.array_equal(values, inv.pdf(p))
+    got = pullback(g)
+    for k, name in enumerate(PARAM_NAMES):
+        h = 1e-6 * max(abs(getattr(p, name)), 1.0)
+        up = inv.pdf(replace(p, **{name: getattr(p, name) + h}))
+        down = inv.pdf(replace(p, **{name: getattr(p, name) - h}))
+        want = float(np.sum(g * (up - down))) / (2.0 * h)
+        assert got[k] == pytest.approx(want, rel=1e-6, abs=1e-8), name
 
 
 # --------------------------------------------------------------------------
