@@ -1,9 +1,9 @@
 """Maximum-likelihood fitting of full and restricted GTS models.
 
 The likelihood of a return sample is evaluated through the Fourier-inverted
-density (monotone cubic interpolation between grid nodes, floored at 1e-300
-before the log).  The surface is maximized in a transformed space (logit
-for the stability indices, log for intensities and tempering rates,
+density (the tables' local degree-4 stencil between grid nodes, floored at
+1e-300 before the log).  The surface is maximized in a transformed space
+(logit for the stability indices, log for intensities and tempering rates,
 identity for the drift).  One search path: an L-BFGS-B pilot with the
 exact score, each law on its own automatic grid, from the moment-matched
 start (or the caller's), then L-BFGS-B polish rounds with the exact score,
@@ -14,8 +14,10 @@ which natural fields each free coordinate fills.
 
 A plan freezes the whole grid (x-range, node counts, cutoff, with headroom
 on the cutoff and on the period) and precomputes its inversion, so an
-evaluation costs one characteristic-function kernel, one FFT and a gather.
-Its score, in reverse mode, adds the gather's adjoint, one more FFT and
+evaluation costs one characteristic-function kernel, one FFT and a
+stencil gather.  The gather is linear in the node values, so the
+likelihood is as smooth in the parameters as the inversion.  Its score, in
+reverse mode, adds the gather's adjoint (one bincount), one more FFT and
 the kernel's closed-form partials, whatever the number of free
 coordinates.
 It evaluates a law only inside the two bounds its grid is valid for
@@ -62,13 +64,13 @@ from .spectral import (
     GridConfig,
     SpectralGrid,
     _aligned_grid,
-    _brackets,
     _freq_cutoff,
     _Inversion,
-    _monotone_cubic,
-    _monotone_cubic_pullback,
     _nodes_reaching,
-    _pchip_slopes,
+    _stencil_pullback,
+    _stencil_values,
+    _stencil_weights,
+    _stencil_windows,
     _tail_radius,
     build_grid,
     pdf_table,
@@ -157,8 +159,9 @@ class FitOptions:
     Each polish round freezes one plan where it starts: its x-range, a
     period 1.1 times the one the aliasing bound asks for, as a fast FFT
     length, and the fewest frequency nodes that reach 1.5 times that law's
-    cutoff, at most ``max_n_freq``.  The likelihood is then a smooth
-    function of the parameters.
+    cutoff, at most ``max_n_freq``.  The likelihood, read at each
+    observation by ``DensityTable.interpolate``'s degree-4 stencil, is
+    then a smooth function of the parameters.
     Laws the frozen grid cannot resolve (a characteristic function still
     above 1e-8 at the cutoff, or density aliases reaching the grid), such
     as stability indices near zero with small intensities, are treated as
@@ -190,6 +193,16 @@ class FitOptions:
 
 @dataclass(frozen=True)
 class FitResult:
+    """A fit's estimate, its log-likelihood and its inference.
+
+    ``loglik`` is the value at ``params`` on the plan of the fit's last
+    polish round, frozen where that round started, not on a plan frozen at
+    ``params`` or on the public ``log_likelihood``'s grid.  At the default
+    ``grid_m`` it was within 1.7e-5 nats of the public value on six
+    3000-draw BTC and ETH samples; on 300 BTC draws at ``grid_m`` 1024 the
+    last round's plan and one frozen at the estimate were 0.012 nats apart.
+    """
+
     params: GTSParams
     loglik: float
     std_errors: tuple | None
@@ -279,10 +292,11 @@ def _base_grid_config(options: FitOptions) -> GridConfig:
     )
 
 
-def _densities(values: np.ndarray, h: np.ndarray, brackets, pchip=None) -> np.ndarray:
-    """Monotone-cubic density at bracketed observations, 0 off the grid."""
-    dens = _monotone_cubic(values, h, brackets, pchip)
-    return np.where(np.isnan(dens), 0.0, np.maximum(dens, 0.0))
+def _densities(values: np.ndarray, windows) -> np.ndarray:
+    """The stencil density at the observations' ``windows`` (from
+    _stencil_windows), clamped at 0: what ``DensityTable.interpolate``
+    reads on the grid."""
+    return np.maximum(_stencil_values(values, *windows), 0.0)
 
 
 def _log_sum(dens: np.ndarray) -> float:
@@ -290,32 +304,25 @@ def _log_sum(dens: np.ndarray) -> float:
     return float(np.sum(np.log(np.maximum(dens, _DENSITY_FLOOR))))
 
 
-def _log_density_sum(values: np.ndarray, h: np.ndarray, brackets) -> float:
-    """Sum of log monotone-cubic density over bracketed observations.
+def _neg_log_density_sum_and_grad(raw: np.ndarray, windows, weights: np.ndarray):
+    """(-_log_sum(_densities(max(raw, 0), windows)), and its gradient in
+    the raw node values); ``weights`` is _stencil_weights of the windows'
+    positions.
 
-    Off-grid points count as density 0; every density is floored at 1e-300.
-    """
-    return _log_sum(_densities(values, h, brackets))
-
-
-def _neg_log_density_sum_and_grad(raw: np.ndarray, h: np.ndarray, brackets):
-    """(-_log_density_sum(max(raw, 0), h, brackets), to the bit, and its
-    gradient in the raw node values).
-
-    The gradient passes the clamp at 0 where a node is positive, and the
-    floor where a density is above it; elsewhere it is 0.
+    The gradient passes the clamps at 0 where a node or a density is
+    positive, and the floor where a density is above it; elsewhere it is 0.
     """
     values = np.maximum(raw, 0.0)
-    pchip = _pchip_slopes(values, h)
-    dens = _densities(values, h, brackets, pchip)
+    dens = _densities(values, windows)
     kept = dens > _DENSITY_FLOOR
     g = np.divide(-1.0, dens, out=np.zeros_like(dens), where=kept)
-    grad = _monotone_cubic_pullback(pchip, h, brackets, g)
+    grad = _stencil_pullback(windows[0], weights, g, raw.shape[0])
     return -_log_sum(dens), np.where(raw > 0.0, grad, 0.0)
 
 
 def log_likelihood(p: GTSParams, data: ReturnSeries, grid_cfg: GridConfig | None = None) -> float:
-    """Sum of log density over the observations.
+    """Sum of log density over the observations: the table's
+    ``interpolate``, floored at 1e-300.
 
     With ``grid_cfg=None`` the evaluation grid is auto-sized to cover the
     sample; an explicit config is honored as-is and observations that fall
@@ -331,8 +338,7 @@ def log_likelihood(p: GTSParams, data: ReturnSeries, grid_cfg: GridConfig | None
     outside = obs[(obs < grid.x_min) | (obs > grid.x_max)]
     if outside.size:
         raise OutOfGrid(outside)
-    x = grid.x()
-    return _log_density_sum(pdf_table(p, grid).values, np.diff(x), _brackets(x, obs))
+    return _log_sum(pdf_table(p, grid).interpolate(obs))
 
 
 def _free_score(kind: RestrictedKind, by_field: np.ndarray) -> np.ndarray:
@@ -432,8 +438,8 @@ class _AutoGrids(_Likelihood):
         part of the likelihood's change that comes from the grid moving."""
         grid = build_grid(p, _likelihood_grid(p, self._obs, self._cfg))
         raw, pullback = _Inversion(grid).pdf_with_pullback(p)
-        x = grid.x()
-        value, grad = _neg_log_density_sum_and_grad(raw, np.diff(x), _brackets(x, self._obs))
+        windows = _stencil_windows(grid, self._obs)
+        value, grad = _neg_log_density_sum_and_grad(raw, windows, _stencil_weights(windows[1]))
         return value, pullback(grad)
 
 
@@ -456,8 +462,10 @@ class _LikelihoodPlan(_Likelihood):
     and a period that clears its farther grid end from kappa_1 plus its
     tail radius (aliasing).  Anything else is penalized.  An evaluation is
     then one characteristic-function kernel, one FFT, the clamp at 0 and a
-    monotone-cubic gather at the observations' precomputed brackets.  Its
-    score is exact, in reverse mode: the gather's adjoint gives the
+    degree-4 stencil gather at the observations' precomputed 5-node
+    windows (``DensityTable.interpolate`` to the bit).  Its score is
+    exact, in reverse mode: the gather's adjoint, one bincount of the
+    windows' precomputed stencil weights, gives the
     gradient in the node values, one more FFT carries it back through the
     inversion, and the kernel's partials in closed form finish it.
     """
@@ -477,9 +485,8 @@ class _LikelihoodPlan(_Likelihood):
             n_fft = sp_fft.next_fast_len(math.ceil(period / g0.dx))
         self.grid = _aligned_grid(g0.x_min, g0.x_max, g0.m, n_fft, n_freq)
         self._pdf = _Inversion(self.grid)
-        x = self.grid.x()
-        self._h = np.diff(x)
-        self._brackets = _brackets(x, obs)
+        self._windows = _stencil_windows(self.grid, obs)
+        self._weights = _stencil_weights(self._windows[1])
         self._period = n_fft * self.grid.dx
 
     def penalty_cause(self, p: GTSParams) -> str | None:
@@ -492,11 +499,11 @@ class _LikelihoodPlan(_Likelihood):
         return None
 
     def neg_loglik(self, p: GTSParams) -> float:
-        return -_log_density_sum(np.maximum(self._pdf.pdf(p), 0.0), self._h, self._brackets)
+        return -_log_sum(_densities(np.maximum(self._pdf.pdf(p), 0.0), self._windows))
 
     def neg_loglik_and_score(self, p: GTSParams):
         raw, pullback = self._pdf.pdf_with_pullback(p)
-        value, grad = _neg_log_density_sum_and_grad(raw, self._h, self._brackets)
+        value, grad = _neg_log_density_sum_and_grad(raw, self._windows, self._weights)
         return value, pullback(grad)
 
 

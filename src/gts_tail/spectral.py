@@ -32,7 +32,8 @@ nodes whose top one reaches the cutoff (see `build_grid`); neither need
 reach m.  The samples cf(xi) exp(-i x_min xi) come from a real-arithmetic
 kernel that folds the grid phase into the characteristic function's own
 cos/sin pair; the public complex exponent stays the reference it is tested
-against.  Tables and a fit's likelihood share one inversion (`_Inversion`);
+against.  Tables and a fit's likelihood share one inversion (`_Inversion`)
+and read values between nodes with one local degree-4 stencil;
 a grid that stays fixed while the law changes (a fit's likelihood plan)
 builds it once, and also carries a gradient back through it by its
 transpose.  `frft`, the fractional FFT at any spacing, is public and tested
@@ -48,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import fft as sp_fft
@@ -393,133 +394,40 @@ _STENCILS = {
 }
 
 
-def _lagrange5_eval(x0: float, dx: float, values: np.ndarray, xq: np.ndarray) -> np.ndarray:
-    """Degree-4 local Lagrange interpolation on a uniform grid (vectorized)."""
-    m = values.shape[0]
-    pos = (xq - x0) / dx
-    start = np.clip(np.floor(pos).astype(int) - 2, 0, m - 5)
-    y = pos - start
-    win = values[start[:, None] + np.arange(5)[None, :]]
-    coeff = win @ _STENCILS[0].T
+def _stencil_windows(grid: SpectralGrid, xq: np.ndarray):
+    """(index, y): the 5 grid nodes of each point's degree-4 stencil, an
+    (n, 5) index array, and the point's position in the stencil's local
+    coordinates, where its nodes sit at 0, 1, .., 4.  The stencil starts
+    two nodes below the point's bracket, shifted inward at the grid ends;
+    points off the grid extrapolate the end stencil."""
+    pos = (xq - grid.x_min) / grid.dx
+    start = np.clip(np.floor(pos).astype(int) - 2, 0, grid.m - 5)
+    return start[:, None] + np.arange(5), pos - start
+
+
+def _stencil_values(values: np.ndarray, index: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The local degree-4 Lagrange interpolant of ``values`` at the
+    windows ``_stencil_windows`` gives, in Horner form."""
+    coeff = values[index] @ _STENCILS[0].T
     out = coeff[:, 4]
     for k in (3, 2, 1, 0):
         out = out * y + coeff[:, k]
     return out
 
 
-def _brackets(x: np.ndarray, q: np.ndarray):
-    """(index, offset, outside): the bracket x[i] <= q < x[i+1] of each
-    query point (the last bracket closed on the right, as PchipInterpolator
-    finds them), q - x[i], and whether q lies outside [x[0], x[-1]].
-
-    ``x`` is a uniform grid, so the index is floor((q - x[0])/dx), moved by
-    one where rounding put it next to the bracket: the same index as
-    searchsorted(x, q, side="right") - 1, clipped to the grid.
-    """
-    last = x.shape[0] - 2
-    pos = (q - x[0]) * ((x.shape[0] - 1) / (x[-1] - x[0]))
-    i = np.clip(np.floor(pos), 0, last).astype(np.intp)
-    i = np.clip(i - (x[i] > q) + (x[i + 1] <= q), 0, last)
-    return i, q - x[i], ~((x[0] <= q) & (q <= x[-1]))
+def _stencil_weights(y: np.ndarray) -> np.ndarray:
+    """The (n, 5) weights y**k @ _STENCILS[0] that the stencil at local
+    positions ``y`` puts on its window's node values: _stencil_values is
+    sum(values[index] * weights, axis=1) up to rounding."""
+    return (y[:, None] ** np.arange(5)) @ _STENCILS[0]
 
 
-def _pchip_edge(h0, h1, m0, m1):
-    """One-sided three-point slope, kept shape-preserving, and its partial
-    derivatives in m0 and m1."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0, 0.0, 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0, 3.0, 0.0
-    return d, (2 * h0 + h1) / (h0 + h1), -h0 / (h0 + h1)
-
-
-class _Pchip(NamedTuple):
-    """PCHIP's pieces on one set of node values: the secant slopes ``mk``,
-    the node slopes ``d``, its interior rule's ``flat`` nodes and weights
-    ``w1``, ``w2``, and the partials of the two end slopes in their two
-    secants, (d[0] in mk[0], mk[1]) and (d[-1] in mk[-1], mk[-2])."""
-
-    mk: np.ndarray
-    d: np.ndarray
-    flat: np.ndarray
-    w1: np.ndarray
-    w2: np.ndarray
-    ends: tuple
-
-
-def _pchip_slopes(y: np.ndarray, h: np.ndarray) -> _Pchip:
-    """PCHIP's secant slopes and node slopes, with the pieces of its rules.
-
-    An interior slope is 0 where its secants change sign or one is 0
-    (``flat``), and their weighted harmonic mean (w1 + w2)/(w1/a + w2/b)
-    elsewhere; the ends take the shape-preserving three-point rule.
-    """
-    mk = (y[1:] - y[:-1]) / h
-    smk = np.sign(mk)
-    flat = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
-    w1 = 2 * h[1:] + h[:-1]
-    w2 = h[1:] + 2 * h[:-1]
-    d = np.empty_like(y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)))
-    d[0], *first = _pchip_edge(h[0], h[1], mk[0], mk[1])
-    d[-1], *last = _pchip_edge(h[-1], h[-2], mk[-1], mk[-2])
-    return _Pchip(mk, d, flat, w1, w2, (first, last))
-
-
-def _monotone_cubic(y: np.ndarray, h: np.ndarray, brackets, pchip: _Pchip | None = None):
-    """PchipInterpolator(x, y, extrapolate=False) at the bracketed points.
-
-    ``h`` is np.diff(x), ``brackets`` is _brackets(x, points) and ``pchip``
-    is _pchip_slopes(y, h), computed here if not given.  Bit for
-    bit what scipy returns (NaN outside the grid): its node slopes
-    (weighted harmonic means, zero at sign changes, the shape-preserving
-    end rule), its Hermite coefficients, and its power-sum evaluation
-    c3 + c2 s + c1 s**2 + c0 (s**2 s), computed only on the brackets the
-    points fall in.
-    """
-    mk, d = (_pchip_slopes(y, h) if pchip is None else pchip)[:2]
-    i, s, outside = brackets
-    dx, slope, d0 = h[i], mk[i], d[i]
-    t = (d0 + d[i + 1] - 2 * slope) / dx
-    s2 = s * s
-    out = y[i] + d0 * s + ((slope - d0) / dx - t) * s2 + (t / dx) * (s2 * s)
-    out[outside] = np.nan
-    return out
-
-
-def _monotone_cubic_pullback(pchip: _Pchip, h: np.ndarray, brackets, g: np.ndarray) -> np.ndarray:
-    """The gradient in y of sum(g * _monotone_cubic(y, h, brackets)), from
-    ``pchip`` = _pchip_slopes(y, h).
-
-    Reverse mode through the Hermite form y[i] (1 - H) + y[i+1] H +
-    h d[i] u (1 - u)**2 + h d[i+1] u**2 (u - 1), with u = s/h and
-    H = u**2 (3 - 2u), then through the node slopes to the secants (a
-    harmonic mean d of secants a and b has partials (w1/W)(d/a)**2 and
-    (w2/W)(d/b)**2, W = w1 + w2) and the secants to y.  Exact wherever the
-    interpolant is differentiable in y: away from nodes where a secant is 0
-    or changes sign, or where an end slope switches rule.  ``g`` must be 0
-    at points outside the grid.
-    """
-    mk, d, flat, w1, w2, (first, last) = pchip
-    i, s, _ = brackets
-    m = d.shape[0]
-    u = s / h[i]
-    su = s * u
-    gy = np.bincount(i, g, m)
-    gd = np.bincount(i, g * (s - 2.0 * su + su * u), m)
-    gd += np.bincount(i + 1, g * (su * u - su), m)
-    gmk = np.bincount(i, g * su * (3.0 - 2.0 * u), m - 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gmk[:-1] += np.where(flat, 0.0, gd[1:-1] * w1 / (w1 + w2) * (d[1:-1] / mk[:-1]) ** 2)
-        gmk[1:] += np.where(flat, 0.0, gd[1:-1] * w2 / (w1 + w2) * (d[1:-1] / mk[1:]) ** 2)
-    gmk[:2] += gd[0] * np.array(first)
-    gmk[-2:] += gd[-1] * np.array(last[::-1])
-    gmk /= h
-    gy[1:] += gmk
-    gy[:-1] -= gmk
-    return gy
+def _stencil_pullback(index: np.ndarray, weights: np.ndarray, g: np.ndarray, m: int) -> np.ndarray:
+    """The gradient in the m node values of sum(g * _stencil_values(values,
+    index, y)), from weights = _stencil_weights(y).  The interpolant is
+    linear in the values, so its adjoint adds each point's weights, times
+    g, onto its window."""
+    return np.bincount(index.ravel(), (g[:, None] * weights).ravel(), m)
 
 
 @dataclass(frozen=True)
@@ -534,16 +442,16 @@ class DensityTable:
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         xq = np.atleast_1d(x)
-        out = _lagrange5_eval(self.grid.x_min, self.grid.dx, self.values, xq)
-        out = np.maximum(out, 0.0)
+        out = np.maximum(_stencil_values(self.values, *_stencil_windows(self.grid, xq)), 0.0)
         out[(xq < self.grid.x_min) | (xq > self.grid.x_max)] = 0.0
         return float(out[0]) if scalar else out
 
     @cached_property
     def monotone_interpolator(self) -> PchipInterpolator:
-        """Shape-preserving cubic through the table (scipy's PCHIP, which the
-        likelihood's own gather reproduces bit for bit).  scipy.interpolate
-        is imported on first use."""
+        """Shape-preserving cubic through the table (scipy's PCHIP), for
+        callers that need an interpolant that never overshoots; the
+        likelihood reads the table through ``interpolate``'s stencil.
+        scipy.interpolate is imported on first use."""
         from scipy.interpolate import PchipInterpolator
 
         return PchipInterpolator(self.grid.x(), self.values, extrapolate=False)
@@ -564,7 +472,7 @@ class CdfTable:
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         xq = np.atleast_1d(x)
-        out = _lagrange5_eval(self.grid.x_min, self.grid.dx, self.values, xq)
+        out = _stencil_values(self.values, *_stencil_windows(self.grid, xq))
         out[xq <= self.grid.x_min] = self.values[0]
         out[xq >= self.grid.x_max] = self.values[-1]
         out = np.clip(out, 0.0, 1.0)

@@ -14,16 +14,15 @@ from gts_tail.errors import ConfigError, NumericalFailure
 from gts_tail.spectral import (
     GridConfig,
     _aligned_grid,
-    _brackets,
     _cdf_values,
     _freq_cutoff,
     _Inversion,
-    _monotone_cubic,
-    _monotone_cubic_pullback,
     _nodes_reaching,
-    _pchip_edge,
-    _pchip_slopes,
     _pdf_values,
+    _stencil_pullback,
+    _stencil_values,
+    _stencil_weights,
+    _stencil_windows,
     _tail_radius,
     newton_cotes_weights,
 )
@@ -430,62 +429,40 @@ def test_inversion_pullback_matches_central_differences(regime):
 
 
 # --------------------------------------------------------------------------
-# the likelihood's gather: brackets and the monotone cubic's adjoint
+# the likelihood's gather: the degree-4 stencil and its adjoint
 # --------------------------------------------------------------------------
 
 @pytest.mark.parametrize("law", ["btc", "eth"])
-def test_brackets_match_searchsorted(law):
+def test_stencil_pullback_is_the_adjoint(law):
+    # sum(g * S(v)) = sum(v * S^T(g)) for random node values v and point
+    # weights g, with points in the bulk, on nodes, next to both grid ends
+    # and off the grid (where the end stencils extrapolate).
     p = gt.BITCOIN_DAILY.params if law == "btc" else gt.ETHEREUM_DAILY.params
-    x = gt.build_grid(p, GridConfig(m=2**12)).x()
+    grid = gt.build_grid(p, GridConfig(m=2**12))
+    x = grid.x()
     rng = np.random.default_rng(12)
     q = np.concatenate([
-        rng.uniform(x[0], x[-1], 20000),
-        x,
-        np.nextafter(x, -np.inf),
-        np.nextafter(x, np.inf),
-        [x[0], x[-1], x[0] - 1e-12, x[-1] + 1e-12, x[0] - 50.0, x[-1] + 50.0, -1e300, 1e300],
+        rng.uniform(x[0], x[-1], 3000),
+        x[::37],
+        x[:3] + 0.4 * grid.dx,
+        x[-3:] - 0.4 * grid.dx,
+        [x[0], x[-1], x[0] - 0.3 * grid.dx, x[-1] + 2.5 * grid.dx, x[0] - 50.0, x[-1] + 50.0],
     ])
-    i, s, outside = _brackets(x, q)
-    want = np.clip(np.searchsorted(x, q, side="right") - 1, 0, x.size - 2)
-    np.testing.assert_array_equal(i, want)
-    assert np.array_equal(s, q - x[want])
-    assert np.array_equal(outside, (q < x[0]) | (q > x[-1]))
-
-
-@pytest.mark.parametrize("mirrored", [False, True])
-def test_monotone_cubic_pullback_matches_central_differences(mirrored):
-    # Node values on a non-uniform grid, with secants that change sign
-    # (zero node slopes) but none near 0, one end on the 3*m0 branch of the
-    # end rule and the other on its three-point branch (the mirror image
-    # swaps them): no small move of y switches a slope rule, so central
-    # differences apply.
-    rng = np.random.default_rng(21)
-    m = 60
-    x = np.cumsum(rng.uniform(0.5, 1.5, m))
-    y = np.sin(x / 3.0) + 0.05 * rng.uniform(-1.0, 1.0, m)
-    y[:3] = (0.0, 0.1 * (x[1] - x[0]), -(x[2] - x[1]))
-    if mirrored:
-        x, y = -x[::-1], y[::-1]
-    h = np.diff(x)
-    mk, d = _pchip_slopes(y, h)[:2]
-    assert np.min(np.abs(mk)) > 1e-3
-    assert np.count_nonzero(d[1:-1] == 0.0) >= 3
-    ends = [_pchip_edge(h[0], h[1], mk[0], mk[1]), _pchip_edge(h[-1], h[-2], mk[-1], mk[-2])]
-    three_m0, three_point = ends[::-1] if mirrored else ends
-    assert three_m0[1:] == (3.0, 0.0) and three_point[0] != 0.0 and three_point[2] != 0.0
-    q = np.concatenate([rng.uniform(x[0], x[-1], 400), [x[0], x[0] + 0.2 * h[0], x[-1]]])
-    i = np.clip(np.searchsorted(x, q, side="right") - 1, 0, m - 2)
-    brackets = (i, q - x[i], np.zeros(q.size, dtype=bool))
-    g = rng.uniform(0.5, 2.0, q.size)
-    grad = _monotone_cubic_pullback(_pchip_slopes(y, h), h, brackets, g)
-
-    def weighted(v):
-        return g @ _monotone_cubic(v, h, brackets)
-
-    eps = 1e-6
-    fd = np.array([(weighted(y + e) - weighted(y - e)) / (2 * eps) for e in eps * np.eye(m)])
-    assert np.max(np.abs(grad - fd)) <= 1e-7 * np.max(np.abs(grad))
-    assert np.all(grad != 0.0)
+    index, y = _stencil_windows(grid, q)
+    assert index.min() == 0 and index.max() == grid.m - 1
+    values = rng.normal(size=grid.m)
+    g = rng.normal(size=q.size)
+    weights = _stencil_weights(y)
+    assert np.allclose((values[index] * weights).sum(axis=1), _stencil_values(values, index, y),
+                       rtol=1e-12, atol=1e-12 * np.abs(weights).sum(axis=1).max())
+    grad = _stencil_pullback(index, weights, g, grid.m)
+    assert grad.shape == (grid.m,)
+    assert values @ grad == pytest.approx(g @ _stencil_values(values, index, y), rel=1e-12)
+    # Each unit vector: the pullback's column is the stencil's row.
+    for j in (0, 1, 2, grid.m // 2, grid.m - 2, grid.m - 1):
+        e = np.zeros(grid.m)
+        e[j] = 1.0
+        assert grad[j] == pytest.approx(g @ _stencil_values(e, index, y), rel=1e-12, abs=1e-12)
 
 
 # --------------------------------------------------------------------------
