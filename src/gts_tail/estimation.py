@@ -4,13 +4,12 @@ The likelihood of a return sample is evaluated through the Fourier-inverted
 density (the tables' local degree-4 stencil between grid nodes, floored at
 1e-300 before the log).  The surface is maximized in a transformed space
 (logit for the stability indices, log for intensities and tempering rates,
-identity for the drift).  One search path: an L-BFGS-B pilot with the
-exact score, each law on its own automatic grid, from the moment-matched
-start (or the caller's), then L-BFGS-B polish rounds with the exact score,
-each on a likelihood plan frozen where it starts, its first steps short; a
-round that fails or touches a plan bound hands its point to the next.  The
-full model and the restricted families share it; a RestrictedKind says
-which natural fields each free coordinate fills.
+identity for the drift).  One search path: L-BFGS-B rounds with the
+exact score, each on a likelihood plan frozen where it starts, its first
+steps short, from the moment-matched start (or the caller's); a round that
+fails or touches a plan bound hands its point to the next, on a plan
+re-frozen there.  The full model and the restricted families share it; a
+RestrictedKind says which natural fields each free coordinate fills.
 
 A plan freezes the whole grid (x-range, node counts, cutoff, with headroom
 on the cutoff and on the period) and precomputes its inversion, so an
@@ -25,11 +24,11 @@ It evaluates a law only inside the two bounds its grid is valid for
 phase's evaluation, score and penalty counts and wall time go to the
 "gts_tail" logger as one debug event.
 
+The reported log-likelihood is the value on a plan frozen at the estimate.
 Standard errors come from the observed information: the Hessian of the
 negative log-likelihood at the optimum by central differences of the score
-in the transformed coordinates, on a plan frozen at the estimate,
-symmetrized, inverted and mapped back to natural parameters by the delta
-method.  Where a free stability index's limit 0 lowers the likelihood by
+in the transformed coordinates, on that same plan, symmetrized, inverted
+and mapped back to natural parameters by the delta method.  Where a free stability index's limit 0 lowers the likelihood by
 less than 1e-4 nats, the fit reports no standard errors.
 """
 
@@ -62,7 +61,6 @@ from .returns_io import ReturnSeries
 from .spectral import (
     _ALIAS_MASS,
     GridConfig,
-    SpectralGrid,
     _aligned_grid,
     _freq_cutoff,
     _Inversion,
@@ -96,21 +94,25 @@ _FIT_WIDTH_SDS = 20.0
 _FIT_FREQ_EPS = 1e-8
 _LOG_FREQ_EPS = math.log(_FIT_FREQ_EPS)
 # A frozen likelihood plan's cutoff, in multiples of the cutoff of the law
-# it is frozen at.  The first polish plan is frozen at the pilot point,
-# which the exact-score pilot leaves next to the optimum: on 14 checked
-# samples 1.25x, 1.5x and 4x needed no second round, 2x needed one.  The
-# node count grows with the cutoff, so 4x would take 2.7 times the nodes.
-# The Hessian's plan is frozen at the estimate, and its probes move 1e-4
-# from it.
+# it is frozen at, and its period, in multiples of the guard (grid
+# half-width plus 1e-9 tail radius) of that law: the room its laws have
+# before the truncation and aliasing bounds.  The first round's plan is
+# frozen at the start, far from the optimum, and gets the most room.  On
+# the benchmark sample (3000 BTC draws, seed 2025) 4 and 2 there took 2
+# rounds and 0.15 s, 1.5 and 1.1 took 6 rounds and 0.22 s, and 2 and 1.3
+# on every plan took 3 rounds and 0.23 s.  Later rounds start closer and
+# keep 1.5 and 1.1: with the period's bare guard (only rounded up to a
+# fast FFT length) a round started from a nearly stationary point touched
+# the aliasing bound on 4 of 14 checked samples, from 1.03 on none did.
+# The node count grows with the cutoff, and each 1 % of period costs about
+# 1 % more nodes and FFT length.  The Hessian's plan, frozen at the
+# estimate (which also gives the reported log-likelihood), only needs room
+# for probes 1e-4 away.
+_FIRST_HEADROOM = 4.0
+_FIRST_PERIOD = 2.0
 _HEADROOM = 1.5
-_HESSIAN_HEADROOM = 1.25
-# A frozen plan's period, in multiples of the guard (grid half-width plus
-# 1e-9 tail radius) of the law it is frozen at: the room its laws have
-# before the aliasing bound.  With the bare guard (the period only rounded
-# up to a fast FFT length) the first polish round touched that bound on 4
-# of the 14 checked samples (no Hessian probe did); from 1.03 on no round
-# did.  Each 1 % costs about 1 % more nodes and FFT length.
 _PLAN_PERIOD = 1.1
+_HESSIAN_HEADROOM = 1.25
 # A polish round that gains under this many nats on its own plan ends the
 # fit; plans frozen at nearby points differ by up to 0.11 nats at grid_m 1024.
 _ROUND_GAIN = 1e-6
@@ -126,22 +128,14 @@ _LOGIT_BETA_ZERO = math.log(1e-7 / (1.0 - 1e-7))
 # standard error applies.  A fit of 3000 BTC draws that stopped at 1.014e-7
 # is 8.7e-7 nats above its limit law.
 _BOUNDARY_NATS = 1e-4
-# L-BFGS-B pilot: each law on its own automatic grid, so the grid moves
-# with the law and the score misses that part of the likelihood's change.
-# Its relative-decrease and projected-gradient tolerances are loose: the
-# polish's took 1373 pilot calls on 14 checked samples instead of 760, six
-# of those runs ending in a failed line search, and the polishes after
-# them took as many calls.
-_PILOT_FTOL = 1e-10
-_PILOT_GTOL = 1e-5
 # L-BFGS-B polish on the exact score: the relative-decrease and
 # projected-gradient stopping tolerances.  On 14 checked samples ftol 1e-15
 # took 1-16 more score calls on seven, for at most 6e-9 nats, and needed
 # a second round on one.
 _QN_FTOL = 1e-14
 _QN_GTOL = 1e-8
-# The polish runs in u = (t - t_start)/0.01.  From a nearly stationary start
-# L-BFGS-B's first trial step has unit length along -g: run in t, the
+# The polish runs in u = (t - t_start)/0.01.  L-BFGS-B's first trial step
+# has unit length along -g: run in t from a nearly stationary point, the
 # polish crossed a plan bound within 3-38 calls on 7 of 14 checked samples.
 # Scales from 0.003 to 0.1 needed no second round on any of them.
 _POLISH_SCALE = 0.01
@@ -155,11 +149,12 @@ class FitOptions:
 
     The likelihood grid has ``grid_m`` spatial points and is deliberately
     lighter than the default table resolution (20 standard deviations each
-    side, cutoff at |cf| < 1e-8).  The pilot sizes a grid per evaluation.
-    Each polish round freezes one plan where it starts: its x-range, a
-    period 1.1 times the one the aliasing bound asks for, as a fast FFT
-    length, and the fewest frequency nodes that reach 1.5 times that law's
-    cutoff, at most ``max_n_freq``.  The likelihood, read at each
+    side, cutoff at |cf| < 1e-8).  Each polish round freezes one plan where
+    it starts: its x-range, a period 1.1 times the one the aliasing bound
+    asks for, as a fast FFT length, and the fewest frequency nodes that
+    reach 1.5 times that law's cutoff, at most ``max_n_freq``; the first
+    round's plan, frozen at the start, has a period 2 times that bound and
+    nodes reaching 4 times the cutoff.  The likelihood, read at each
     observation by ``DensityTable.interpolate``'s degree-4 stencil, is
     then a smooth function of the parameters.
     Laws the frozen grid cannot resolve (a characteristic function still
@@ -167,26 +162,26 @@ class FitOptions:
     as stability indices near zero with small intensities, are treated as
     infeasible by the optimizer.
 
-    The search is one L-BFGS-B pilot of at most ``probe_maxfev`` score
-    calls (scipy may finish the iteration under way past it), then
-    L-BFGS-B polish rounds of ``maxfev`` score calls in total, all with
-    the exact score.  A round that succeeds without touching a bound of its
-    plan converges the fit.  Otherwise the plan is re-frozen where the
+    The search is L-BFGS-B polish rounds of ``maxfev`` score calls in
+    total, on the exact score, from the moment-matched start (or the
+    caller's ``init``).  A round that succeeds without touching a bound of
+    its plan converges the fit.  Otherwise the plan is re-frozen where the
     round stopped, unless the round gained under 1e-6 nats on its own plan
-    (converged if it succeeded), the budget is spent, or the plan cannot
-    grow: it would need more than ``max_n_freq`` nodes, or the round
-    touched a bound of a plan already at that budget.  The last round's
-    point moves to the limit 0 of a free stability index where that is
-    better on its plan (the logit runs off to -inf there, and the polish
-    stops short of it in the flat).  ``compute_se`` adds
-    standard errors to a converged fit: central differences of the score at
-    steps of 1e-4, relative, on a plan frozen at the estimate with a cutoff
-    1.25 times its own.
+    (converged if it succeeded, but not if it touched a bound of a plan at
+    the ``max_n_freq`` budget), the budget is spent, or the law where it
+    stopped needs more than ``max_n_freq`` nodes on its own grid.  A plan
+    at the node budget is re-frozen too: it keeps the budget's nodes and
+    shares the room between its two bounds around the new point.  The last
+    round's point moves to the limit 0 of a free stability index where that
+    is better on its plan (the logit runs off to -inf there, and the polish
+    stops short of it in the flat).  ``compute_se`` adds standard errors to
+    a converged fit: central differences of the score at steps of 1e-4,
+    relative, on the plan frozen at the estimate with a cutoff 1.25 times
+    its own, which also gives the reported log-likelihood.
     """
 
     grid_m: int = 2**12
     max_n_freq: int = 2**17
-    probe_maxfev: int = 400
     maxfev: int = 4000
     compute_se: bool = True
 
@@ -195,12 +190,14 @@ class FitOptions:
 class FitResult:
     """A fit's estimate, its log-likelihood and its inference.
 
-    ``loglik`` is the value at ``params`` on the plan of the fit's last
-    polish round, frozen where that round started, not on a plan frozen at
-    ``params`` or on the public ``log_likelihood``'s grid.  At the default
-    ``grid_m`` it was within 1.7e-5 nats of the public value on six
-    3000-draw BTC and ETH samples; on 300 BTC draws at ``grid_m`` 1024 the
-    last round's plan and one frozen at the estimate were 0.012 nats apart.
+    ``loglik`` is the value at ``params`` on a plan frozen there, the one
+    the standard errors' Hessian uses (a cutoff 1.25 times that of
+    ``params``, a period 1.1 times its aliasing guard), not on the public
+    ``log_likelihood``'s automatic grid.  Where ``params`` needs more than
+    ``max_n_freq`` frequency nodes on its own grid, so that no plan can be
+    frozen there, ``loglik`` is the value on the plan of the fit's last
+    polish round instead, and a converged fit omits its standard errors as
+    a fallback.
     """
 
     params: GTSParams
@@ -348,40 +345,87 @@ def _free_score(kind: RestrictedKind, by_field: np.ndarray) -> np.ndarray:
     return np.array([sum(by_field[index[f]] for f in fields) for _, fields in kind.fields])
 
 
-class _Likelihood:
-    """One fit phase's likelihood, and how its evaluations went.
+class _LikelihoodPlan:
+    """The likelihood on one frozen grid, its inversion precomputed, and how
+    its evaluations went.
+
+    Frozen at a law p0: the x-range of p0's likelihood grid (x_min, dx, m),
+    an FFT-aligned frequency step 2 pi/(N dx) whose period N dx is the
+    fast FFT length at or above ``period`` times p0's guard (its half-width
+    plus its 1e-9 tail radius, build_grid's aliasing bound), and the fewest
+    (even) n_freq nodes whose top node reaches ``headroom`` times p0's
+    cutoff, at most ``max_n_freq``.  When that budget binds, the plan takes
+    the budget's nodes with the period P and top node Xi at which
+    P/guard = Xi/cutoff, so p0 keeps the same room from both bounds.  A p0
+    whose own grid needs more than the budget raises ConfigError, as
+    build_grid does.
+
+    A law is evaluated only where the frozen grid is valid for it, by the
+    two bounds build_grid sizes grids with: |cf(Xi)| <= 1e-8 (truncation)
+    and a period that clears its farther grid end from kappa_1 plus its
+    tail radius (aliasing).  Anything else is penalized.  An evaluation is
+    then one characteristic-function kernel, one FFT, the clamp at 0 and a
+    degree-4 stencil gather at the observations' precomputed 5-node
+    windows (``DensityTable.interpolate`` to the bit).  Its score is
+    exact, in reverse mode: the gather's adjoint, one bincount of the
+    windows' precomputed stencil weights, gives the
+    gradient in the node values, one more FFT carries it back through the
+    inversion, and the kernel's partials in closed form finish it.
 
     ``objective(kind)`` is the negative log-likelihood in a kind's
     transformed coordinates; with ``score=True`` it returns the value and
     its gradient there.  It returns the 1e15 penalty (with a zero score)
-    for a law the phase cannot evaluate: one that ``penalty_cause`` names
-    (a bound of a frozen grid), or one whose evaluation raises.  The
-    inverted density is clamped at 0 instead of held to the public table
-    invariants, so mild truncation ripple (slowly decaying characteristic
-    functions near the restricted families) degrades the likelihood
-    smoothly.  Evaluations, those of them that formed the score, and
-    penalties by cause are counted, and ``log`` reports them, with the wall
-    time since the phase's likelihood was built, as one debug event on the
-    "gts_tail" logger.
+    for a law past a bound, or one whose evaluation raises.  The inverted
+    density is clamped at 0 instead of held to the public table invariants,
+    so mild truncation ripple (slowly decaying characteristic functions
+    near the restricted families) degrades the likelihood smoothly.
+    Evaluations, those of them that formed the score, and penalties by
+    cause are counted, and ``log`` reports them, with the wall time since
+    the plan was built, as one debug event on the "gts_tail" logger.
     """
 
-    grid: SpectralGrid | None = None
-
-    def __init__(self):
+    def __init__(
+        self, p0: GTSParams, obs: np.ndarray, options: FitOptions, headroom: float,
+        period: float = _PLAN_PERIOD,
+    ):
         self._started = time.perf_counter()
         self.evaluations = 0
         self.score_evaluations = 0
         self.penalties = dict.fromkeys(("truncation", "aliasing", "error"), 0)
+        g0 = build_grid(p0, _likelihood_grid(p0, obs, _base_grid_config(options)))
+        cutoff = _freq_cutoff(p0, _FIT_FREQ_EPS)
+        guard = 0.5 * (g0.x_max - g0.x_min) + _tail_radius(p0, _ALIAS_MASS)
+        n_fft = sp_fft.next_fast_len(math.ceil(period * guard / g0.dx))
+        n_freq = _nodes_reaching(headroom * cutoff, n_fft, g0.dx)
+        budget = options.max_n_freq - options.max_n_freq % 2
+        if n_freq > budget:
+            # The budget's nodes span P Xi = pi (budget - 1).
+            n_freq = budget
+            balanced = math.sqrt(math.pi * (budget - 1) * guard / cutoff)
+            n_fft = sp_fft.next_fast_len(math.ceil(balanced / g0.dx))
+        self.grid = _aligned_grid(g0.x_min, g0.x_max, g0.m, n_fft, n_freq)
+        self._pdf = _Inversion(self.grid)
+        self._windows = _stencil_windows(self.grid, obs)
+        self._weights = _stencil_weights(self._windows[1])
+        self._period = n_fft * self.grid.dx
 
     def penalty_cause(self, p: GTSParams) -> str | None:
+        g = self.grid
+        if not _log_modulus(p)(g.freq_cutoff) <= _LOG_FREQ_EPS:
+            return "truncation"
+        k1 = cumulant(p, 1)
+        if not self._period >= max(g.x_max - k1, k1 - g.x_min) + _tail_radius(p, _ALIAS_MASS):
+            return "aliasing"
         return None
 
     def neg_loglik(self, p: GTSParams) -> float:
-        raise NotImplementedError
+        return -_log_sum(_densities(np.maximum(self._pdf.pdf(p), 0.0), self._windows))
 
     def neg_loglik_and_score(self, p: GTSParams):
         """(neg_loglik(p), its gradient in the seven natural fields)."""
-        raise NotImplementedError
+        raw, pullback = self._pdf.pdf_with_pullback(p)
+        value, grad = _neg_log_density_sum_and_grad(raw, self._windows, self._weights)
+        return value, pullback(grad)
 
     def objective(self, kind: RestrictedKind, score: bool = False):
         names = kind.free_names
@@ -410,9 +454,7 @@ class _Likelihood:
         attributes after the common ones."""
         seconds = time.perf_counter() - self._started
         g = self.grid
-        plan = None if g is None else dict(
-            n_freq=g.n_freq, xi=g.freq_cutoff, x_min=float(g.x_min), dx=float(g.dx)
-        )
+        plan = dict(n_freq=g.n_freq, xi=g.freq_cutoff, x_min=float(g.x_min), dx=float(g.dx))
         _log.debug(
             "fit phase %s: %d evaluations (%d with the score) in %.3f s, penalties %s, "
             "plan %s%s",
@@ -423,88 +465,6 @@ class _Likelihood:
                        penalties=dict(self.penalties), plan=plan, seconds=seconds,
                        **details),
         )
-
-
-class _AutoGrids(_Likelihood):
-    """The pilot's likelihood: a fresh automatic grid for every law."""
-
-    def __init__(self, obs: np.ndarray, options: FitOptions):
-        super().__init__()
-        self._obs = obs
-        self._cfg = _base_grid_config(options)
-
-    def neg_loglik_and_score(self, p: GTSParams):
-        """The score on p's own grid, which it holds fixed: it misses the
-        part of the likelihood's change that comes from the grid moving."""
-        grid = build_grid(p, _likelihood_grid(p, self._obs, self._cfg))
-        raw, pullback = _Inversion(grid).pdf_with_pullback(p)
-        windows = _stencil_windows(grid, self._obs)
-        value, grad = _neg_log_density_sum_and_grad(raw, windows, _stencil_weights(windows[1]))
-        return value, pullback(grad)
-
-
-class _LikelihoodPlan(_Likelihood):
-    """The likelihood on one frozen grid, its inversion precomputed.
-
-    Frozen at a law p0: the x-range of p0's likelihood grid (x_min, dx, m),
-    an FFT-aligned frequency step 2 pi/(N dx) whose period N dx is the
-    fast FFT length at or above 1.1 times p0's guard (its half-width plus
-    its 1e-9 tail radius, build_grid's aliasing bound), and the fewest
-    (even) n_freq nodes whose top node reaches ``headroom`` times p0's
-    cutoff, at most ``max_n_freq``.  When that budget binds, the plan takes
-    the budget's nodes with the period P and top node Xi at which
-    P/guard = Xi/cutoff, so p0 keeps the same room from both bounds.  A p0
-    whose own grid needs more than the budget raises ConfigError, as
-    build_grid does.
-
-    A law is evaluated only where the frozen grid is valid for it, by the
-    two bounds build_grid sizes grids with: |cf(Xi)| <= 1e-8 (truncation)
-    and a period that clears its farther grid end from kappa_1 plus its
-    tail radius (aliasing).  Anything else is penalized.  An evaluation is
-    then one characteristic-function kernel, one FFT, the clamp at 0 and a
-    degree-4 stencil gather at the observations' precomputed 5-node
-    windows (``DensityTable.interpolate`` to the bit).  Its score is
-    exact, in reverse mode: the gather's adjoint, one bincount of the
-    windows' precomputed stencil weights, gives the
-    gradient in the node values, one more FFT carries it back through the
-    inversion, and the kernel's partials in closed form finish it.
-    """
-
-    def __init__(self, p0: GTSParams, obs: np.ndarray, options: FitOptions, headroom: float):
-        super().__init__()
-        g0 = build_grid(p0, _likelihood_grid(p0, obs, _base_grid_config(options)))
-        cutoff = _freq_cutoff(p0, _FIT_FREQ_EPS)
-        guard = 0.5 * (g0.x_max - g0.x_min) + _tail_radius(p0, _ALIAS_MASS)
-        n_fft = sp_fft.next_fast_len(math.ceil(_PLAN_PERIOD * guard / g0.dx))
-        n_freq = _nodes_reaching(headroom * cutoff, n_fft, g0.dx)
-        budget = options.max_n_freq - options.max_n_freq % 2
-        if n_freq > budget:
-            # The budget's nodes span P Xi = pi (budget - 1).
-            n_freq = budget
-            period = math.sqrt(math.pi * (budget - 1) * guard / cutoff)
-            n_fft = sp_fft.next_fast_len(math.ceil(period / g0.dx))
-        self.grid = _aligned_grid(g0.x_min, g0.x_max, g0.m, n_fft, n_freq)
-        self._pdf = _Inversion(self.grid)
-        self._windows = _stencil_windows(self.grid, obs)
-        self._weights = _stencil_weights(self._windows[1])
-        self._period = n_fft * self.grid.dx
-
-    def penalty_cause(self, p: GTSParams) -> str | None:
-        g = self.grid
-        if not _log_modulus(p)(g.freq_cutoff) <= _LOG_FREQ_EPS:
-            return "truncation"
-        k1 = cumulant(p, 1)
-        if not self._period >= max(g.x_max - k1, k1 - g.x_min) + _tail_radius(p, _ALIAS_MASS):
-            return "aliasing"
-        return None
-
-    def neg_loglik(self, p: GTSParams) -> float:
-        return -_log_sum(_densities(np.maximum(self._pdf.pdf(p), 0.0), self._windows))
-
-    def neg_loglik_and_score(self, p: GTSParams):
-        raw, pullback = self._pdf.pdf_with_pullback(p)
-        value, grad = _neg_log_density_sum_and_grad(raw, self._windows, self._weights)
-        return value, pullback(grad)
 
 
 # --------------------------------------------------------------------------
@@ -549,9 +509,9 @@ def fit_mle(
     kind: RestrictedKind = RestrictedKind.FULL,
     options: FitOptions = FitOptions(),
 ) -> FitResult:
-    """Fit by maximum likelihood: an L-BFGS-B pilot on per-law grids, then
-    L-BFGS-B polish rounds, each on a plan frozen where it starts, all on
-    the exact score (FitOptions says when the rounds stop).
+    """Fit by maximum likelihood: L-BFGS-B polish rounds on the exact score,
+    each on a plan frozen where it starts, from the moment-matched start or
+    ``init`` (FitOptions says when the rounds stop).
 
     Non-convergence is reported through ``converged=False`` on the result
     rather than raised.  Requires at least 100 observations and non-zero
@@ -571,26 +531,19 @@ def fit_mle(
         raise DomainError(f"unknown model kind {kind!r}; expected one of: {valid}") from None
     names = kind.free_names
     init_params = init if init is not None else _auto_init(obs, kind)
-    t0 = _to_transformed(names, kind.reduce(init_params))
-
-    # Pilot on per-evaluation automatic grids, from the start to next to
-    # the optimum.  The polish plan is then frozen from that point, so the
-    # polished likelihood is smooth, with headroom for the optimum.
-    auto = _AutoGrids(obs, options)
-    pilot = _lbfgsb(
-        auto.objective(kind, score=True), t0, options.probe_maxfev, _PILOT_FTOL, _PILOT_GTOL
-    )
-    auto.log("pilot", method="L-BFGS-B", status=pilot.message)
-    t = pilot.x if pilot.fun < _PENALTY else t0
+    t = _to_transformed(names, kind.reduce(init_params))
 
     # Quasi-Newton polish rounds, each on a plan frozen where it starts, on
     # which the likelihood is smooth.  A round's line search stalls on the
     # plan's penalty wall, so its optimum stands only if no evaluation was
-    # penalized; otherwise the next round re-freezes the plan where it stopped.
-    def freeze(t):
-        return _LikelihoodPlan(kind.expand(_from_transformed(names, t)), obs, options, _HEADROOM)
+    # penalized; otherwise the next round re-freezes the plan where it
+    # stopped, at the node budget too while the rounds still gain.
+    def freeze(t, headroom=_HEADROOM, period=_PLAN_PERIOD):
+        return _LikelihoodPlan(
+            kind.expand(_from_transformed(names, t)), obs, options, headroom, period
+        )
 
-    plan, budget, stop = freeze(t), options.maxfev, None
+    plan, budget, stop = freeze(t, _FIRST_HEADROOM, _FIRST_PERIOD), options.maxfev, None
     for round_ in itertools.count(1):
         best = _polish(plan, kind, t, budget)
         budget -= plan.score_evaluations
@@ -598,11 +551,12 @@ def fit_mle(
         if best.success and not touched:
             stop = "converged"
         elif best.gain < _ROUND_GAIN:
-            stop = "converged" if best.success else "stalled"
+            if touched and plan.grid.n_freq + 2 > options.max_n_freq:
+                stop = "max_n_freq"
+            else:
+                stop = "converged" if best.success else "stalled"
         elif budget <= 0:
             stop = "maxfev"
-        elif touched and plan.grid.n_freq + 2 > options.max_n_freq:
-            stop = "max_n_freq"
         else:
             try:
                 refrozen = freeze(best.x)
@@ -617,8 +571,13 @@ def fit_mle(
         plan, t = refrozen, best.x
     converged = stop == "converged"
 
+    # The value on a plan frozen at the estimate, which the Hessian reuses.
     params = kind.expand(_from_transformed(names, best.x))
-    loglik = -float(best.fun)
+    try:
+        plan = _LikelihoodPlan(params, obs, options, _HESSIAN_HEADROOM)
+        loglik = -plan.neg_loglik(params)
+    except ConfigError:
+        plan, loglik = None, -float(best.fun)
     aic, bic = _aic_bic(kind.n_free, obs.size, loglik)
     result = FitResult(
         params=params,
@@ -633,7 +592,7 @@ def fit_mle(
         kind=kind,
     )
     if options.compute_se and converged:
-        result = _with_standard_errors(result, data, options)
+        result = _with_standard_errors(result, data, options, plan)
     return result
 
 
@@ -691,13 +650,20 @@ def _lbfgsb(fun, x0: np.ndarray, maxfun: int, ftol: float, gtol: float):
     )
 
 
-def _with_standard_errors(result: FitResult, data: ReturnSeries, options: FitOptions) -> FitResult:
-    """The fit with its standard errors, or without them (and flagged as a
-    fallback, with SingularHessianWarning) when the Hessian's probes hit the
-    likelihood penalty or a free stability index sits at its limit 0."""
+def _with_standard_errors(
+    result: FitResult, data: ReturnSeries, options: FitOptions, plan: _LikelihoodPlan | None = None
+) -> FitResult:
+    """The fit with its standard errors, on ``plan`` (frozen at the
+    estimate; one is frozen here if it is None), or without them (and
+    flagged as a fallback, with SingularHessianWarning) when no plan can be
+    frozen at the estimate, the Hessian's probes hit the likelihood penalty
+    or a free stability index sits at its limit 0."""
+    obs = np.asarray(data.values, dtype=float)
     try:
-        se, pv, fallback = standard_errors(result, data, options)
-    except (PenaltyWall, BoundaryEstimate) as exc:
+        if plan is None:
+            plan = _LikelihoodPlan(result.params, obs, options, _HESSIAN_HEADROOM)
+        se, pv, fallback = _standard_errors(result, plan)
+    except (ConfigError, PenaltyWall, BoundaryEstimate) as exc:
         warnings.warn(f"standard errors omitted: {exc}", SingularHessianWarning, stacklevel=3)
         return replace(result, hessian_fallback=True)
     return replace(result, std_errors=se, z_pvalues=pv, hessian_fallback=fallback)
@@ -723,6 +689,9 @@ def standard_errors(fit: FitResult, data: ReturnSeries, options: FitOptions = Fi
     central differences of the exact score (two score calls per free
     coordinate), and mapped back through the diagonal Jacobian of the
     coordinate-wise transforms.
+    The Hessian's plan is frozen at the estimate, and an estimate whose own
+    grid needs more than ``options.max_n_freq`` frequency nodes raises
+    ConfigError.
     A singular Hessian falls back to the Moore-Penrose pseudo-inverse and
     emits SingularHessianWarning.  A Hessian probe that hits the likelihood
     penalty (an infeasible point, or one past a bound of the plan frozen at
@@ -734,12 +703,16 @@ def standard_errors(fit: FitResult, data: ReturnSeries, options: FitOptions = Fi
     Structurally pinned parameters of a restricted fit report a standard
     error of 0 and a p-value of 1.
     """
+    obs = np.asarray(data.values, dtype=float)
+    return _standard_errors(fit, _LikelihoodPlan(fit.params, obs, options, _HESSIAN_HEADROOM))
+
+
+def _standard_errors(fit: FitResult, plan: _LikelihoodPlan):
+    """standard_errors on ``plan``, frozen at the estimate."""
     kind = fit.kind
     names = kind.free_names
     free = kind.reduce(fit.params)
     t = _to_transformed(names, free)
-    obs = np.asarray(data.values, dtype=float)
-    plan = _LikelihoodPlan(fit.params, obs, options, _HESSIAN_HEADROOM)
     at_estimate = plan.neg_loglik(fit.params)
     at_zero = []
     for i, name in enumerate(names):
@@ -773,7 +746,7 @@ def standard_errors(fit: FitResult, data: ReturnSeries, options: FitOptions = Fi
         warnings.warn(
             "observed information singular; using pseudo-inverse",
             SingularHessianWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
         fallback = True
         cov_t = np.linalg.pinv(H)

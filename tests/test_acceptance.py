@@ -313,14 +313,8 @@ def test_criterion_9_model_ordering(recovery_fits):
     # The restricted fits get token budgets: the bilateral-gamma family is
     # inferior on this data by hundreds of nats, and its slowly decaying
     # characteristic function makes each evaluation expensive.
-    bg_opts = FitOptions(
-        probe_maxfev=200, maxfev=1500,
-        compute_se=False, max_n_freq=2**15, grid_m=2**11,
-    )
-    kob_opts = FitOptions(
-        probe_maxfev=250, maxfev=2500,
-        compute_se=False, max_n_freq=2**15, grid_m=2**11,
-    )
+    bg_opts = FitOptions(maxfev=1500, compute_se=False, max_n_freq=2**15, grid_m=2**11)
+    kob_opts = FitOptions(maxfev=2500, compute_se=False, max_n_freq=2**15, grid_m=2**11)
 
     bg = gt.fit_mle(data, kind=gt.RestrictedKind.BILATERAL_GAMMA, options=bg_opts)
     beta0 = 0.35
@@ -336,7 +330,7 @@ def test_criterion_9_model_ordering(recovery_fits):
 
     # The full-model optimum is at least the better of the cold fit and a
     # polish warm-started from the Kobol solution (nested subspace).
-    warm_opts = FitOptions(probe_maxfev=200, maxfev=2000, compute_se=False)
+    warm_opts = FitOptions(maxfev=2000, compute_se=False)
     full_warm = gt.fit_mle(data, init=kob.params, options=warm_opts)
     full_ll = max(full_fit.loglik, full_warm.loglik)
     full_aic = min(full_fit.aic, full_warm.aic)
@@ -436,7 +430,7 @@ def test_criterion_11_determinism(tmp_path, tables):
 
     # Fit determinism: two runs with identical seeds and settings.
     small = gt.sample(cdf, 300, seed=1)
-    fast = FitOptions(probe_maxfev=150, maxfev=800, compute_se=False, grid_m=1024)
+    fast = FitOptions(maxfev=800, compute_se=False, grid_m=1024)
     fit_a = gt.fit_mle(small, options=fast)
     fit_b = gt.fit_mle(small, options=fast)
     assert fit_a.params == fit_b.params

@@ -25,6 +25,8 @@ from gts_tail.errors import (
     TooShort,
 )
 from gts_tail.estimation import (
+    _FIRST_HEADROOM,
+    _FIRST_PERIOD,
     _HEADROOM,
     _HESSIAN_HEADROOM,
     _HESSIAN_STEP,
@@ -208,9 +210,10 @@ def test_unknown_kind_is_a_domain_error(kind):
 
 def test_fit_options_are_the_settings_callers_set():
     names = [f.name for f in fields(FitOptions)]
-    assert names == ["grid_m", "max_n_freq", "probe_maxfev", "maxfev", "compute_se"]
-    with pytest.raises(TypeError):
-        FitOptions(polish_rounds=6)
+    assert names == ["grid_m", "max_n_freq", "maxfev", "compute_se"]
+    for gone in ("polish_rounds", "probe_maxfev"):
+        with pytest.raises(TypeError):
+            FitOptions(**{gone: 1})
 
 
 def test_information_criteria_formula():
@@ -302,54 +305,63 @@ def benchmark_sample(btc_tables):
 # full-scale recoveries)
 # --------------------------------------------------------------------------
 
+def _assert_plan_sizing(plan, law, m, headroom, period):
+    """A plan frozen at ``law``: its period is the shortest fast FFT length
+    that clears ``period`` times the law's guard, and its node count the
+    smallest even one whose top node reaches ``headroom`` times the law's
+    cutoff."""
+    n, dx = plan["n_freq"], plan["dx"]
+    # An even node count on an FFT-aligned step: the period
+    # pi (n_freq - 1)/xi is a whole number of grid steps.
+    steps = math.pi * (n - 1) / (plan["xi"] * dx)
+    assert n % 2 == 0 and abs(steps - round(steps)) <= 1e-9 * steps
+    guard = 0.5 * dx * (m - 1) + _tail_radius(law, 1e-9)
+    n_fft = round(steps)
+    assert sp_fft.next_fast_len(n_fft) == n_fft and n_fft * dx >= period * guard
+    shorter = next(k for k in range(n_fft - 1, 0, -1) if sp_fft.next_fast_len(k) == k)
+    assert shorter * dx < period * guard
+    dxi = 2.0 * math.pi / (n_fft * dx)
+    cutoff = headroom * _freq_cutoff(law, 1e-8)
+    assert (n / 2 - 0.5) * dxi >= cutoff > (n / 2 - 1.5) * dxi
+
+
 def test_small_fit_recovers_scale(btc_params, btc_tables, caplog):
     _, cdf = btc_tables
     data = gt.sample(cdf, 1500, seed=3)
-    options = FitOptions(probe_maxfev=300, maxfev=3000, compute_se=True)
+    options = FitOptions(maxfev=3000, compute_se=True)
     caplog.set_level(logging.DEBUG, logger="gts_tail")
     fit = gt.fit_mle(data, options=options)
-    # One debug event per phase, with its counts and its frozen plan.
+    # One debug event per polish round and one for the Hessian, each with
+    # its counts and its frozen plan.
     events = [r for r in caplog.records if r.name == "gts_tail"]
-    assert [r.fit_phase for r in events] == ["pilot", "polish", "hessian"]
+    *rounds, hessian = events
+    assert [r.fit_phase for r in events] == ["polish"] * len(rounds) + ["hessian"]
     for r in events:
         assert set(r.penalties) == {"truncation", "aliasing", "error"}
         assert 0 <= sum(r.penalties.values()) <= r.evaluations
-    pilot, polish, hessian = events
-    assert all(r.seconds > 0.0 for r in events)
-    # Both optimizer runs are L-BFGS-B on the exact score.  scipy checks
-    # the budget between iterations, so the pilot may finish the one under
-    # way: at most one line search (maxls = 20 calls) past it.
-    assert pilot.method == polish.method == "L-BFGS-B"
-    assert 0 < pilot.score_evaluations == pilot.evaluations <= options.probe_maxfev + 20
-    assert pilot.plan is None
-    assert polish.evaluations == polish.score_evaluations
-    assert sum(polish.penalties.values()) == 0
-    # One polish round, its gain on its own plan, and why the fit stopped.
-    assert polish.round == 1 and polish.gain >= 0.0 and polish.stop == "converged"
-    # Each run's stop message, which says why a round did not converge.
-    assert "CONVERGENCE" in pilot.status and "CONVERGENCE" in polish.status
+        assert r.seconds > 0.0
+        assert set(r.plan) == {"n_freq", "xi", "x_min", "dx"}
+    # Every round is L-BFGS-B on the exact score, with its gain on its own
+    # plan; the last says why the fit stopped.
+    assert [r.round for r in rounds] == list(range(1, len(rounds) + 1))
+    for r in rounds:
+        assert r.method == "L-BFGS-B" and r.evaluations == r.score_evaluations
+        assert r.gain >= 0.0
+    assert all(r.stop is None for r in rounds[:-1]) and rounds[-1].stop == "converged"
+    # The last run's stop message, which says why a round did not converge.
+    assert "CONVERGENCE" in rounds[-1].status
+    assert sum(rounds[-1].penalties.values()) == 0
     # Central differences of the score: two calls per coordinate.
     assert hessian.evaluations == hessian.score_evaluations == 14
     assert sum(hessian.penalties.values()) == 0
-    for r in (polish, hessian):
-        assert set(r.plan) == {"n_freq", "xi", "x_min", "dx"}
-        # An even node count on an FFT-aligned step: the period
-        # pi (n_freq - 1)/xi is a whole number of grid steps.
-        steps = math.pi * (r.plan["n_freq"] - 1) / (r.plan["xi"] * r.plan["dx"])
-        assert r.plan["n_freq"] % 2 == 0 and abs(steps - round(steps)) <= 1e-9 * steps
-    # The Hessian's plan, frozen at the estimate: its period is the
-    # shortest fast FFT length that clears 1.1 times the estimate's guard,
-    # and its node count the smallest even one whose top node reaches 1.25
-    # times the estimate's cutoff.
-    n, dx = hessian.plan["n_freq"], hessian.plan["dx"]
-    guard = 0.5 * dx * (options.grid_m - 1) + _tail_radius(fit.params, 1e-9)
-    n_fft = round(math.pi * (n - 1) / (hessian.plan["xi"] * dx))
-    assert sp_fft.next_fast_len(n_fft) == n_fft and n_fft * dx >= _PLAN_PERIOD * guard
-    shorter = next(k for k in range(n_fft - 1, 0, -1) if sp_fft.next_fast_len(k) == k)
-    assert shorter * dx < _PLAN_PERIOD * guard
-    dxi = 2.0 * math.pi / (n_fft * dx)
-    cutoff = _HESSIAN_HEADROOM * _freq_cutoff(fit.params, 1e-8)
-    assert (n / 2 - 0.5) * dxi >= cutoff > (n / 2 - 1.5) * dxi
+    # The first round's plan, frozen at the moment start with the most
+    # room, and the Hessian's, frozen at the estimate.
+    start = _auto_init(np.asarray(data.values))
+    _assert_plan_sizing(rounds[0].plan, start, options.grid_m, _FIRST_HEADROOM, _FIRST_PERIOD)
+    _assert_plan_sizing(hessian.plan, fit.params, options.grid_m, _HESSIAN_HEADROOM, _PLAN_PERIOD)
+    # The reported log-likelihood is the value on that plan, to the bit.
+    at_estimate = _LikelihoodPlan(fit.params, np.asarray(data.values), options, _HESSIAN_HEADROOM)
+    assert fit.loglik == -at_estimate.neg_loglik(fit.params)
     assert fit.converged
     assert fit.n_free == 7
     # Loose sanity: the optimum cannot be far below the truth's likelihood.
@@ -365,24 +377,29 @@ def test_small_fit_recovers_scale(btc_params, btc_tables, caplog):
 
 def test_benchmark_fit_polishes_by_lbfgsb_alone(benchmark_sample, caplog):
     # The simplex restarts needed 1921 polish evaluations on this sample,
-    # and L-BFGS-B on forward differences 336 (42 gradients).
+    # and L-BFGS-B on forward differences 336 (42 gradients).  From the
+    # moment start the first round's plan is frozen far from the optimum:
+    # its round touches the truncation bound twice on the way, and a
+    # second round, re-frozen where the first stopped, converges.
     caplog.set_level(logging.DEBUG, logger="gts_tail")
     fit = gt.fit_mle(benchmark_sample, options=FitOptions(compute_se=False))
-    (polish,) = [r for r in caplog.records if getattr(r, "fit_phase", None) == "polish"]
-    assert polish.method == "L-BFGS-B"
-    assert polish.round == 1 and polish.stop == "converged"
-    assert polish.evaluations == polish.score_evaluations
-    assert polish.evaluations <= 80
-    assert sum(polish.penalties.values()) == 0
+    rounds = [r for r in caplog.records if getattr(r, "fit_phase", None) == "polish"]
+    assert [r.round for r in rounds] == [1, 2]
+    assert all(r.method == "L-BFGS-B" and r.evaluations == r.score_evaluations for r in rounds)
+    assert rounds[0].penalties == {"truncation": 2, "aliasing": 0, "error": 0}
+    assert rounds[0].stop is None
+    assert rounds[1].stop == "converged" and sum(rounds[1].penalties.values()) == 0
+    assert sum(r.evaluations for r in rounds) <= 80
     assert fit.converged
     # The monotone-cubic fit's estimate, re-scored by the public likelihood.
     assert fit.loglik >= -7725.020447595365 - 1e-6
 
 
 def test_polish_first_step_stays_inside_the_plan(eth_tables, caplog):
-    # From the nearly stationary pilot point, a unit first step along -g in
-    # the transformed coordinates crossed this sample's plan truncation
-    # bound on the third call and sent the fit to the simplex restarts.
+    # From a nearly stationary start (the point of a pilot that once ran
+    # ahead of the rounds), a unit first step along -g in the transformed
+    # coordinates crossed this sample's plan truncation bound on the third
+    # call and sent the fit to the simplex restarts.
     _, cdf = eth_tables
     caplog.set_level(logging.DEBUG, logger="gts_tail")
     fit = gt.fit_mle(gt.sample(cdf, 3000, seed=2), options=FitOptions(compute_se=False))
@@ -453,6 +470,34 @@ def test_wall_sample_fit_reaches_the_optimum_of_a_plan_frozen_there(btc_seed_4_f
     assert start - again.fun < 1e-4
 
 
+def test_reported_loglik_is_the_value_on_a_plan_frozen_at_the_estimate(btc_seed_4_fit):
+    # The last round's plan is frozen where that round starts: on this
+    # sample its value at the estimate was 9.0e-4 nats off the public
+    # likelihood, and a plan frozen at the estimate is 1.1e-6 off.
+    data, fit, _ = btc_seed_4_fit
+    obs = np.asarray(data.values)
+    plan = _LikelihoodPlan(fit.params, obs, FitOptions(), _HESSIAN_HEADROOM)
+    assert fit.loglik == -plan.neg_loglik(fit.params)
+    assert abs(fit.loglik - gt.log_likelihood(fit.params, data)) <= 1e-5
+
+
+def test_fit_reports_the_last_round_where_no_plan_fits_at_the_estimate(benchmark_sample):
+    # With a budget of 5000 nodes the first round stops on a law whose own
+    # grid needs more, so no plan can be frozen there: the fit stops
+    # unconverged and reports the value on its last round's plan.
+    options = FitOptions(max_n_freq=5000)
+    fit = gt.fit_mle(benchmark_sample, options=options)
+    obs = np.asarray(benchmark_sample.values)
+    with pytest.raises(ConfigError, match="over the budget"):
+        _LikelihoodPlan(fit.params, obs, options, _HESSIAN_HEADROOM)
+    assert fit.converged is False and fit.std_errors is None
+    assert abs(fit.loglik - gt.log_likelihood(fit.params, benchmark_sample)) <= 1e-4
+    # Had it converged, its standard errors would be omitted as a fallback.
+    with pytest.warns(SingularHessianWarning, match="standard errors omitted: .*over the budget"):
+        omitted = _with_standard_errors(fit, benchmark_sample, options)
+    assert omitted.std_errors is None and omitted.hessian_fallback
+
+
 # The estimate the since deleted Nelder-Mead restarts returned on the CLI
 # fit test's sample.
 _SIMPLEX_ESTIMATE = (
@@ -474,7 +519,7 @@ def _btc_600_draws(seed):
 
 def test_polish_rounds_refreeze_the_plan_past_a_plan_bound(caplog):
     # 600 BTC draws (seed 12) on a 1024-point grid: the optimum sits at
-    # beta_plus = 0, and the first polish round reaches the aliasing bound
+    # beta_plus = 0, and the first polish round reaches the truncation bound
     # of its plan on the way there.
     data = _btc_600_draws(12)
     caplog.set_level(logging.DEBUG, logger="gts_tail")
@@ -483,7 +528,7 @@ def test_polish_rounds_refreeze_the_plan_past_a_plan_bound(caplog):
     assert len(rounds) >= 2
     assert all(r.method == "L-BFGS-B" for r in rounds)
     assert [r.round for r in rounds] == list(range(1, len(rounds) + 1))
-    assert rounds[0].penalties["aliasing"] > 0
+    assert rounds[0].penalties["truncation"] > 0
     assert rounds[-1].stop == "converged" and fit.converged
     assert all(r.stop is None for r in rounds[:-1])
     # The last round's point moves to the limit the rounds head for.
@@ -510,20 +555,67 @@ def test_polish_rounds_beat_the_simplex_restarts():
     assert gain >= 0.002
 
 
-def test_polish_rounds_stop_at_the_frequency_node_budget(btc_tables, caplog):
-    # Criterion 9's bilateral-gamma fit: each round touches a bound of its
-    # plan, until a plan at the 2**15-node budget cannot grow further.
+@pytest.fixture(scope="module")
+def bilateral_gamma_budget_fit(btc_tables):
+    """Criterion 9's bilateral-gamma fit (5000 BTC draws, seed 11, a
+    2**15-node budget): the sample, the options, the fit and its polish
+    events."""
     _, cdf = btc_tables
     data = gt.sample(cdf, 5000, seed=11)
-    options = FitOptions(
-        probe_maxfev=200, maxfev=1500, compute_se=False, max_n_freq=2**15, grid_m=2**11
-    )
-    caplog.set_level(logging.DEBUG, logger="gts_tail")
-    fit = gt.fit_mle(data, kind=gt.RestrictedKind.BILATERAL_GAMMA, options=options)
-    rounds = [r for r in caplog.records if getattr(r, "fit_phase", None) == "polish"]
+    options = FitOptions(maxfev=1500, compute_se=False, max_n_freq=2**15, grid_m=2**11)
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("gts_tail")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        fit = gt.fit_mle(data, kind=gt.RestrictedKind.BILATERAL_GAMMA, options=options)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    rounds = [r for r in records if getattr(r, "fit_phase", None) == "polish"]
+    return data, options, fit, rounds
+
+
+def test_polish_rounds_stop_at_the_frequency_node_budget(bilateral_gamma_budget_fit):
+    # Each round touches a bound of its plan, until a plan at the
+    # 2**15-node budget cannot grow further.
+    _, _, fit, rounds = bilateral_gamma_budget_fit
     assert fit.converged is False
     assert rounds[-1].stop == "max_n_freq"
     assert rounds[-1].plan["n_freq"] == 2**15
+
+
+# The bilateral-gamma estimate of the same sample when an L-BFGS-B pilot
+# on per-law automatic grids ran before the polish rounds, and the rounds
+# stopped as soon as one touched a bound of a plan at the node budget.
+_PILOT_BILATERAL_GAMMA_ESTIMATE = (
+    0.08513728297355896,
+    0.0,
+    0.0,
+    1.2806946906089913,
+    1.2483281328971865,
+    0.49096712105088985,
+    0.4760453591083239,
+)
+
+
+def test_polish_rounds_refreeze_at_the_node_budget_while_they_gain(bilateral_gamma_budget_fit):
+    # A round that touches a bound of a plan at the budget re-freezes it
+    # around its point, with the same nodes, until a round gains under 1e-6
+    # nats: on one plan, frozen at the new estimate, that gains 8.28 nats
+    # over stopping at the first such round.
+    data, options, fit, rounds = bilateral_gamma_budget_fit
+    at_budget = [r for r in rounds if r.plan["n_freq"] == 2**15]
+    assert len(at_budget) >= 2 and all(sum(r.penalties.values()) > 0 for r in at_budget)
+    common = _LikelihoodPlan(
+        fit.params, np.asarray(data.values), replace(options, max_n_freq=2**20), _HEADROOM
+    )
+    before = gt.validate_params(*_PILOT_BILATERAL_GAMMA_ESTIMATE)
+    assert common.penalty_cause(before) is None and common.penalty_cause(fit.params) is None
+    assert common.neg_loglik(before) - common.neg_loglik(fit.params) >= 8.0
 
 
 def test_hessian_symmetry(btc_params, btc_sample_5k):

@@ -71,7 +71,7 @@ def test_fit_oracle_and_interpolator_import_scipy_on_first_use(tmp_path):
 
         # scipy.integrate and scipy.interpolate import scipy.optimize: the fit first.
         data = gt.sample(gt.cdf_table(p, pdf.grid), 300, seed=3)
-        options = gt.FitOptions(grid_m=1024, probe_maxfev=20, maxfev=20, compute_se=False)
+        options = gt.FitOptions(grid_m=1024, maxfev=20, compute_se=False)
         fit = gt.fit_mle(data, options=options)
         assert math.isfinite(fit.loglik) and fit.n_obs == 300
 
