@@ -134,19 +134,6 @@ def validate_params(
 # characteristic exponent and friends
 # --------------------------------------------------------------------------
 
-def _one_sided_exponent(alpha, beta, lam, z):
-    """alpha * Gamma(-beta) * ((lam + z)**beta - lam**beta) with beta -> 0 limit.
-
-    ``z`` is -i*xi for the positive side and +i*xi for the negative side.
-    At beta = 0 the product Gamma(-beta)*((lam+z)**beta - lam**beta) tends to
-    -log((lam + z)/lam), the bilateral-gamma form.  The constant term uses
-    the complex power path so psi(0) cancels to exactly zero.
-    """
-    if beta == 0.0:
-        return -alpha * np.log((lam + z) / lam)
-    return alpha * _gamma(-beta) * ((lam + z) ** beta - np.complex128(lam) ** beta)
-
-
 def characteristic_exponent(p: GTSParams, xi):
     """psi(xi) = log E[exp(i xi Y)].  Accepts scalars or arrays.
 
@@ -157,11 +144,15 @@ def characteristic_exponent(p: GTSParams, xi):
     finite = np.isfinite(xi)
     if not finite.all():
         raise NonFinite(f"xi is not finite: {complex(xi[~finite][0])}")
-    out = (
-        1j * p.mu * xi
-        + _one_sided_exponent(p.alpha_plus, p.beta_plus, p.lambda_plus, -1j * xi)
-        + _one_sided_exponent(p.alpha_minus, p.beta_minus, p.lambda_minus, 1j * xi)
-    )
+    out = 1j * p.mu * xi
+    for _, beta, lam, sign, k in _tempered_sides(p):
+        z = np.log1p((sign * 1j / lam) * xi)
+        terms = _series_terms(beta, float(np.max(np.abs(z), initial=0.0)))
+        if terms:
+            er, ei = _z_times_series(_RATIO_SERIES[:terms], beta, z.real, z.imag)
+            out = out + k * (er + 1j * ei)
+        else:
+            out = out + k * (np.expm1(beta * z) / beta)
     return out if out.ndim else complex(out)
 
 
@@ -173,18 +164,74 @@ def characteristic_function(p: GTSParams, xi):
 
 
 def _tempered_sides(p: GTSParams):
-    """Per side of psi: (alpha, beta, lam, sign, c, lam**beta).
+    """Per side of psi: (alpha, beta, lam, sign, k), with psi_side = k*E.
 
-    The base is lam + sign*i*xi; c = alpha*Gamma(-beta) is None at beta = 0,
-    where the log form applies.  lam**beta is taken as exp(beta*log(lam)),
-    the way the complex power evaluates it.
+    E = expm1(beta*z)/beta at z = log(b/lam), b = lam + sign*i*xi, and
+    k = -alpha*Gamma(1 - beta)*exp(beta*log(lam)): the power form
+    alpha*Gamma(-beta)*(b**beta - lam**beta) without its cancellation as
+    beta -> 0, where psi_side -> -alpha*z, the bilateral-gamma form.
     """
     for alpha, beta, lam, sign in (
         (p.alpha_plus, p.beta_plus, p.lambda_plus, -1.0),
         (p.alpha_minus, p.beta_minus, p.lambda_minus, 1.0),
     ):
-        c = None if beta == 0.0 else alpha * float(_gamma(-beta))
-        yield alpha, beta, lam, sign, c, math.exp(beta * math.log(lam))
+        yield alpha, beta, lam, sign, -alpha * math.gamma(1.0 - beta) * math.exp(beta * math.log(lam))
+
+
+# E = expm1(beta*z)/beta and its beta partial E' are read from their Taylor
+# series in u = beta*z wherever beta*|z| < _SERIES_BZ: at beta = 0 both
+# closed forms are 0/0, and near it the closed form of E' cancels, to a
+# relative error of about eps/(beta*|z|) (4e-13 at the switch).
+_SERIES_BZ = 1e-3
+_RATIO_SERIES = tuple(1.0 / math.factorial(j + 1) for j in range(5))  # E/z
+_PARTIAL_SERIES = tuple((j + 1) / math.factorial(j + 2) for j in range(5))  # E'/z**2
+
+
+def _series_terms(beta: float, bound: float) -> int:
+    """How many terms of the series at every |z| <= bound leave a truncation
+    error below 2**-54, relative: the first n with (beta*bound)**n/n! under
+    it, at most 5, and 1 at beta = 0.  0 where beta*bound >= _SERIES_BZ,
+    where the closed forms apply."""
+    x = beta * bound
+    if not x < _SERIES_BZ:
+        return 0
+    n = 1
+    while x**n > 2.0**-54 * math.factorial(n):
+        n += 1
+    return n
+
+
+def _z_times_series(coeffs, beta: float, zr, zi):
+    """(Re, Im) of z*sum_j coeffs[j]*(beta*z)**j at z = zr + i*zi, by Horner
+    in real arithmetic."""
+    pr, pi = coeffs[-1], 0.0
+    for c in coeffs[-2::-1]:
+        pr, pi = beta * (pr * zr - pi * zi) + c, beta * (pr * zi + pi * zr)
+    return pr * zr - pi * zi, pr * zi + pi * zr
+
+
+def _expm1_ratio(beta: float, zr, zi, terms: int):
+    """(Re, Im) of E = expm1(beta*z)/beta at z = zr + i*zi, |zi| < pi/2,
+    from ``terms`` terms of its series (_series_terms; z itself at beta = 0)
+    or, at 0 terms, its closed form: with x = beta*zr and y = beta*zi,
+    beta*E = expm1(x)*cos(y) - sin(y)**2/(1 + cos(y)) + i*exp(x)*sin(y),
+    where no term cancels."""
+    if terms:
+        return _z_times_series(_RATIO_SERIES[:terms], beta, zr, zi)
+    y = beta * zi
+    em1, cos, sin = np.expm1(beta * zr), np.cos(y), np.sin(y)
+    return (em1 * cos - sin * sin / (1.0 + cos)) / beta, (em1 + 1.0) * sin / beta
+
+
+def _expm1_ratio_partial(beta: float, zr, zi, er, ei, terms: int):
+    """(Re, Im) of dE/dbeta = (z*exp(beta*z) - E)/beta at z = zr + i*zi,
+    given E = er + i*ei (exp(beta*z) = 1 + beta*E), or, with ``terms``, its
+    series z**2*(1/2 + beta*z/3 + ...), which is z**2/2 at beta = 0."""
+    if terms:
+        sr, si = _z_times_series(_PARTIAL_SERIES[:terms], beta, zr, zi)
+        return zr * sr - zi * si, zr * si + zi * sr
+    pr, pi = 1.0 + beta * er, beta * ei
+    return (zr * pr - zi * pi - er) / beta, (zr * pi + zi * pr - ei) / beta
 
 
 def _shifted_cf(p: GTSParams, xi: np.ndarray, shift: float) -> np.ndarray:
@@ -201,50 +248,38 @@ def _shifted_cf_pullback(p: GTSParams, xi: np.ndarray, shift: float):
     weights w to Re sum_k w_k dpsi(xi_k)/d field for each field of
     PARAM_NAMES.
 
-    Each base b = lam + sign*i*xi enters through its log-modulus
-    0.5*log(lam**2 + xi**2) and its argument sign*atan(xi/lam) (the
-    log1p/atan form of -alpha*log(b/lam) at beta = 0), so psi costs real
-    log/atan/exp/cos/sin instead of complex powers.  The result is one real
-    exp of Re psi times the unit phasor of Im psi - shift*xi.
+    Each side is psi_side = k*E (_tempered_sides), with z = log(b/lam) =
+    0.5*log1p(r**2) + sign*i*atan(r) at r = xi/lam, so psi costs real
+    log1p/atan/expm1/cos/sin instead of complex powers, for every beta,
+    0 included.  The result is one real exp of Re psi times the unit
+    phasor of Im psi - shift*xi.
 
     The partials come from the kernel's own pieces.  Per side, with
-    psi_side = c*(b**beta - lam**beta):
+    k = -alpha*Gamma(1 - beta)*lam**beta and exp(beta*z) = 1 + beta*E:
 
-        d/d alpha = psi_side/alpha
-        d/d lam   = c*beta*(b**beta/b - lam**beta/lam)   (-alpha*(1/b - 1/lam) at beta = 0)
-        d/d beta  = -digamma(-beta)*psi_side + c*(b**beta log b - lam**beta log lam)
+        d/d alpha = psi_side/alpha = k*E/alpha
+        d/d lam   = k*(exp(beta*z)/b - 1/lam)
+        d/d beta  = k*(log(lam) - digamma(1 - beta))*E + k*dE/dbeta
 
-    since d/d beta Gamma(-beta) = -Gamma(-beta) digamma(-beta); and
-    d/d mu = i*xi.  With b**beta = mod*(cos + sign*i*sin) of beta*atan(xi/lam),
-    1/b = (lam - sign*i*xi)/(lam**2 + xi**2) and log b = log|b| +
-    sign*i*atan(xi/lam), each weighted sum is a few real dot products over
-    the pieces the kernel keeps.  A side at beta = 0 reports 0 for its beta:
-    a fit reaches that point only where its coordinate map has zero slope
-    in beta, or with beta pinned.
+    since d/d beta log Gamma(1 - beta) = -digamma(1 - beta); and
+    d/d mu = i*xi.  With 1/b = (lam - sign*i*xi)/(lam**2 + xi**2), each
+    weighted sum is a few real dot products over the pieces the kernel
+    keeps.  At beta = 0, dE/dbeta = z**2/2 and the beta partial is
+    -alpha*(log(b)**2/2 - log(lam)**2/2 + euler_gamma*(log(b) - log(lam))).
     """
     re = np.zeros_like(xi)
     im = p.mu * xi
     sides = []
-    for alpha, beta, lam, sign, c, lam_beta in _tempered_sides(p):
+    for alpha, beta, lam, sign, k in _tempered_sides(p):
+        # zr + i*zi is z for sign = +1; the side's z is zr + i*sign*zi, and
+        # E and its partial carry the same sign on their imaginary parts.
         r = xi / lam
-        arg = np.arctan(r)
-        if c is None:
-            # psi_side = -(side_re + i side_im)
-            side_re = 0.5 * alpha * np.log1p(r * r)
-            side_im = sign * alpha * arg
-            re -= side_re
-            im -= side_im
-            pieces = (side_re, side_im)
-        else:
-            log_square = np.log(lam * lam + xi * xi)
-            mod = np.exp((0.5 * beta) * log_square)
-            sin = np.sin(beta * arg)
-            # b**beta = power_re + i*sign*mod*sin
-            power_re = mod * np.cos(beta * arg)
-            re += c * (power_re - lam_beta)
-            im += (sign * c) * mod * sin
-            pieces = (power_re, mod, sin, log_square, arg)
-        sides.append((alpha, beta, lam, sign, c, lam_beta, pieces))
+        zr, zi = 0.5 * np.log1p(r * r), np.arctan(r)
+        terms = _series_terms(beta, float(np.max(zr)) + 0.5 * math.pi)
+        er, ei = _expm1_ratio(beta, zr, zi, terms)
+        re += k * er
+        im += (sign * k) * ei
+        sides.append((alpha, beta, lam, sign, k, zr, zi, er, ei, terms))
     cf = _polar(re, im - shift * xi)
 
     def pullback(w: np.ndarray) -> np.ndarray:
@@ -252,28 +287,19 @@ def _shifted_cf_pullback(p: GTSParams, xi: np.ndarray, shift: float):
         total = wr.sum()
         out = np.zeros(len(PARAM_NAMES))
         out[0] = -_dot(xi, wi)
-        for k, (alpha, beta, lam, sign, c, lam_beta, pieces) in enumerate(sides):
-            # Re(w/b) = (lam wr + sign xi wi)/|b|**2, Im(w/b) = (lam wi - sign xi wr)/|b|**2.
+        for j, (alpha, beta, lam, sign, k, zr, zi, er, ei, terms) in enumerate(sides):
+            by_e = _dot(er, wr) - sign * _dot(ei, wi)
+            # Re(w/b) = (lam wr + sign xi wi)/|b|**2, Im(w/b) = (lam wi - sign xi wr)/|b|**2,
+            # and Re(w exp(beta z)/b) = Re(w/b) + beta Re(w E/b).
             square = lam * lam + xi * xi
             over_re = (lam * wr + sign * (xi * wi)) / square
-            if c is None:
-                side_re, side_im = pieces
-                out[3 + k] = (_dot(side_im, wi) - _dot(side_re, wr)) / alpha
-                out[5 + k] = -alpha * (over_re.sum() - total / lam)
-                continue
-            power_re, mod, sin, log_square, arg = pieces
-            power_im = (sign * mod) * sin
-            by_side = c * (_dot(power_re, wr) - lam_beta * total - _dot(power_im, wi))
-            out[3 + k] = by_side / alpha
-            # Re(w b**beta/b) and Re(w b**beta log b).
             over_im = (lam * wi - sign * (xi * wr)) / square
-            over = _dot(power_re, over_re) - _dot(power_im, over_im)
-            log_re, log_im = 0.5 * log_square, sign * arg
-            logged = _dot(power_re * log_re - power_im * log_im, wr)
-            logged -= _dot(power_re * log_im + power_im * log_re, wi)
-            out[5 + k] = c * beta * (over - lam_beta / lam * total)
-            out[1 + k] = -float(_digamma(-beta)) * by_side + c * (
-                logged - lam_beta * math.log(lam) * total
+            over = over_re.sum() + beta * (_dot(er, over_re) - sign * _dot(ei, over_im))
+            dr, di = _expm1_ratio_partial(beta, zr, zi, er, ei, terms)
+            out[3 + j] = k * by_e / alpha
+            out[5 + j] = k * (over - total / lam)
+            out[1 + j] = k * (
+                (math.log(lam) - float(_digamma(1.0 - beta))) * by_e + _dot(dr, wr) - sign * _dot(di, wi)
             )
         return out
 
@@ -298,24 +324,26 @@ def _polar(log_modulus: np.ndarray, phase: np.ndarray) -> np.ndarray:
 def _log_modulus(p: GTSParams):
     """The scalar function x -> Re psi(x) = log|cf(x)| at real x, via math.
 
-    It takes the real steps of the complex reference path: the log of the
-    base's hypot, its atan2, exp and cos, and at beta = 0 the division of
-    the base by lam before the log.  So it returns
-    Re characteristic_exponent(p, x) to the bit away from small |x|, and the
-    cutoff bisection lands on the same float or within a few ulps of it.
-    Per-side constants are bound once.
+    It takes the real steps of the complex reference path: numpy's complex
+    log1p of sign*i*x/lam and expm1 of beta times it, the division by beta
+    (a product with 1/beta, as numpy divides by a real), and the series
+    near beta = 0.  So it returns Re characteristic_exponent(p, x) to the
+    bit, and the cutoff bisection lands on the same float or within a few
+    ulps of it.  Per-side constants are bound once.
     """
-    sides = tuple(_tempered_sides(p))
+    sides = tuple((beta, 1.0 / lam, k) for _, beta, lam, _, k in _tempered_sides(p))
 
     def re_psi(x: float) -> float:
         total = 0.0
-        for alpha, beta, lam, _, c, lam_beta in sides:
-            if c is None:
-                inv = 1.0 / lam
-                total -= alpha * math.log(math.hypot(lam * inv, x * inv))
+        for beta, inv_lam, k in sides:
+            r = x * inv_lam
+            zr, zi = math.log(math.hypot(1.0, r)), math.atan2(r, 1.0)
+            terms = _series_terms(beta, math.hypot(zr, zi))
+            if terms:
+                total += k * _z_times_series(_RATIO_SERIES[:terms], beta, zr, zi)[0]
             else:
-                power = math.exp(beta * math.log(math.hypot(lam, x)))
-                total += c * (power * math.cos(beta * math.atan2(x, lam)) - lam_beta)
+                half = math.sin(0.5 * beta * zi)
+                total += k * ((math.expm1(beta * zr) * math.cos(beta * zi) - 2.0 * half * half) * (1.0 / beta))
         return total
 
     return re_psi
@@ -339,16 +367,13 @@ def _mgf_exponent_values(p: GTSParams, theta):
     """mgf_exponent elementwise over real theta, without the domain check.
 
     Every theta must lie strictly inside (-lambda_minus, lambda_plus), so
-    each base lam -/+ theta is positive and psi(-i*theta) is real: the
-    powers are exp(beta*log(base)), and at beta = 0 the log form is
-    -alpha*log1p(-/+theta/lam).
+    each base lam -/+ theta is positive and psi(-i*theta) is real: each
+    side is k*E (_tempered_sides) at the real z = log1p(-/+theta/lam).
     """
     val = p.mu * theta
-    for alpha, beta, lam, sign, c, lam_beta in _tempered_sides(p):
-        if c is None:
-            val = val - alpha * np.log1p(sign * theta / lam)
-        else:
-            val = val + c * (np.exp(beta * np.log(lam + sign * theta)) - lam_beta)
+    for _, beta, lam, sign, k in _tempered_sides(p):
+        z = np.log1p(sign * theta / lam)
+        val = val + k * _expm1_ratio(beta, z, 0.0, _series_terms(beta, float(np.max(np.abs(z)))))[0]
     return val
 
 

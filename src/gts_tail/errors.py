@@ -126,20 +126,20 @@ class PenaltyWall(NumericalError):
 
 
 class BoundaryEstimate(NumericalError):
-    """A free stability index sits at its bilateral-gamma limit 0.
+    """A free stability index sits at, or next to, its bilateral-gamma limit 0.
 
-    The fit takes a stability index below 1e-7 as 0, so the likelihood is
-    flat in its coordinate there.  ``coordinates`` names the free
-    coordinates whose limit 0 lowers the likelihood by less than 1e-4 nats;
-    the observed information says nothing about them and gives no Wald
-    standard error.
+    A fit holds each stability index in [0, 1) and may stop on the limit 0
+    itself.  ``coordinates`` names the free stability indices closer to 0
+    than one Hessian step: a central difference there cannot straddle the
+    estimate, and an estimate on the limit is not the interior optimum a
+    Wald standard error assumes, so none is given.
     """
 
     def __init__(self, coordinates):
         self.coordinates = tuple(coordinates)
         super().__init__(
-            "the likelihood is flat along " + ", ".join(self.coordinates)
-            + ": the estimate sits at the bilateral-gamma limit beta = 0"
+            "no Wald standard error along " + ", ".join(self.coordinates)
+            + ": the estimate is within one Hessian step of the bilateral-gamma limit beta = 0"
         )
 
 

@@ -2,9 +2,10 @@
 
 The likelihood of a return sample is evaluated through the Fourier-inverted
 density (the tables' local degree-4 stencil between grid nodes, floored at
-1e-300 before the log).  The surface is maximized in a transformed space
-(logit for the stability indices, log for intensities and tempering rates,
-identity for the drift).  One search path: L-BFGS-B rounds with the
+1e-300 before the log).  The surface is maximized in a transformed space:
+log for intensities and tempering rates, identity for the drift and for
+the stability indices, which L-BFGS-B holds in the box [0, 1 - 1e-3]
+(0 is the bilateral-gamma limit).  One search path: L-BFGS-B rounds with the
 exact score, each on a likelihood plan frozen where it starts, its first
 steps short, from the moment-matched start (or the caller's); a round that
 fails or touches a plan bound hands its point to the next, on a plan
@@ -28,8 +29,9 @@ The reported log-likelihood is the value on a plan frozen at the estimate.
 Standard errors come from the observed information: the Hessian of the
 negative log-likelihood at the optimum by central differences of the score
 in the transformed coordinates, on that same plan, symmetrized, inverted
-and mapped back to natural parameters by the delta method.  Where a free stability index's limit 0 lowers the likelihood by
-less than 1e-4 nats, the fit reports no standard errors.
+and mapped back to natural parameters by the delta method.  Where a free
+stability index is closer to its limit 0 than one Hessian step, the fit
+reports no standard errors.
 """
 
 from __future__ import annotations
@@ -117,28 +119,29 @@ _HESSIAN_HEADROOM = 1.25
 # fit; plans frozen at nearby points differ by up to 0.11 nats at grid_m 1024.
 _ROUND_GAIN = 1e-6
 _HESSIAN_STEP = 1e-4  # relative step of the Hessian's score differences
-# Stability indices below 1e-7 are taken as 0, the bilateral-gamma limit,
-# and the logit coordinate is flat below it.  Near 0 the power form
-# c*(b**beta - lam**beta), with c about -alpha/beta, cancels: its error in
-# psi is about alpha*eps/beta, 1e-9 at beta = 1e-7 but 0.02 at 3e-15,
-# where an exact-score polish on 600 BTC draws gained 15 nats of rounding.
-_LOGIT_BETA_ZERO = math.log(1e-7 / (1.0 - 1e-7))
-# A free stability index whose limit 0 costs the likelihood less than this
-# is an estimate at that limit: its coordinate is flat there, and no Wald
-# standard error applies.  A fit of 3000 BTC draws that stopped at 1.014e-7
-# is 8.7e-7 nats above its limit law.
-_BOUNDARY_NATS = 1e-4
+# The stability indices are fitted as they are, inside the L-BFGS-B box
+# [0, _BETA_MAX]: 0 is the bilateral-gamma limit, which the kernel holds
+# without cancellation, and beta = 1 is outside the domain (Gamma(1 - beta)
+# diverges there).  1e-3 below 1 leaves room for the Hessian's probes,
+# 1e-4 away, and keeps Gamma(1 - beta) under 1000.  A fit that stops at
+# _BETA_MAX reports it as the estimate, and its Wald standard error is the
+# curvature's there, since the probes straddle it.
+_BETA_MAX = 1.0 - 1e-3
 # L-BFGS-B polish on the exact score: the relative-decrease and
 # projected-gradient stopping tolerances.  On 14 checked samples ftol 1e-15
 # took 1-16 more score calls on seven, for at most 6e-9 nats, and needed
 # a second round on one.
 _QN_FTOL = 1e-14
 _QN_GTOL = 1e-8
-# The polish runs in u = (t - t_start)/0.01.  L-BFGS-B's first trial step
-# has unit length along -g: run in t from a nearly stationary point, the
-# polish crossed a plan bound within 3-38 calls on 7 of 14 checked samples.
-# Scales from 0.003 to 0.1 needed no second round on any of them.
-_POLISH_SCALE = 0.01
+# The polish runs in u = (t - t_start)/_POLISH_SCALE.  L-BFGS-B's first
+# trial step has unit length along -g: run in t from a nearly stationary
+# point, the polish crossed a plan bound within 3-38 calls on 7 of 14
+# checked samples.  On those 14, scales from 0.005 to 0.05 took 1005-1252
+# score calls, and all but 0.0175, 0.018 and 0.02 left some sample's public
+# log-likelihood more than 1e-6 below that of the fit in the logit of the
+# stability indices.  0.018 took 1156 (59 on the benchmark sample, against
+# 70 at 0.01) and, of the three, lost least on four boundary samples.
+_POLISH_SCALE = 0.018
 
 _log = logging.getLogger("gts_tail")
 
@@ -160,7 +163,9 @@ class FitOptions:
     Laws the frozen grid cannot resolve (a characteristic function still
     above 1e-8 at the cutoff, or density aliases reaching the grid), such
     as stability indices near zero with small intensities, are treated as
-    infeasible by the optimizer.
+    infeasible by the optimizer.  The stability indices are searched as
+    they are, in the box [0, 1 - 1e-3]; a fit may return an index of
+    exactly 0, the bilateral-gamma limit, or exactly 1 - 1e-3.
 
     The search is L-BFGS-B polish rounds of ``maxfev`` score calls in
     total, on the exact score, from the moment-matched start (or the
@@ -171,13 +176,12 @@ class FitOptions:
     the ``max_n_freq`` budget), the budget is spent, or the law where it
     stopped needs more than ``max_n_freq`` nodes on its own grid.  A plan
     at the node budget is re-frozen too: it keeps the budget's nodes and
-    shares the room between its two bounds around the new point.  The last
-    round's point moves to the limit 0 of a free stability index where that
-    is better on its plan (the logit runs off to -inf there, and the polish
-    stops short of it in the flat).  ``compute_se`` adds standard errors to
-    a converged fit: central differences of the score at steps of 1e-4,
-    relative, on the plan frozen at the estimate with a cutoff 1.25 times
-    its own, which also gives the reported log-likelihood.
+    shares the room between its two bounds around the new point.
+    ``compute_se`` adds standard errors to a converged fit: central
+    differences of the score at steps of 1e-4, relative, on the plan frozen
+    at the estimate with a cutoff 1.25 times its own, which also gives the
+    reported log-likelihood; a fit with a free stability index within 1e-4
+    of 0 omits them, as a fallback.
     """
 
     grid_m: int = 2**12
@@ -229,42 +233,23 @@ class NormalFit:
 # parameter-space transforms
 # --------------------------------------------------------------------------
 
+def _is_logged(name: str) -> bool:
+    """Intensities and tempering rates are fitted in log; the drift and
+    the stability indices as they are."""
+    return not (name == "mu" or name.startswith("beta"))
+
+
 def _to_transformed(names, free):
-    out = []
-    for name, v in zip(names, free):
-        if name.startswith("beta"):
-            b = min(max(float(v), 1e-9), 1.0 - 1e-9)
-            out.append(math.log(b / (1.0 - b)))
-        elif name == "mu":
-            out.append(float(v))
-        else:
-            out.append(math.log(float(v)))
-    return np.array(out)
+    return np.array([math.log(float(v)) if _is_logged(n) else float(v) for n, v in zip(names, free)])
 
 
 def _from_transformed(names, t):
-    out = []
-    for name, v in zip(names, t):
-        if name.startswith("beta"):
-            out.append(1.0 / (1.0 + math.exp(-float(v))) if v > _LOGIT_BETA_ZERO else 0.0)
-        elif name == "mu":
-            out.append(float(v))
-        else:
-            out.append(math.exp(float(v)))
-    return out
+    return [math.exp(float(v)) if _is_logged(n) else float(v) for n, v in zip(names, t)]
 
 
 def _jacobian_diag(names, free):
     """d(natural)/d(transformed) for the coordinate-wise transforms."""
-    out = []
-    for name, v in zip(names, free):
-        if name.startswith("beta"):
-            out.append(float(v) * (1.0 - float(v)))
-        elif name == "mu":
-            out.append(1.0)
-        else:
-            out.append(float(v))
-    return np.array(out)
+    return np.array([float(v) if _is_logged(n) else 1.0 for n, v in zip(names, free)])
 
 
 # --------------------------------------------------------------------------
@@ -562,8 +547,6 @@ def fit_mle(
                 refrozen = freeze(best.x)
             except ConfigError:
                 stop = "max_n_freq"
-        if stop is not None:
-            _try_limits(plan, kind, best)
         plan.log("polish", method="L-BFGS-B", round=round_, status=best.message,
                  gain=best.gain, stop=stop)
         if stop is not None:
@@ -597,56 +580,43 @@ def fit_mle(
 
 
 def _polish(plan: _LikelihoodPlan, kind: RestrictedKind, t_start: np.ndarray, maxfev: int):
-    """L-BFGS-B on the plan's exact score from t_start, run in
-    u = (t - t_start)/_POLISH_SCALE so that its first trial step is short,
-    with the projected-gradient tolerance scaled to match.  The result's x
-    is in t, and its ``gain`` is the drop in value from t_start."""
+    """L-BFGS-B on the plan's exact score from t_start, with the stability
+    indices in the box [0, _BETA_MAX], run in u = (t - t_start)/_POLISH_SCALE
+    so that its first trial step is short, with the box and the
+    projected-gradient tolerance scaled to match.  A u on a bound of the box
+    maps to that bound exactly.  The result's x is in t, and its ``gain`` is
+    the drop in value from t_start."""
     score = plan.objective(kind, score=True)
+    beta = np.array([n.startswith("beta") for n in kind.free_names])
+    lower, upper = np.where(beta, 0.0, -np.inf), np.where(beta, _BETA_MAX, np.inf)
+    bounds = np.column_stack(((lower - t_start) / _POLISH_SCALE, (upper - t_start) / _POLISH_SCALE))
     values = []
 
+    def to_t(u):
+        t = t_start + _POLISH_SCALE * u
+        return np.where(u <= bounds[:, 0], lower, np.where(u >= bounds[:, 1], upper, t))
+
     def scaled(u):
-        value, grad = score(t_start + _POLISH_SCALE * u)
+        value, grad = score(to_t(u))
         values.append(value)
         return value, _POLISH_SCALE * grad
 
-    r = _lbfgsb(scaled, np.zeros_like(t_start), maxfev, _QN_FTOL, _QN_GTOL * _POLISH_SCALE)
-    r.x = t_start + _POLISH_SCALE * r.x
+    r = _lbfgsb(scaled, np.zeros_like(t_start), bounds, maxfev, _QN_FTOL, _QN_GTOL * _POLISH_SCALE)
+    r.x = to_t(r.x)
     r.gain = values[0] - r.fun
     return r
 
 
-def _try_limits(plan: _LikelihoodPlan, kind: RestrictedKind, r) -> None:
-    """Move the polish result ``r`` to a free stability index's limit 0,
-    the other coordinates held, where that lowers the plan's value.
-
-    The logit of an index whose optimum is its limit runs off to -inf,
-    where the likelihood flattens out, and L-BFGS-B stops wherever its
-    gains fall under its tolerance: on 3000 BTC draws (seed 4) at
-    beta_plus 1.3e-6 to 1.1e-5, with the last ulps of the draws, up to
-    2e-5 nats below the limit law.  The logit is flat
-    below the limit's threshold, so a polish never leaves it again, and
-    this runs only on the fit's last round.
-    """
-    neg = plan.objective(kind)
-    for i, name in enumerate(kind.free_names):
-        if name.startswith("beta"):
-            t = r.x.copy()
-            t[i] = _LOGIT_BETA_ZERO
-            if plan.penalty_cause(kind.expand(_from_transformed(kind.free_names, t))) is None:
-                value = neg(t)
-                if value < r.fun:
-                    r.gain += r.fun - value
-                    r.x, r.fun = t, value
-
-
-def _lbfgsb(fun, x0: np.ndarray, maxfun: int, ftol: float, gtol: float):
-    """scipy's L-BFGS-B on ``fun``, which returns (value, gradient).
+def _lbfgsb(fun, x0: np.ndarray, bounds, maxfun: int, ftol: float, gtol: float):
+    """scipy's L-BFGS-B on ``fun``, which returns (value, gradient), inside
+    ``bounds`` (one (lower, upper) row per coordinate, infinite for none).
     scipy.optimize is imported here, on the first fit, so that importing
     gts_tail does not load it."""
     from scipy.optimize import minimize
 
     return minimize(
-        fun, x0, jac=True, method="L-BFGS-B", options=dict(maxfun=maxfun, ftol=ftol, gtol=gtol)
+        fun, x0, jac=True, method="L-BFGS-B", bounds=bounds,
+        options=dict(maxfun=maxfun, ftol=ftol, gtol=gtol),
     )
 
 
@@ -696,10 +666,10 @@ def standard_errors(fit: FitResult, data: ReturnSeries, options: FitOptions = Fi
     emits SingularHessianWarning.  A Hessian probe that hits the likelihood
     penalty (an infeasible point, or one past a bound of the plan frozen at
     the estimate) raises PenaltyWall naming the coordinates probed.  A free
-    stability index whose limit 0 is inside the plan's bounds and lowers its
-    likelihood by less than 1e-4 nats raises BoundaryEstimate: the fit
-    stopped against the 1e-7 below which it takes the index as 0, where
-    its coordinate is flat, so the information says nothing about it.
+    stability index closer to its limit 0 than one Hessian step (1e-4)
+    raises BoundaryEstimate: a central difference there cannot straddle
+    the estimate without leaving the domain, and an estimate at the limit
+    is not an interior optimum, for which alone a Wald error holds.
     Structurally pinned parameters of a restricted fit report a standard
     error of 0 and a p-value of 1.
     """
@@ -713,13 +683,8 @@ def _standard_errors(fit: FitResult, plan: _LikelihoodPlan):
     names = kind.free_names
     free = kind.reduce(fit.params)
     t = _to_transformed(names, free)
-    at_estimate = plan.neg_loglik(fit.params)
-    at_zero = []
-    for i, name in enumerate(names):
-        if name.startswith("beta"):
-            limit = kind.expand([0.0 if j == i else v for j, v in enumerate(free)])
-            if plan.penalty_cause(limit) is None and plan.neg_loglik(limit) < at_estimate + _BOUNDARY_NATS:
-                at_zero.append(name)
+    # A stability index is below 1, so its Hessian step is _HESSIAN_STEP.
+    at_zero = [n for n, v in zip(names, t) if n.startswith("beta") and v < _HESSIAN_STEP]
     if at_zero:
         raise BoundaryEstimate(at_zero)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import gts_tail as gt
-from gts_tail.core import _mgf_exponent_values, _shifted_cf, mgf_exponent
+from gts_tail.core import _mgf_exponent_values, _shifted_cf, _shifted_cf_pullback, mgf_exponent
 from gts_tail.errors import DomainError, NonFinite, OutOfDomain, ParseError
 from gts_tail.spectral import _RADIUS_STRIP, _freq_cutoff
 
@@ -58,7 +58,7 @@ def _psi_mp(p, xi, beta_override=None):
         (p.alpha_minus, p.beta_minus, p.lambda_minus, +1),
     ):
         alpha = mpmath.mpf(repr(alpha))
-        beta = mpmath.mpf(repr(beta if beta_override is None else beta_override))
+        beta = mpmath.mpf(repr(beta)) if beta_override is None else mpmath.mpf(beta_override)
         lam = mpmath.mpf(repr(lam))
         base = lam + sgn * 1j * xi
         if beta == 0:
@@ -77,6 +77,12 @@ def _psi_mpmath(p, xi, beta_override=None):
 def test_psi_zero_is_exactly_zero(btc_params, eth_params):
     for p in (btc_params, eth_params):
         assert gt.characteristic_exponent(p, 0.0) == 0
+
+
+def test_empty_frequencies_give_empty_results(btc_params):
+    for law in (btc_params, gt.bilateral_gamma_params(0.0, 1.5, 1.5, 0.6, 0.6)):
+        assert gt.characteristic_exponent(law, []).shape == (0,)
+        assert gt.characteristic_function(law, []).shape == (0,)
 
 
 def test_psi_symmetric_params_real_on_axis():
@@ -197,6 +203,44 @@ def test_beta_zero_is_continuous_limit():
         exact = gt.characteristic_exponent(p0, xi)
         near = _psi_mpmath(p0, xi, beta_override=1e-8)
         assert abs(exact - near) < 1e-6
+
+
+@pytest.mark.parametrize("beta", [1e-4, 1e-7, 1e-9, 1e-12, 1e-14])
+def test_small_stability_indices_match_high_precision(beta):
+    # A BTC-like law with a small beta_plus, which validate_params accepts.
+    # The power form alpha*Gamma(-beta)*(b**beta - lam**beta) cancels to an
+    # error of about alpha*eps/beta: 5.7e-5 at 1e-12 and 8.2e-3 at 1e-14.
+    btc = gt.BITCOIN_DAILY.params
+    p = gt.validate_params(btc.mu, beta, btc.beta_minus, btc.alpha_plus, btc.alpha_minus,
+                           btc.lambda_plus, btc.lambda_minus)
+    xi = np.array([1e-3, 0.05, 0.4, 1.0, -3.7, 12.0, 45.0, 160.0])
+    want = np.array([_psi_mpmath(p, x) for x in xi])
+    assert np.max(np.abs(gt.characteristic_exponent(p, xi) / want - 1.0)) <= 1e-12
+    got = _shifted_cf(p, xi, 0.0)
+    assert np.max(np.abs(got / np.exp(want) - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("beta", [0.0, 1e-9])
+def test_stability_index_partial_near_zero_matches_high_precision(beta):
+    # Both indices at beta, and d psi/d beta of that tied law (the sum of
+    # the kernel's two beta partials) by central differences of the
+    # exponent at steps of 1e-25 either side, in 100 digits: near 0 the
+    # power form and the difference each cancel about 25 of them.  The
+    # power form's partial cancelled in floats, and at beta = 0 the kernel
+    # reported 0.
+    p = gt.validate_params(0.1, beta, beta, 1.5, 1.2, 0.6, 0.5)
+    xi = np.array([0.05, 0.4, 1.0, 3.7, 12.0, 45.0, 160.0])
+    _, pullback = _shifted_cf_pullback(p, xi, 0.0)
+    with mpmath.workdps(100):
+        h = mpmath.mpf("1e-25")
+        b = mpmath.mpf(repr(beta))
+        for k, x in enumerate(xi):
+            want = complex((_psi_mp(p, x, b + h) - _psi_mp(p, x, b - h)) / (2 * h))
+            unit = np.zeros(xi.size, dtype=complex)
+            unit[k] = 1.0
+            # Re(w d) at w = 1 and at w = -i.
+            got = complex(pullback(unit)[1:3].sum(), pullback(-1j * unit)[1:3].sum())
+            assert abs(got - want) <= 1e-8 * abs(want)
 
 
 # --------------------------------------------------------------------------

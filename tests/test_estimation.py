@@ -379,14 +379,14 @@ def test_benchmark_fit_polishes_by_lbfgsb_alone(benchmark_sample, caplog):
     # The simplex restarts needed 1921 polish evaluations on this sample,
     # and L-BFGS-B on forward differences 336 (42 gradients).  From the
     # moment start the first round's plan is frozen far from the optimum:
-    # its round touches the truncation bound twice on the way, and a
+    # its round touches the truncation bound once on the way, and a
     # second round, re-frozen where the first stopped, converges.
     caplog.set_level(logging.DEBUG, logger="gts_tail")
     fit = gt.fit_mle(benchmark_sample, options=FitOptions(compute_se=False))
     rounds = [r for r in caplog.records if getattr(r, "fit_phase", None) == "polish"]
     assert [r.round for r in rounds] == [1, 2]
     assert all(r.method == "L-BFGS-B" and r.evaluations == r.score_evaluations for r in rounds)
-    assert rounds[0].penalties == {"truncation": 2, "aliasing": 0, "error": 0}
+    assert rounds[0].penalties == {"truncation": 1, "aliasing": 0, "error": 0}
     assert rounds[0].stop is None
     assert rounds[1].stop == "converged" and sum(rounds[1].penalties.values()) == 0
     assert sum(r.evaluations for r in rounds) <= 80
@@ -411,8 +411,8 @@ def test_polish_first_step_stays_inside_the_plan(eth_tables, caplog):
 @pytest.fixture(scope="module")
 def btc_seed_4_fit(btc_tables):
     """3000 BTC draws (seed 4), their default fit and the warnings it gave.
-    The polish stops in the flat logit of beta_plus, at 1.3e-6, and the
-    limit law beta_plus = 0 is better on its plan, so the fit returns it."""
+    The likelihood rises toward beta_plus = 0, and the polish holds it on
+    that bound of its box, so the fit returns the limit law."""
     _, cdf = btc_tables
     data = gt.sample(cdf, 3000, seed=4)
     with warnings.catch_warnings(record=True) as caught:
@@ -422,9 +422,8 @@ def btc_seed_4_fit(btc_tables):
     return data, fit, caught
 
 
-# The same sample's fit before it tried each stability index at its limit:
-# beta_plus 1.014e-7, 1.4 % above the 1e-7 below which a fit takes an index
-# as 0.
+# The same sample's estimate from a fit in the logit of the stability
+# indices, which stopped short of the limit: beta_plus 1.014e-7.
 _BTC_SEED_4_ABOVE_THE_GUARD = (
     0.26636670186966216,
     1.0142375010386466e-07,
@@ -437,13 +436,12 @@ _BTC_SEED_4_ABOVE_THE_GUARD = (
 
 
 def test_standard_errors_omitted_at_the_stability_index_guard(btc_seed_4_fit):
-    # Just above the guard the Hessian's probes (1e-4 of the logit,
-    # relative) do not reach it, and the delta method gave beta_plus a Wald
-    # standard error below 1e-5.  Its limit 0 lowers the likelihood by
-    # 8.7e-7 nats.
+    # beta_plus sits closer to 0 than the Hessian's step (1e-4), so a
+    # central difference cannot straddle it: in the logit the delta method
+    # gave it a Wald standard error below 1e-5.
     data, fit, caught = btc_seed_4_fit
     above = replace(fit, params=gt.validate_params(*_BTC_SEED_4_ABOVE_THE_GUARD))
-    with pytest.warns(SingularHessianWarning, match="flat along beta_plus:"):
+    with pytest.warns(SingularHessianWarning, match="no Wald standard error along beta_plus:"):
         omitted = _with_standard_errors(above, data, FitOptions())
     assert omitted.std_errors is None and omitted.z_pvalues is None and omitted.hessian_fallback
     with pytest.raises(BoundaryEstimate) as exc:
@@ -453,7 +451,7 @@ def test_standard_errors_omitted_at_the_stability_index_guard(btc_seed_4_fit):
     assert fit.converged and fit.params.beta_plus == 0.0
     assert fit.std_errors is None and fit.z_pvalues is None and fit.hessian_fallback
     (warned,) = [w for w in caught if w.category is SingularHessianWarning]
-    assert "flat along beta_plus:" in str(warned.message)
+    assert "no Wald standard error along beta_plus:" in str(warned.message)
     # On the public likelihood the limit is no worse than the point above.
     assert gt.log_likelihood(fit.params, data) > gt.log_likelihood(above.params, data) - 1e-6
 
@@ -703,7 +701,8 @@ def test_hessian_steps_agree_at_the_benchmark_optimum(benchmark_sample):
     assert sum(plan.penalties.values()) == 0
 
 
-# The default fit's optimum on 3000 BTC draws (seed 4): beta_plus near 0.
+# The optimum on 3000 BTC draws (seed 4) of a fit in the logit of the
+# stability indices: beta_plus near 0.
 _BTC_SEED_4_OPTIMUM = (
     0.33098398074725316,
     0.0005521293665741955,
@@ -716,24 +715,27 @@ _BTC_SEED_4_OPTIMUM = (
 
 
 def test_score_hessian_resolves_a_stability_index_near_zero(btc_tables):
-    # The logit of beta_plus = 5.5e-4 has a curvature of about 1e-3, at the
-    # noise floor of second differences of the likelihood: those read it as
-    # 0.0020 at step 1e-4 and 0.0034 at 5e-5, and its standard error as
-    # 0.0136 and 0.0100.  Differences of the score agree on it to a few
-    # percent: the beta_plus score carries rounding noise of about 3e-8
-    # (the power form's cancellation), and the two steps read 1-7 % apart
-    # on plans with periods of 1.0-2.0 guards.
+    # beta_plus = 5.5e-4, 5.5 Hessian steps above its limit 0.  In its
+    # logit the curvature was about 1e-3, at the noise floor of second
+    # differences of the likelihood, and the power form's cancellation left
+    # rounding noise of about 3e-8 in the beta_plus score, so two steps
+    # read that curvature 1-7 % apart.  In the natural coordinate it is
+    # about 1025, and differences of the score agree with each other and
+    # with the likelihood's own differences.
     _, cdf = btc_tables
     obs = np.asarray(gt.sample(cdf, 3000, seed=4).values)
     p = gt.validate_params(*_BTC_SEED_4_OPTIMUM)
     plan = _LikelihoodPlan(p, obs, FitOptions(), _HESSIAN_HEADROOM)
     score = _plan_score(plan, gt.RestrictedKind.FULL)
     t = _to_transformed(PARAM_NAMES, list(p.as_tuple()))
+    assert t[1] == p.beta_plus
     H = _score_hessian(score, t, 1e-4)
     H_half = _score_hessian(score, t, 5e-5)
     assert np.max(np.abs(H - H_half)) <= 1e-5 * np.max(np.abs(H))
-    assert 5e-4 < H[1, 1] < 2e-3
-    assert abs(H[1, 1] - H_half[1, 1]) <= 0.1 * H[1, 1]
+    assert 500.0 < H[1, 1] < 2000.0
+    assert abs(H[1, 1] - H_half[1, 1]) <= 0.01 * H[1, 1]
+    reference = _transformed_hessian(plan.objective(gt.RestrictedKind.FULL), t, 1e-4)
+    assert abs(H[1, 1] - reference[1, 1]) <= 1e-5 * H[1, 1]
     assert sum(plan.penalties.values()) == 0
 
 
@@ -870,29 +872,21 @@ def test_penalized_score_is_zero(btc_params, btc_sample_5k):
     assert plan.penalties["truncation"] == 1 and plan.score_evaluations == 1
 
 
-def test_stability_indices_below_1e_7_are_the_bilateral_gamma_limit():
-    # The power form cancels to rounding noise as beta -> 0, so the logit
-    # coordinate is flat below beta = 1e-7, at the beta = 0 law: the full
-    # model there is the bilateral-gamma kind, value and score.
-    p = gt.validate_params(0.1, 0.0, 0.0, 1.5, 1.2, 0.6, 0.5)
-    cdf = gt.cdf_table(p, gt.build_grid(p, GridConfig(m=2**12)))
-    obs = np.asarray(gt.sample(cdf, 1000, seed=6).values)
-    plan = _LikelihoodPlan(p, obs, FitOptions(), _HESSIAN_HEADROOM)
-    bg = gt.RestrictedKind.BILATERAL_GAMMA
-    t_bg = _to_transformed(bg.free_names, bg.reduce(p))
-    want, want_score = plan.objective(bg, score=True)(t_bg)
-    full = plan.objective(gt.RestrictedKind.FULL, score=True)
-    t = _to_transformed(PARAM_NAMES, list(p.as_tuple()))
-    assert _from_transformed(PARAM_NAMES, t)[1:3] == [0.0, 0.0]
-    for logit in (math.log(1e-7 / (1 - 1e-7)) - 1e-9, -40.0, -800.0):
-        t[1:3] = logit
-        value, score = full(t)
-        assert value == want < 1e15
-        assert np.array_equal(score[[0, 3, 4, 5, 6]], want_score) and score[1] == score[2] == 0.0
-    # Just above it the likelihood steps by its rounding there (1.2e-6 nats).
-    t[1] = math.log(1e-7 / (1 - 1e-7)) + 1e-9
-    assert _from_transformed(PARAM_NAMES, t)[1] > 0.0
-    assert abs(full(t)[0] - want) < 1e-5
+def test_plan_value_is_continuous_at_a_stability_index_of_zero():
+    # The CLI fit test's sample on a plan frozen at an estimate with
+    # beta_plus = 0.  The power form c*(b**beta - lam**beta), with c about
+    # -alpha/beta, cancelled as beta -> 0: at beta_plus 1e-10, 1e-12 and
+    # 1e-14 this plan's value was off the limit law's by 2.2e-4, 0.035 and
+    # 679 nats.
+    obs = np.asarray(_btc_600_draws(5).values)
+    p0 = gt.validate_params(*_SIMPLEX_ESTIMATE)
+    assert p0.beta_plus == 0.0
+    plan = _LikelihoodPlan(p0, obs, FitOptions(grid_m=1024), _HEADROOM)
+    at_zero = plan.neg_loglik(p0)
+    for beta in (1e-10, 1e-12, 1e-14):
+        near = replace(p0, beta_plus=beta)
+        assert plan.penalty_cause(near) is None
+        assert abs(plan.neg_loglik(near) - at_zero) <= 1e-6
 
 
 def test_log_density_gradient_matches_central_differences():
@@ -1000,13 +994,13 @@ def test_standard_errors_refuse_probes_across_the_penalty(btc_tables):
 
 def test_standard_errors_omitted_at_a_stability_index_of_zero():
     # A full fit of bilateral-gamma draws that ends with both stability
-    # indices below 1e-7, where the fit takes them as 0, the generating
-    # law's value, and the likelihood is flat in their logits: the
-    # information is singular along them, and a pseudo-inverse would report
-    # their standard errors as 0 with a p-value of 1.
+    # indices on the limit 0 of their box, the generating law's value: no
+    # central difference straddles them there, and in the logit the
+    # information was singular along them, where a pseudo-inverse would
+    # report their standard errors as 0 with a p-value of 1.
     p = gt.bilateral_gamma_params(0.0, 1.5, 1.5, 0.6, 0.6)
     data = gt.sample(gt.cdf_table(p, gt.build_grid(p, GridConfig(m=2**12))), 500, seed=1)
-    with pytest.warns(SingularHessianWarning, match="flat along beta_plus, beta_minus"):
+    with pytest.warns(SingularHessianWarning, match="no Wald standard error along beta_plus, beta_minus"):
         fit = gt.fit_mle(data)
     assert fit.converged and fit.params.beta_plus == fit.params.beta_minus == 0.0
     assert fit.std_errors is None and fit.z_pvalues is None
