@@ -147,12 +147,9 @@ def characteristic_exponent(p: GTSParams, xi):
     out = 1j * p.mu * xi
     for _, beta, lam, sign, k in _tempered_sides(p):
         z = np.log1p((sign * 1j / lam) * xi)
-        terms = _series_terms(beta, float(np.max(np.abs(z), initial=0.0)))
-        if terms:
-            er, ei = _z_times_series(_RATIO_SERIES[:terms], beta, z.real, z.imag)
-            out = out + k * (er + 1j * ei)
-        else:
-            out = out + k * (np.expm1(beta * z) / beta)
+        series = beta * float(np.max(np.abs(z), initial=0.0)) < _SERIES_BZ
+        er, ei = _expm1_ratio(beta, z.real, z.imag, series)
+        out = out + k * (er + 1j * ei)
     return out if out.ndim else complex(out)
 
 
@@ -178,27 +175,13 @@ def _tempered_sides(p: GTSParams):
         yield alpha, beta, lam, sign, -alpha * math.gamma(1.0 - beta) * math.exp(beta * math.log(lam))
 
 
-# E = expm1(beta*z)/beta and its beta partial E' are read from their Taylor
-# series in u = beta*z wherever beta*|z| < _SERIES_BZ: at beta = 0 both
-# closed forms are 0/0, and near it the closed form of E' cancels, to a
-# relative error of about eps/(beta*|z|) (4e-13 at the switch).
+# E = expm1(beta*z)/beta and its beta partial E' are read from 5 terms of
+# their Taylor series in beta*z wherever beta*|z| < _SERIES_BZ (truncation
+# under 2e-18, relative; E = z and E' = z**2/2 exactly at beta = 0), where
+# the closed forms are 0/0 or, for E', cancel to about eps/(beta*|z|).
 _SERIES_BZ = 1e-3
 _RATIO_SERIES = tuple(1.0 / math.factorial(j + 1) for j in range(5))  # E/z
 _PARTIAL_SERIES = tuple((j + 1) / math.factorial(j + 2) for j in range(5))  # E'/z**2
-
-
-def _series_terms(beta: float, bound: float) -> int:
-    """How many terms of the series at every |z| <= bound leave a truncation
-    error below 2**-54, relative: the first n with (beta*bound)**n/n! under
-    it, at most 5, and 1 at beta = 0.  0 where beta*bound >= _SERIES_BZ,
-    where the closed forms apply."""
-    x = beta * bound
-    if not x < _SERIES_BZ:
-        return 0
-    n = 1
-    while x**n > 2.0**-54 * math.factorial(n):
-        n += 1
-    return n
 
 
 def _z_times_series(coeffs, beta: float, zr, zi):
@@ -210,28 +193,30 @@ def _z_times_series(coeffs, beta: float, zr, zi):
     return pr * zr - pi * zi, pr * zi + pi * zr
 
 
-def _expm1_ratio(beta: float, zr, zi, terms: int):
+def _expm1_ratio(beta: float, zr, zi, series: bool, lib=np):
     """(Re, Im) of E = expm1(beta*z)/beta at z = zr + i*zi, |zi| < pi/2,
-    from ``terms`` terms of its series (_series_terms; z itself at beta = 0)
-    or, at 0 terms, its closed form: with x = beta*zr and y = beta*zi,
+    from its series where ``series`` (beta*|z| < _SERIES_BZ at every z) or
+    else its closed form: with x = beta*zr and y = beta*zi,
     beta*E = expm1(x)*cos(y) - sin(y)**2/(1 + cos(y)) + i*exp(x)*sin(y),
-    where no term cancels."""
-    if terms:
-        return _z_times_series(_RATIO_SERIES[:terms], beta, zr, zi)
+    where no term cancels.  ``lib`` is numpy for arrays, math for the
+    scalar bisections."""
+    if series:
+        return _z_times_series(_RATIO_SERIES, beta, zr, zi)
     y = beta * zi
-    em1, cos, sin = np.expm1(beta * zr), np.cos(y), np.sin(y)
+    em1, cos, sin = lib.expm1(beta * zr), lib.cos(y), lib.sin(y)
     return (em1 * cos - sin * sin / (1.0 + cos)) / beta, (em1 + 1.0) * sin / beta
 
 
-def _expm1_ratio_partial(beta: float, zr, zi, er, ei, terms: int):
-    """(Re, Im) of dE/dbeta = (z*exp(beta*z) - E)/beta at z = zr + i*zi,
-    given E = er + i*ei (exp(beta*z) = 1 + beta*E), or, with ``terms``, its
-    series z**2*(1/2 + beta*z/3 + ...), which is z**2/2 at beta = 0."""
-    if terms:
-        sr, si = _z_times_series(_PARTIAL_SERIES[:terms], beta, zr, zi)
-        return zr * sr - zi * si, zr * si + zi * sr
-    pr, pi = 1.0 + beta * er, beta * ei
-    return (zr * pr - zi * pi - er) / beta, (zr * pi + zi * pr - ei) / beta
+def _expm1_ratio_partial(beta: float, zr, zi, er, ei, series: bool, wr, wi, sign: float, by_e: float):
+    """sum_k Re(w_k dE/dbeta) at z = zr + i*sign*zi, w = wr + i*wi, given
+    E = er + i*sign*ei and by_e = sum_k Re(w_k E_k): dot products of (z - E)/beta
+    + z*E, or, where ``series``, of its series z**2*(1/2 + beta*z/3 + ...)."""
+    if series:
+        sr, si = _z_times_series(_PARTIAL_SERIES, beta, zr, zi)
+        return _dot(zr * sr - zi * si, wr) - sign * _dot(zr * si + zi * sr, wi)
+    by_z = _dot(zr, wr) - sign * _dot(zi, wi)
+    by_ze = _dot3(zr, er, wr) - _dot3(zi, ei, wr) - sign * (_dot3(zr, ei, wi) + _dot3(zi, er, wi))
+    return (by_z - by_e) / beta + by_ze
 
 
 def _shifted_cf(p: GTSParams, xi: np.ndarray, shift: float) -> np.ndarray:
@@ -275,11 +260,11 @@ def _shifted_cf_pullback(p: GTSParams, xi: np.ndarray, shift: float):
         # E and its partial carry the same sign on their imaginary parts.
         r = xi / lam
         zr, zi = 0.5 * np.log1p(r * r), np.arctan(r)
-        terms = _series_terms(beta, float(np.max(zr)) + 0.5 * math.pi)
-        er, ei = _expm1_ratio(beta, zr, zi, terms)
+        series = beta * (float(np.max(zr)) + 0.5 * math.pi) < _SERIES_BZ
+        er, ei = _expm1_ratio(beta, zr, zi, series)
         re += k * er
         im += (sign * k) * ei
-        sides.append((alpha, beta, lam, sign, k, zr, zi, er, ei, terms))
+        sides.append((alpha, beta, lam, sign, k, zr, zi, er, ei, series))
     cf = _polar(re, im - shift * xi)
 
     def pullback(w: np.ndarray) -> np.ndarray:
@@ -287,7 +272,7 @@ def _shifted_cf_pullback(p: GTSParams, xi: np.ndarray, shift: float):
         total = wr.sum()
         out = np.zeros(len(PARAM_NAMES))
         out[0] = -_dot(xi, wi)
-        for j, (alpha, beta, lam, sign, k, zr, zi, er, ei, terms) in enumerate(sides):
+        for j, (alpha, beta, lam, sign, k, zr, zi, er, ei, series) in enumerate(sides):
             by_e = _dot(er, wr) - sign * _dot(ei, wi)
             # Re(w/b) = (lam wr + sign xi wi)/|b|**2, Im(w/b) = (lam wi - sign xi wr)/|b|**2,
             # and Re(w exp(beta z)/b) = Re(w/b) + beta Re(w E/b).
@@ -295,11 +280,11 @@ def _shifted_cf_pullback(p: GTSParams, xi: np.ndarray, shift: float):
             over_re = (lam * wr + sign * (xi * wi)) / square
             over_im = (lam * wi - sign * (xi * wr)) / square
             over = over_re.sum() + beta * (_dot(er, over_re) - sign * _dot(ei, over_im))
-            dr, di = _expm1_ratio_partial(beta, zr, zi, er, ei, terms)
             out[3 + j] = k * by_e / alpha
             out[5 + j] = k * (over - total / lam)
             out[1 + j] = k * (
-                (math.log(lam) - float(_digamma(1.0 - beta))) * by_e + _dot(dr, wr) - sign * _dot(di, wi)
+                (math.log(lam) - float(_digamma(1.0 - beta))) * by_e
+                + _expm1_ratio_partial(beta, zr, zi, er, ei, series, wr, wi, sign, by_e)
             )
         return out
 
@@ -310,6 +295,11 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """sum(a * b) by numpy's own loop: a BLAS dot splits the sum across
     threads, so its rounding would follow the thread count."""
     return float(np.einsum("i,i->", a, b))
+
+
+def _dot3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
+    """sum(a * b * c) in one pass, by numpy's own loop like _dot."""
+    return float(np.einsum("i,i,i->", a, b, c))
 
 
 def _polar(log_modulus: np.ndarray, phase: np.ndarray) -> np.ndarray:
@@ -324,12 +314,10 @@ def _polar(log_modulus: np.ndarray, phase: np.ndarray) -> np.ndarray:
 def _log_modulus(p: GTSParams):
     """The scalar function x -> Re psi(x) = log|cf(x)| at real x, via math.
 
-    It takes the real steps of the complex reference path: numpy's complex
-    log1p of sign*i*x/lam and expm1 of beta times it, the division by beta
-    (a product with 1/beta, as numpy divides by a real), and the series
-    near beta = 0.  So it returns Re characteristic_exponent(p, x) to the
-    bit, and the cutoff bisection lands on the same float or within a few
-    ulps of it.  Per-side constants are bound once.
+    Each side is Re k*E (_tempered_sides, _expm1_ratio) at numpy's complex
+    log1p of i*x/lam, in math's real steps, so it agrees with
+    Re characteristic_exponent(p, x) to rounding.  Per-side constants are
+    bound once.
     """
     sides = tuple((beta, 1.0 / lam, k) for _, beta, lam, _, k in _tempered_sides(p))
 
@@ -338,12 +326,8 @@ def _log_modulus(p: GTSParams):
         for beta, inv_lam, k in sides:
             r = x * inv_lam
             zr, zi = math.log(math.hypot(1.0, r)), math.atan2(r, 1.0)
-            terms = _series_terms(beta, math.hypot(zr, zi))
-            if terms:
-                total += k * _z_times_series(_RATIO_SERIES[:terms], beta, zr, zi)[0]
-            else:
-                half = math.sin(0.5 * beta * zi)
-                total += k * ((math.expm1(beta * zr) * math.cos(beta * zi) - 2.0 * half * half) * (1.0 / beta))
+            series = beta * math.hypot(zr, zi) < _SERIES_BZ
+            total += k * _expm1_ratio(beta, zr, zi, series, math)[0]
         return total
 
     return re_psi
@@ -373,7 +357,8 @@ def _mgf_exponent_values(p: GTSParams, theta):
     val = p.mu * theta
     for _, beta, lam, sign, k in _tempered_sides(p):
         z = np.log1p(sign * theta / lam)
-        val = val + k * _expm1_ratio(beta, z, 0.0, _series_terms(beta, float(np.max(np.abs(z)))))[0]
+        series = beta * float(np.max(np.abs(z))) < _SERIES_BZ
+        val = val + k * _expm1_ratio(beta, z, 0.0, series)[0]
     return val
 
 

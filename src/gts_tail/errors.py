@@ -126,20 +126,21 @@ class PenaltyWall(NumericalError):
 
 
 class BoundaryEstimate(NumericalError):
-    """A free stability index sits at, or next to, its bilateral-gamma limit 0.
+    """A free stability index sits at, or next to, a bound of the fit's box.
 
-    A fit holds each stability index in [0, 1) and may stop on the limit 0
-    itself.  ``coordinates`` names the free stability indices closer to 0
-    than one Hessian step: a central difference there cannot straddle the
-    estimate, and an estimate on the limit is not the interior optimum a
-    Wald standard error assumes, so none is given.
+    A fit holds each stability index in [0, 1 - 1e-3] and may stop on either
+    bound (0 is the bilateral-gamma limit).  ``coordinates`` names the free
+    stability indices closer to a bound than one Hessian step: an estimate
+    on a bound is not the interior optimum a Wald standard error assumes,
+    and next to 0 a central difference cannot even straddle it.
     """
 
     def __init__(self, coordinates):
         self.coordinates = tuple(coordinates)
         super().__init__(
             "no Wald standard error along " + ", ".join(self.coordinates)
-            + ": the estimate is within one Hessian step of the bilateral-gamma limit beta = 0"
+            + ": the estimate is within one Hessian step of a bound of the box"
+            " [0, 1 - 1e-3] (0 is the bilateral-gamma limit)"
         )
 
 

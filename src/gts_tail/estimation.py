@@ -30,12 +30,13 @@ Standard errors come from the observed information: the Hessian of the
 negative log-likelihood at the optimum by central differences of the score
 in the transformed coordinates, on that same plan, symmetrized, inverted
 and mapped back to natural parameters by the delta method.  Where a free
-stability index is closer to its limit 0 than one Hessian step, the fit
-reports no standard errors.
+stability index is closer to a bound of its box than one Hessian step, the
+fit reports no standard errors.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import logging
 import math
@@ -119,13 +120,11 @@ _HESSIAN_HEADROOM = 1.25
 # fit; plans frozen at nearby points differ by up to 0.11 nats at grid_m 1024.
 _ROUND_GAIN = 1e-6
 _HESSIAN_STEP = 1e-4  # relative step of the Hessian's score differences
-# The stability indices are fitted as they are, inside the L-BFGS-B box
+# The stability indices are fitted as they are in the L-BFGS-B box
 # [0, _BETA_MAX]: 0 is the bilateral-gamma limit, which the kernel holds
-# without cancellation, and beta = 1 is outside the domain (Gamma(1 - beta)
-# diverges there).  1e-3 below 1 leaves room for the Hessian's probes,
-# 1e-4 away, and keeps Gamma(1 - beta) under 1000.  A fit that stops at
-# _BETA_MAX reports it as the estimate, and its Wald standard error is the
-# curvature's there, since the probes straddle it.
+# without cancellation, and Gamma(1 - beta) diverges at 1; 1e-3 below 1 keeps
+# it under 1000.  A fit stopped on either bound returns it, without Wald
+# standard errors (BoundaryEstimate).
 _BETA_MAX = 1.0 - 1e-3
 # L-BFGS-B polish on the exact score: the relative-decrease and
 # projected-gradient stopping tolerances.  On 14 checked samples ftol 1e-15
@@ -133,15 +132,18 @@ _BETA_MAX = 1.0 - 1e-3
 # a second round on one.
 _QN_FTOL = 1e-14
 _QN_GTOL = 1e-8
-# The polish runs in u = (t - t_start)/_POLISH_SCALE.  L-BFGS-B's first
-# trial step has unit length along -g: run in t from a nearly stationary
-# point, the polish crossed a plan bound within 3-38 calls on 7 of 14
-# checked samples.  On those 14, scales from 0.005 to 0.05 took 1005-1252
-# score calls, and all but 0.0175, 0.018 and 0.02 left some sample's public
-# log-likelihood more than 1e-6 below that of the fit in the logit of the
-# stability indices.  0.018 took 1156 (59 on the benchmark sample, against
-# 70 at 0.01) and, of the three, lost least on four boundary samples.
+# The polish runs in u = (t - t_start)/_POLISH_SCALE, _BETA_SCALE times
+# that for the stability indices.  L-BFGS-B's first trial step has unit
+# length along -g: run in t from a nearly stationary point, the polish
+# crossed a plan bound within 3-38 calls on 7 of 14 checked samples.
 _POLISH_SCALE = 0.018
+# At one common scale the first steps went almost all into the stability
+# indices, along which the likelihood is far steeper: criterion 9's KoBoL
+# fit walked beta from 0.35 to 0.06 and stopped on the node budget 61.6 nats
+# short of its optimum.  0.25-0.5 converge it; 0.35 took 62 score calls on
+# the benchmark sample, 0.25 took 77.  Fits move by up to 2e-5 nats between
+# neighbouring scales: both were chosen on 14 samples, checked on 14 others.
+_BETA_SCALE = 0.35
 
 _log = logging.getLogger("gts_tail")
 
@@ -170,7 +172,9 @@ class FitOptions:
     The search is L-BFGS-B polish rounds of ``maxfev`` score calls in
     total, on the exact score, from the moment-matched start (or the
     caller's ``init``).  A round that succeeds without touching a bound of
-    its plan converges the fit.  Otherwise the plan is re-frozen where the
+    its plan converges the fit, unless on a plan re-frozen where it stopped
+    a Newton step by its inverse Hessian would gain 1e-6 nats or more (one
+    score call).  Otherwise the plan is re-frozen where the
     round stopped, unless the round gained under 1e-6 nats on its own plan
     (converged if it succeeded, but not if it touched a bound of a plan at
     the ``max_n_freq`` budget), the budget is spent, or the law where it
@@ -181,7 +185,7 @@ class FitOptions:
     differences of the score at steps of 1e-4, relative, on the plan frozen
     at the estimate with a cutoff 1.25 times its own, which also gives the
     reported log-likelihood; a fit with a free stability index within 1e-4
-    of 0 omits them, as a fallback.
+    of either bound of its box omits them, as a fallback.
     """
 
     grid_m: int = 2**12
@@ -534,7 +538,14 @@ def fit_mle(
         budget -= plan.score_evaluations
         touched = sum(plan.penalties.values()) > 0
         if best.success and not touched:
+            # The round's plan was frozen where it started; the optimum of
+            # one frozen where it stopped may lie further along a flat ridge.
             stop = "converged"
+            if best.gain >= _ROUND_GAIN and budget > 0:
+                with contextlib.suppress(ConfigError):
+                    refrozen = freeze(best.x)
+                    if _predicted_gain(refrozen, kind, best) >= _ROUND_GAIN:
+                        stop = None
         elif best.gain < _ROUND_GAIN:
             if touched and plan.grid.n_freq + 2 > options.max_n_freq:
                 stop = "max_n_freq"
@@ -580,31 +591,41 @@ def fit_mle(
 
 
 def _polish(plan: _LikelihoodPlan, kind: RestrictedKind, t_start: np.ndarray, maxfev: int):
-    """L-BFGS-B on the plan's exact score from t_start, with the stability
-    indices in the box [0, _BETA_MAX], run in u = (t - t_start)/_POLISH_SCALE
-    so that its first trial step is short, with the box and the
-    projected-gradient tolerance scaled to match.  A u on a bound of the box
-    maps to that bound exactly.  The result's x is in t, and its ``gain`` is
-    the drop in value from t_start."""
+    """L-BFGS-B on the plan's exact score from t_start, the stability indices
+    in the box [0, _BETA_MAX], in u = (t - t_start)/scale (_POLISH_SCALE, times
+    _BETA_SCALE for the indices) so that its first trial step is short; a u on
+    a bound maps to that bound exactly.  The result's x is in t, its ``gain``
+    the drop in value from t_start, and it keeps its scale and box."""
     score = plan.objective(kind, score=True)
     beta = np.array([n.startswith("beta") for n in kind.free_names])
+    scale = np.where(beta, _BETA_SCALE * _POLISH_SCALE, _POLISH_SCALE)
     lower, upper = np.where(beta, 0.0, -np.inf), np.where(beta, _BETA_MAX, np.inf)
-    bounds = np.column_stack(((lower - t_start) / _POLISH_SCALE, (upper - t_start) / _POLISH_SCALE))
+    bounds = np.column_stack(((lower - t_start) / scale, (upper - t_start) / scale))
     values = []
 
     def to_t(u):
-        t = t_start + _POLISH_SCALE * u
+        t = t_start + scale * u
         return np.where(u <= bounds[:, 0], lower, np.where(u >= bounds[:, 1], upper, t))
 
     def scaled(u):
         value, grad = score(to_t(u))
         values.append(value)
-        return value, _POLISH_SCALE * grad
+        return value, scale * grad
 
     r = _lbfgsb(scaled, np.zeros_like(t_start), bounds, maxfev, _QN_FTOL, _QN_GTOL * _POLISH_SCALE)
-    r.x = to_t(r.x)
-    r.gain = values[0] - r.fun
+    r.x, r.gain, r.scale, r.box = to_t(r.x), values[0] - r.fun, scale, (lower, upper)
     return r
+
+
+def _predicted_gain(plan: _LikelihoodPlan, kind: RestrictedKind, r) -> float:
+    """The gain in nats, by one score call, of a Newton step from r.x on ``plan``
+    with the inverse Hessian of the L-BFGS-B run r, off the box's bounds."""
+    value, grad = plan.objective(kind, score=True)(r.x)
+    if value >= _PENALTY:
+        return math.inf
+    g, (lower, upper) = r.scale * grad, r.box
+    g[((r.x <= lower) & (g > 0.0)) | ((r.x >= upper) & (g < 0.0))] = 0.0
+    return 0.5 * float(g @ r.hess_inv.matvec(g))
 
 
 def _lbfgsb(fun, x0: np.ndarray, bounds, maxfun: int, ftol: float, gtol: float):
@@ -627,7 +648,7 @@ def _with_standard_errors(
     estimate; one is frozen here if it is None), or without them (and
     flagged as a fallback, with SingularHessianWarning) when no plan can be
     frozen at the estimate, the Hessian's probes hit the likelihood penalty
-    or a free stability index sits at its limit 0."""
+    or a free stability index sits on a bound of its box."""
     obs = np.asarray(data.values, dtype=float)
     try:
         if plan is None:
@@ -666,10 +687,11 @@ def standard_errors(fit: FitResult, data: ReturnSeries, options: FitOptions = Fi
     emits SingularHessianWarning.  A Hessian probe that hits the likelihood
     penalty (an infeasible point, or one past a bound of the plan frozen at
     the estimate) raises PenaltyWall naming the coordinates probed.  A free
-    stability index closer to its limit 0 than one Hessian step (1e-4)
-    raises BoundaryEstimate: a central difference there cannot straddle
-    the estimate without leaving the domain, and an estimate at the limit
-    is not an interior optimum, for which alone a Wald error holds.
+    stability index closer than one Hessian step (1e-4) to a bound of the
+    fit's box [0, 1 - 1e-3] raises BoundaryEstimate: an estimate on a bound
+    is not an interior optimum, for which alone a Wald error holds, and next
+    to 0 a central difference cannot straddle the estimate without leaving
+    the domain.
     Structurally pinned parameters of a restricted fit report a standard
     error of 0 and a p-value of 1.
     """
@@ -684,9 +706,10 @@ def _standard_errors(fit: FitResult, plan: _LikelihoodPlan):
     free = kind.reduce(fit.params)
     t = _to_transformed(names, free)
     # A stability index is below 1, so its Hessian step is _HESSIAN_STEP.
-    at_zero = [n for n, v in zip(names, t) if n.startswith("beta") and v < _HESSIAN_STEP]
-    if at_zero:
-        raise BoundaryEstimate(at_zero)
+    box = (_HESSIAN_STEP, _BETA_MAX - _HESSIAN_STEP)
+    on_bound = [n for n, v in zip(names, t) if n.startswith("beta") and not box[0] <= v <= box[1]]
+    if on_bound:
+        raise BoundaryEstimate(on_bound)
 
     with_score = plan.objective(kind, score=True)
     walled = set()

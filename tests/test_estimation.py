@@ -25,6 +25,7 @@ from gts_tail.errors import (
     TooShort,
 )
 from gts_tail.estimation import (
+    _BETA_MAX,
     _FIRST_HEADROOM,
     _FIRST_PERIOD,
     _HEADROOM,
@@ -577,6 +578,29 @@ def bilateral_gamma_budget_fit(btc_tables):
     return data, options, fit, rounds
 
 
+def test_kobol_fit_lifted_from_the_bilateral_gamma_fit_converges(bilateral_gamma_budget_fit):
+    # Criterion 9's KoBoL fit: from beta 0.35, with intensities lifted to
+    # keep the bilateral-gamma fit's variance.  With beta at the other
+    # coordinates' scale in the polish's u, its rounds walked beta down to
+    # 0.06 with the intensities and stopped on the 2**15-node budget at
+    # -12867.08; in the logit of the indices it converged to -12805.455.
+    data, _, bg, _ = bilateral_gamma_budget_fit
+    q, beta = bg.params, 0.35
+
+    def lift(alpha, lam):
+        return alpha * lam**-2.0 / (math.gamma(2.0 - beta) * lam ** (beta - 2.0))
+
+    init = gt.kobol_params(
+        q.mu, beta, lift(q.alpha_plus, q.lambda_plus), lift(q.alpha_minus, q.lambda_minus),
+        q.lambda_plus, q.lambda_minus,
+    )
+    options = FitOptions(maxfev=2500, compute_se=False, max_n_freq=2**15, grid_m=2**11)
+    kob = gt.fit_mle(data, init=init, kind=gt.RestrictedKind.KOBOL, options=options)
+    assert kob.converged
+    assert kob.loglik >= -12805.46
+    assert 0.25 < kob.params.beta_plus < 0.4
+
+
 def test_polish_rounds_stop_at_the_frequency_node_budget(bilateral_gamma_budget_fit):
     # Each round touches a bound of its plan, until a plan at the
     # 2**15-node budget cannot grow further.
@@ -1008,6 +1032,30 @@ def test_standard_errors_omitted_at_a_stability_index_of_zero():
     with pytest.raises(BoundaryEstimate) as exc:
         gt.standard_errors(fit, data)
     assert exc.value.coordinates == ("beta_plus", "beta_minus")
+
+
+def test_standard_errors_omitted_on_the_upper_bound_of_the_box(btc_seed_4_fit, btc_params):
+    # An index held on 1 - 1e-3 is no interior optimum either: the score
+    # along it need not vanish there, and the Hessian's probes, which
+    # straddle it, would give it the curvature's Wald error.
+    data, fit, _ = btc_seed_4_fit
+    q = btc_params
+    alpha = q.alpha_minus * math.gamma(2.0 - q.beta_minus) * q.lambda_minus ** (q.beta_minus - _BETA_MAX)
+    alpha /= math.gamma(2.0 - _BETA_MAX)
+    on_bound = replace(fit, params=replace(q, beta_minus=_BETA_MAX, alpha_minus=alpha))
+    with pytest.warns(SingularHessianWarning, match="no Wald standard error along beta_minus:"):
+        omitted = _with_standard_errors(on_bound, data, FitOptions())
+    assert omitted.std_errors is None and omitted.z_pvalues is None and omitted.hessian_fallback
+    with pytest.raises(BoundaryEstimate) as exc:
+        gt.standard_errors(on_bound, data)
+    assert exc.value.coordinates == ("beta_minus",)
+    # Two Hessian steps inside it, the probes stay in the box.  (This law
+    # is no optimum of the sample, so its information may be singular.)
+    inside = replace(fit, params=replace(on_bound.params, beta_minus=_BETA_MAX - 2 * _HESSIAN_STEP))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SingularHessianWarning)
+        se, _, _ = gt.standard_errors(inside, data)
+    assert all(math.isfinite(v) for v in se)
 
 
 @pytest.mark.parametrize(
