@@ -28,6 +28,7 @@ from .errors import (
     BinUnderflow,
     BoundaryObservation,
     DomainError,
+    NonFinite,
     TooShort,
 )
 from .returns_io import ReturnSeries
@@ -163,6 +164,8 @@ def normal_quantile(mean: float, sd: float, p):
     outside = ~((0.0 < q) & (q < 1.0))
     if outside.any():
         raise DomainError(f"p must lie in (0,1), got {q[outside].ravel()[:5].tolist()}")
+    if not (math.isfinite(mean) and math.isfinite(sd)):
+        raise NonFinite(f"mean and sd must be finite, got mean={mean}, sd={sd}")
     if not sd > 0.0:
         raise DomainError(f"sd must be positive, got {sd}")
     z = ndtri(q)
@@ -191,7 +194,7 @@ def tail_verdict(q: QQData, tau: float | None = None) -> TailVerdict:
     The default threshold tau = 0.5 * sd(observed) * n**(-1/4) is a
     scale-aware heuristic that tightens with sample size; override it for
     stricter or looser calls.  Requires at least 5 points per decile of
-    levels.
+    levels.  An explicit tau must be finite and >= 0 (else DomainError).
     """
     n = q.n
     counts = np.histogram(q.levels, bins=np.linspace(0.0, 1.0, 11))[0]
@@ -199,6 +202,8 @@ def tail_verdict(q: QQData, tau: float | None = None) -> TailVerdict:
         raise TooShort("need >= 5 QQ points in each decile of levels")
     if tau is None:
         tau = 0.5 * float(np.std(q.observed)) * n ** (-0.25)
+    elif not (math.isfinite(tau) and tau >= 0.0):
+        raise DomainError(f"tau must be finite and >= 0, got {tau}")
 
     k = max(1, int(math.floor(0.01 * n)))
     order = np.argsort(q.levels)
@@ -300,6 +305,8 @@ def chi2_sf(x: float, df: int) -> float:
     if df < 1:
         raise DomainError(f"df must be >= 1, got {df}")
     x = float(x)
+    if math.isnan(x):
+        raise NonFinite("chi-squared statistic is NaN")
     if x < 0.0:
         raise DomainError(f"chi-squared statistic must be >= 0, got {x}")
     return float(chdtrc(df, x))

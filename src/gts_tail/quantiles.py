@@ -11,14 +11,16 @@ with b the interpolant's coefficients shifted by alpha, and
 
     x_alpha = x_i + y * (x_{i+1} - x_i).
 
-An array of levels is solved in one vectorized pass of the same safeguarded
-Newton-bisection, element for element the arithmetic of the one-level
-solve, so both give the same bits.  Inverse-CDF sampling runs that pass on
-seeded uniforms.
+The coefficients b are each a fixed-order sum over the five node values
+(no BLAS call), and an array of levels is solved in one vectorized pass of
+the same safeguarded Newton-bisection, element for element the arithmetic
+of the one-level solve: both give the same bits, on every machine.
+Inverse-CDF sampling runs that pass on seeded uniforms.
 """
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -40,6 +42,10 @@ _RESIDUAL_TOL = 1e-12
 _MAX_ITER = 200
 _STALL_TOL = 1e-10
 _SNIFF_POINTS = (0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0)
+_SCREEN_MARGIN = 1.0 + 1e-12
+
+# The stencil matrices as rows of Python floats, for _stencil_rows.
+_ROWS = {o: tuple(tuple(float(v) for v in row) for row in M) for o, M in _STENCILS.items()}
 
 
 @dataclass(frozen=True)
@@ -56,16 +62,42 @@ class QuarticCoeffs:
         return np.array([self.b0, self.b1, self.b2, self.b3, self.b4])
 
 
+def _stencil_rows(rows, w):
+    """Coefficients b0..b4 of the stencil ``rows`` on the node values w0..w4.
+
+    Each is the left-to-right sum ((m0*w0 + m1*w1) + ...) + m4*w4, on Python
+    floats for one level or on arrays for a batch, to the same bits.  A
+    gemv, gemm or einsum sums in the order of the BLAS kernel, so its bits
+    change from machine to machine.
+    """
+    w0, w1, w2, w3, w4 = w
+    return [(((m0 * w0 + m1 * w1) + m2 * w2) + m3 * w3) + m4 * w4 for m0, m1, m2, m3, m4 in rows]
+
+
 def _poly_val(c, y):
-    # Horner, ascending coefficients; c may hold one quartic per column.
-    acc = 0.0
-    for v in c[::-1]:
+    # Horner on the rows b0..b4 of c: five floats, or five arrays holding
+    # one quartic per column.
+    acc = c[4]
+    for v in c[3::-1]:
         acc = acc * y + v
     return acc
 
 
 def _deriv_val(c, y):
     return ((4.0 * c[4] * y + 3.0 * c[3]) * y + 2.0 * c[2]) * y + c[1]
+
+
+def _monotone(c):
+    """True where |b1| > (1 + 1e-12) (2|b2| + 3|b3| + 4|b4|), per quartic.
+
+    On [0, 1] the terms 2 b2 y + 3 b3 y**2 + 4 b4 y**3 of p'(y) add up to at
+    most S = 2|b2| + 3|b3| + 4|b4| in size, so |b1| > S keeps p' at the
+    sign of b1.  The sniff's Horner value of p' at a point lies within
+    about 8u (|b1| + S) of p', u = 2**-53, and the relative margin 1e-12 is
+    hundreds of times that: every sniffed value is nonzero with the sign of
+    b1, so the sniff never flags a quartic this screen passes.
+    """
+    return abs(c[1]) > _SCREEN_MARGIN * (2.0 * abs(c[2]) + 3.0 * abs(c[3]) + 4.0 * abs(c[4]))
 
 
 def _derivative_sign_changes(c):
@@ -81,6 +113,18 @@ def _derivative_sign_changes(c):
         changes = changes + ((prev != 0.0) & (d != 0.0) & ((prev > 0) != (d > 0)))
         prev = d
     return changes
+
+
+def _columns(c, k):
+    """The quartics c, five coefficient rows, at the columns k."""
+    return [row[k] for row in c]
+
+
+def _flagged(c) -> np.ndarray:
+    """Columns of c the wiggle sniff flags (at least two derivative sign
+    changes); only those the monotone screen fails are sniffed."""
+    j = np.flatnonzero(~_monotone(c))
+    return j[_derivative_sign_changes(_columns(c, j)) >= 2] if j.size else j
 
 
 def _newton_bisect(c, seed: float, flo: float, lo: float = 0.0, hi: float = 1.0) -> float:
@@ -110,8 +154,10 @@ def _newton_bisect(c, seed: float, flo: float, lo: float = 0.0, hi: float = 1.0)
 def _newton_bisect_many(c, seed: np.ndarray, p0: np.ndarray) -> np.ndarray:
     """_newton_bisect on every column of c at once, element for element.
 
-    Each quartic leaves the batch at the iteration where the scalar loop
-    would return, so the roots are the scalar loop's bit for bit.
+    A quartic whose residual meets the tolerance keeps its y from then on
+    (the residual, recomputed from the same y, meets it again) while the
+    rest iterate, so each root is the scalar loop's bit for bit.  The batch
+    is cut down to its live columns only once fewer than half are live.
     """
     y, flo = seed, p0
     root = np.empty(y.shape[0])
@@ -121,15 +167,17 @@ def _newton_bisect_many(c, seed: np.ndarray, p0: np.ndarray) -> np.ndarray:
     for _ in range(_MAX_ITER):
         py = _poly_val(c, y)
         done = np.abs(py) <= _RESIDUAL_TOL
-        if done.all():
+        n_done = np.count_nonzero(done)
+        if n_done == y.shape[0]:
             root[todo] = y
             return root
-        if done.any():
+        if 2 * n_done > y.shape[0]:
             root[todo[done]] = y[done]
             live = ~done
             todo, c, y, lo, hi, flo, py = (
-                todo[live], c[:, live], y[live], lo[live], hi[live], flo[live], py[live]
+                todo[live], _columns(c, live), y[live], lo[live], hi[live], flo[live], py[live]
             )
+            n_done = 0
         same = (py > 0.0) == (flo > 0.0)
         lo = np.where(same, y, lo)
         flo = np.where(same, py, flo)
@@ -137,7 +185,8 @@ def _newton_bisect_many(c, seed: np.ndarray, p0: np.ndarray) -> np.ndarray:
         d = _deriv_val(c, y)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             cand = y - py / d
-        y = np.where((d != 0.0) & (lo < cand) & (cand < hi), cand, 0.5 * (lo + hi))
+        step = np.where((d != 0.0) & (lo < cand) & (cand < hi), cand, 0.5 * (lo + hi))
+        y = np.where(done, y, step) if n_done else step
     py = _poly_val(c, y)
     stalled = ~(np.abs(py) <= _STALL_TOL)
     if stalled.any():
@@ -158,7 +207,8 @@ def solve_quartic_unit(b: QuarticCoeffs) -> float:
     neighbouring candidates (when p changes sign across it), and a
     MultipleRootsWarning is emitted.
     """
-    c = b.as_array()
+    # Python floats: the same bits as a float64 array, without its overhead.
+    c = (float(b.b0), float(b.b1), float(b.b2), float(b.b3), float(b.b4))
     p0 = _poly_val(c, 0.0)
     p1 = _poly_val(c, 1.0)
     if p0 == 0.0:
@@ -172,8 +222,9 @@ def solve_quartic_unit(b: QuarticCoeffs) -> float:
     seed = min(max(-p0 / denom, 1e-12), 1.0 - 1e-12) if denom != 0.0 else 0.5
 
     # Wiggle sniff: more than one derivative sign change on a coarse scan
-    # means the crossing may not be unique.
-    if _derivative_sign_changes(c) >= 2:
+    # means the crossing may not be unique.  Quartics the monotone screen
+    # passes have none, and skip it.
+    if not _monotone(c) and _derivative_sign_changes(c) >= 2:
         # A b4 below the rounding of the other terms on [0,1] is noise: kept,
         # it sends one companion root far out and costs the others accuracy.
         residue = abs(c[4]) <= np.finfo(float).eps * np.sum(np.abs(c[:4]))
@@ -204,28 +255,36 @@ def solve_quartic_unit(b: QuarticCoeffs) -> float:
 def _solve_brackets(c) -> np.ndarray:
     """solve_quartic_unit on every column of c, in one vectorized pass.
 
-    Quartics the wiggle sniff flags go through solve_quartic_unit itself,
-    which keeps its MultipleRootsWarning; the rest share one masked
-    Newton-bisection.
+    Only quartics the monotone screen fails are sniffed; those the sniff
+    flags go through solve_quartic_unit itself, which keeps its
+    MultipleRootsWarning, and the rest share one Newton-bisection.
     """
     p0 = _poly_val(c, 0.0)
     p1 = _poly_val(c, 1.0)
-    y = np.where(p0 == 0.0, 0.0, 1.0)
     open_ = (p0 != 0.0) & (p1 != 0.0)
     flat = open_ & ((p0 > 0.0) == (p1 > 0.0))
     if flat.any():
         k = np.flatnonzero(flat)[0]
         raise NoBracket(f"no sign change on [0,1]: p(0)={p0[k]:.3e}, p(1)={p1[k]:.3e}")
-    k = np.flatnonzero(open_)
-    c, p0, p1 = c[:, k], p0[k], p1[k]
+    every = open_.all()
+    if not every:
+        y = np.where(p0 == 0.0, 0.0, 1.0)
+        k = np.flatnonzero(open_)
+        c, p0, p1 = _columns(c, k), p0[k], p1[k]
     # Opposite signs: p1 - p0 cannot vanish.
     seed = np.minimum(np.maximum(-p0 / (p1 - p0), 1e-12), 1.0 - 1e-12)
-    flagged = _derivative_sign_changes(c) >= 2
-    root = np.empty(k.shape[0])
-    for j in np.flatnonzero(flagged):
-        root[j] = solve_quartic_unit(QuarticCoeffs(*c[:, j]))
-    plain = ~flagged
-    root[plain] = _newton_bisect_many(c[:, plain], seed[plain], p0[plain])
+    flagged = _flagged(c)
+    if flagged.size:
+        root = np.empty(seed.shape[0])
+        for j in flagged:
+            root[j] = solve_quartic_unit(QuarticCoeffs(*_columns(c, j)))
+        plain = np.ones(seed.shape[0], dtype=bool)
+        plain[flagged] = False
+        root[plain] = _newton_bisect_many(_columns(c, plain), seed[plain], p0[plain])
+    else:
+        root = _newton_bisect_many(c, seed, p0)
+    if every:
+        return root
     y[k] = root
     return y
 
@@ -235,19 +294,31 @@ def _bracket_index(values: np.ndarray, alpha):
     return np.clip(i, 0, values.shape[0] - 2)
 
 
-def _quartics(F: np.ndarray, i: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Shifted stencil coefficients, one quartic per column, for brackets i."""
+def _quartics(F: np.ndarray, i: np.ndarray, alpha: np.ndarray) -> list:
+    """Shifted stencil coefficients for brackets i: five rows b0..b4, one
+    quartic per column."""
     start = np.clip(i - 2, 0, F.shape[0] - 5)
     offset = start - i
-    win = F[start[:, None] + np.arange(5)]
-    c = np.empty((5, i.shape[0]))
-    for o, M in _STENCILS.items():
+    w = [F[j:][start] for j in range(5)]
+    c = [np.empty(i.shape[0]) for _ in range(5)]
+    for o, rows in _ROWS.items():
         k = offset == o
-        # One 5x5 @ 5 product per bracket, as in quartic_for_level: a single
-        # gemm or einsum over all brackets sums in another order.
-        c[:, k] = (M @ win[k][:, :, None])[:, :, 0].T
+        if k.all():
+            c = _stencil_rows(rows, w)
+            break
+        if k.any():
+            for row, v in zip(c, _stencil_rows(rows, _columns(w, k))):
+                row[k] = v
     c[0] -= alpha
     return c
+
+
+def _quartic_at(F: np.ndarray, i: int, alpha: float) -> QuarticCoeffs:
+    """One column of _quartics, on Python floats, to the same bits."""
+    start = min(max(i - 2, 0), F.shape[0] - 5)
+    b = _stencil_rows(_ROWS[start - i], F[start : start + 5].tolist())
+    b[0] -= alpha
+    return QuarticCoeffs(*b)
 
 
 def _show_levels(bad: np.ndarray) -> str:
@@ -275,20 +346,30 @@ def quantile(table: CdfTable, alpha):
             f"alpha={_show_levels(levels[~inside])} outside tabulated mass "
             f"[{F[0]:.3e}, {F[-1]:.8f}]"
         )
+    # Solved in increasing order of level, so the bracket search and the node
+    # gathers walk the table in order; the quantiles return in input order.
+    order = np.argsort(levels)
+    levels = levels[order]
     i = _bracket_index(F, levels)
+    fi, fi1 = F[i], F[i + 1]
     # Node hits sit at y = 0 (F_i) or y = 1 (F_i+1); interior brackets are
     # solved below.
-    y = np.where(F[i] == levels, 0.0, 1.0)
-    interior = (F[i] != levels) & (F[i + 1] != levels)
-    broken = interior & ~((F[i] < levels) & (levels < F[i + 1]))
+    interior = (fi != levels) & (fi1 != levels)
+    broken = interior & ~((fi < levels) & (levels < fi1))
     if broken.any():
         j = i[broken][0]
         raise BracketFailure(
             f"table not monotone at bracket {j}: F_i={F[j]!r}, F_i1={F[j + 1]!r}"
         )
-    k = np.flatnonzero(interior)
-    y[k] = _solve_brackets(_quartics(F, i[k], levels[k]))
-    return (g.x_min + (i + y) * g.dx).reshape(a.shape)
+    if interior.all():
+        y = _solve_brackets(_quartics(F, i, levels))
+    else:
+        y = np.where(fi == levels, 0.0, 1.0)
+        k = np.flatnonzero(interior)
+        y[k] = _solve_brackets(_quartics(F, i[k], levels[k]))
+    x = np.empty(levels.shape[0])
+    x[order] = g.x_min + (i + y) * g.dx
+    return x.reshape(a.shape)
 
 
 def _quantile_one(table: CdfTable, level: float) -> float:
@@ -305,7 +386,7 @@ def _quantile_one(table: CdfTable, level: float) -> float:
     elif fi1 == level:
         y = 1.0
     elif fi < level < fi1:
-        y = solve_quartic_unit(quartic_for_level(table, level)[1])
+        y = solve_quartic_unit(_quartic_at(F, i, level))
     else:
         raise BracketFailure(f"table not monotone at bracket {i}: F_i={F[i]!r}, F_i1={F[i + 1]!r}")
     return float(table.grid.x_min + (i + y) * table.grid.dx)
@@ -319,26 +400,26 @@ def quartic_for_level(table: CdfTable, alpha: float):
     x_min + (i + solve_quartic_unit(coeffs)) * dx reproduces quantile's
     interior brackets bit for bit.
     """
-    F = table.values
-    i = int(_bracket_index(F, alpha))
-    m = F.shape[0]
-    start = min(max(i - 2, 0), m - 5)
-    coeff = np.asarray(_STENCILS[start - i] @ F[start : start + 5], dtype=float)
-    coeff[0] -= alpha
-    return i, QuarticCoeffs(*coeff)
+    i = int(_bracket_index(table.values, alpha))
+    return i, _quartic_at(table.values, i, float(alpha))
 
 
 def sample(table: CdfTable, n: int, seed: int) -> ReturnSeries:
     """n inverse-CDF draws from the tabulated law; same seed, same output.
 
-    Uniforms are generated by a PCG64 generator and clamped into the
-    tabulated mass range (the clamp touches a draw with probability equal to
-    the endpoint masses, below 1e-6 on default grids).
+    ``n`` and ``seed`` are integers (a float raises TypeError); n < 1 or a
+    negative seed raises OutOfRange.  Uniforms are generated by a PCG64
+    generator and clamped into the tabulated mass range (the clamp touches
+    a draw with probability equal to the endpoint masses, below 1e-6 on
+    default grids).
     """
-    n = int(n)
+    n = operator.index(n)
+    seed = operator.index(seed)
     if n < 1:
         raise OutOfRange(f"need n >= 1 draws, got {n}")
-    rng = np.random.default_rng(int(seed))
+    if seed < 0:
+        raise OutOfRange(f"need a seed >= 0, got {seed}")
+    rng = np.random.default_rng(seed)
     u = rng.uniform(0.0, 1.0, size=n)
     lo = table.values[0] + 2.0 * _LEVEL_MARGIN
     hi = table.values[-1] - 2.0 * _LEVEL_MARGIN

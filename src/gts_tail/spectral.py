@@ -66,7 +66,7 @@ from .core import (
     characteristic_function,
     cumulant,
 )
-from .errors import ConfigError, ConvergenceFailure, NumericalFailure, SizeError
+from .errors import ConfigError, ConvergenceFailure, NonFinite, NumericalFailure, SizeError
 
 if TYPE_CHECKING:
     from scipy.interpolate import PchipInterpolator
@@ -468,11 +468,17 @@ class CdfTable:
     values: np.ndarray
 
     def evaluate(self, x):
-        """Locally degree-4 interpolated CDF, clamped to the table ends."""
+        """Locally degree-4 interpolated CDF, clamped to the table ends.
+
+        Infinite arguments take the end values; NaN raises NonFinite."""
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         xq = np.atleast_1d(x)
-        out = _stencil_values(self.values, *_stencil_windows(self.grid, xq))
+        if np.isnan(xq).any():
+            raise NonFinite("CDF argument is NaN")
+        # Clipped only so infinite points index the grid; they take the end values below.
+        xc = np.clip(xq, self.grid.x_min, self.grid.x_max)
+        out = _stencil_values(self.values, *_stencil_windows(self.grid, xc))
         out[xq <= self.grid.x_min] = self.values[0]
         out[xq >= self.grid.x_max] = self.values[-1]
         out = np.clip(out, 0.0, 1.0)

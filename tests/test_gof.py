@@ -116,6 +116,13 @@ def test_chi2_sf_rejects_bad_args():
         gt.chi2_sf(1.0, 0)
 
 
+def test_chi2_sf_rejects_nan():
+    from gts_tail.errors import NonFinite
+
+    with pytest.raises(NonFinite):
+        gt.chi2_sf(math.nan, 3)
+
+
 # --------------------------------------------------------------------------
 # Anderson-Darling
 # --------------------------------------------------------------------------

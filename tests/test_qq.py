@@ -5,7 +5,7 @@ import pytest
 from scipy.special import erfc, ndtr, ndtri
 
 import gts_tail as gt
-from gts_tail.errors import DomainError, TooShort
+from gts_tail.errors import DomainError, NonFinite, TooShort
 from gts_tail.qq import ShapeNote, TailSide, hazen_levels
 
 
@@ -114,6 +114,12 @@ def test_domain_errors():
         gt.normal_quantile(0, 1, np.array([0.2, np.nan]))
 
 
+@pytest.mark.parametrize("mean, sd", [(math.nan, 1.0), (0.0, math.inf)])
+def test_non_finite_mean_or_sd_raises(mean, sd):
+    with pytest.raises(NonFinite):
+        gt.normal_quantile(mean, sd, 0.5)
+
+
 def _normal_quantile_loop(mean, sd, p):
     """Reference: the one-level formula with scalar math."""
     z = float(ndtri(p))
@@ -137,6 +143,16 @@ def test_array_normal_quantile_equals_loop():
 
 def _qq_from_arrays(levels, theo, obs):
     return gt.QQData(levels=levels, theoretical=theo, observed=obs)
+
+
+def test_tau_must_be_finite_and_non_negative():
+    p = hazen_levels(500)
+    t = np.array([gt.normal_quantile(0, 1, q) for q in p])
+    q = _qq_from_arrays(p, t, t.copy())
+    for tau in (math.nan, math.inf, -1e-3):
+        with pytest.raises(DomainError, match="tau"):
+            gt.tail_verdict(q, tau=tau)
+    assert gt.tail_verdict(q, tau=0.0).shape is ShapeNote.LINEAR
 
 
 def test_on_line_is_linear():

@@ -1,12 +1,24 @@
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gts_tail as gt
 from gts_tail.errors import BracketFailure, MultipleRootsWarning, NoBracket, OutOfRange
-from gts_tail.quantiles import QuarticCoeffs, quartic_for_level, solve_quartic_unit
+from gts_tail.quantiles import (
+    QuarticCoeffs,
+    _derivative_sign_changes,
+    _flagged,
+    _monotone,
+    quartic_for_level,
+    solve_quartic_unit,
+)
 from gts_tail.spectral import CdfTable, SpectralGrid
 
 
@@ -81,6 +93,52 @@ def test_random_monotone_brackets_match_bisection():
         want = _bisect_oracle(c)
         assert abs(got - want) <= 1e-12
         assert abs(_poly(c, got)) <= 1e-12
+
+
+# --------------------------------------------------------------------------
+# the monotone screen ahead of the wiggle sniff
+# --------------------------------------------------------------------------
+
+_COEF = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _quartics_near_the_screen(draw):
+    """(b0, .., b4) with b1 free, or within 4 ulps of |b1| = S or of the
+    screen's edge |b1| = (1 + 1e-12) S, where S = 2|b2| + 3|b3| + 4|b4|."""
+    b0, b2, b3, b4 = (draw(_COEF) for _ in range(4))
+    edge = draw(st.sampled_from([None, 1.0, 1.0 + 1e-12]))
+    if edge is None:
+        b1 = draw(_COEF)
+    else:
+        b1 = edge * (2.0 * abs(b2) + 3.0 * abs(b3) + 4.0 * abs(b4))
+        ulps = draw(st.integers(-4, 4))
+        for _ in range(abs(ulps)):
+            b1 = float(np.nextafter(b1, np.copysign(np.inf, ulps)))
+        b1 *= draw(st.sampled_from([1.0, -1.0]))
+    return (b0, b1, b2, b3, b4)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_quartics_near_the_screen())
+@example((-0.08, 0.66, -1.5, 1.0, 0.0))
+@example((0.0, 7.0, -1.0, -1.0, -1.0))
+def test_monotone_screen_passes_no_quartic_with_a_derivative_sign_change(b):
+    # The screen's margin keeps every sniffed derivative value at the sign of
+    # b1, on Python floats (one level) and on arrays (a batch) alike.
+    if _monotone(b):
+        assert _derivative_sign_changes(b) == 0
+        assert _derivative_sign_changes(np.array(b)[:, None])[0] == 0
+    if _derivative_sign_changes(b) >= 2:
+        assert not _monotone(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_quartics_near_the_screen(), min_size=1, max_size=30))
+@example([(-0.08, 0.66, -1.5, 1.0, 0.0), (-0.25, 0.5, 0.0, 0.0, 0.0)])
+def test_screened_routing_equals_sniff_only_routing(bs):
+    c = np.array(bs).T
+    assert np.array_equal(_flagged(c), np.flatnonzero(_derivative_sign_changes(c) >= 2))
 
 
 # --------------------------------------------------------------------------
@@ -284,13 +342,15 @@ def test_array_quantile_routes_wiggly_bracket_through_warning():
 
 
 def test_multiple_roots_polish_stays_at_the_chosen_crossing():
-    # Five nodes of 0.5 + 0.01*(y - 0.2)(y - 0.5)(y - 0.8) at y = -2..2: on
+    # Five nodes of 0.5 + 0.02*(y - 0.2)(y - 0.5)(y - 0.8) at y = -2..2: on
     # the bracket [4, 5] the interpolant crosses 0.5 at 4.2, 4.5 and 4.8,
-    # and the linear seed is nearest 4.5.  Its b4 is a rounding residue.
+    # and the linear seed is nearest 4.5.  Its b4 is a rounding residue:
+    # nonzero, but below the rounding of the other terms on [0, 1].
     y = np.arange(-2.0, 3.0)
-    table = _unit_table(np.concatenate([[0.1, 0.2], 0.5 + 0.01 * (y - 0.2) * (y - 0.5) * (y - 0.8), [0.7, 0.9]]))
+    table = _unit_table(np.concatenate([[0.1, 0.2], 0.5 + 0.02 * (y - 0.2) * (y - 0.5) * (y - 0.8), [0.7, 0.9]]))
     i, coeffs = quartic_for_level(table, 0.5)
-    assert i == 4 and coeffs.b4 != 0.0
+    c = coeffs.as_array()
+    assert i == 4 and 0.0 < abs(c[4]) <= np.finfo(float).eps * np.sum(np.abs(c[:4]))
     with pytest.warns(MultipleRootsWarning):
         got = gt.quantile(table, 0.5)
     assert abs(got - 4.5) <= 1e-9
@@ -342,3 +402,49 @@ def test_sample_requires_positive_n(btc_tables):
     _, cdf = btc_tables
     with pytest.raises(OutOfRange):
         gt.sample(cdf, 0, seed=1)
+
+
+def test_sample_rejects_a_negative_seed(btc_tables):
+    _, cdf = btc_tables
+    with pytest.raises(OutOfRange, match="seed"):
+        gt.sample(cdf, 3, seed=-1)
+
+
+def test_sample_takes_integer_n_and_seed(btc_tables):
+    # A float is not truncated: it raises, as range(2.5) does.
+    _, cdf = btc_tables
+    with pytest.raises(TypeError):
+        gt.sample(cdf, 2.5, seed=1)
+    with pytest.raises(TypeError):
+        gt.sample(cdf, 3, seed=1.7)
+    want = gt.sample(cdf, 3, seed=1).values
+    assert np.array_equal(gt.sample(cdf, np.int64(3), seed=np.uint32(1)).values, want)
+
+
+def _sample_digest(env_extra: dict) -> str:
+    """sha256 of sample(BTC default table, 20000, seed 7), in a new
+    interpreter with env_extra added to its environment."""
+    root = os.path.dirname(os.path.dirname(gt.__file__))
+    path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
+    script = (
+        "import hashlib, gts_tail as gt\n"
+        "p = gt.BITCOIN_DAILY.params\n"
+        "cdf = gt.cdf_table(p, gt.build_grid(p))\n"
+        "print(hashlib.sha256(gt.sample(cdf, 20000, 7).values.tobytes()).hexdigest())\n"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path, **env_extra},
+        timeout=600,
+    )
+    assert r.returncode == 0, r.stderr
+    return r.stdout.strip()
+
+
+def test_sample_bytes_do_not_depend_on_the_blas_kernel():
+    # OpenBLAS picks its kernel from the CPU unless OPENBLAS_CORETYPE names
+    # one; the quartic coefficients are fixed-order sums, so the draws must
+    # not follow it.  Under another BLAS the variable is ignored.
+    assert _sample_digest({}) == _sample_digest({"OPENBLAS_CORETYPE": "Prescott"})

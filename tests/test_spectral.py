@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy.stats import gamma as gamma_dist
 
 import gts_tail as gt
 from gts_tail.core import PARAM_NAMES
-from gts_tail.errors import ConfigError, NumericalFailure
+from gts_tail.errors import ConfigError, NonFinite, NumericalFailure
 from gts_tail.spectral import (
     GridConfig,
     _aligned_grid,
@@ -228,6 +229,18 @@ def test_cdf_endpoints(btc_tables, eth_tables):
     for _, cdf in (btc_tables, eth_tables):
         assert cdf.values[0] < 1e-6
         assert 1.0 - cdf.values[-1] < 1e-6
+
+
+def test_cdf_evaluate_rejects_nan_and_clamps_infinities(btc_tables):
+    _, cdf = btc_tables
+    with pytest.raises(NonFinite):
+        cdf.evaluate(math.nan)
+    with pytest.raises(NonFinite):
+        cdf.evaluate(np.array([0.0, math.nan]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ends = cdf.evaluate(np.array([-math.inf, math.inf]))
+    assert ends.tolist() == [cdf.values[0], cdf.values[-1]]
 
 
 def test_cdf_deep_tail_matches_oracle(eth_params, eth_tables):
