@@ -278,11 +278,10 @@ def _base_grid_config(options: FitOptions) -> GridConfig:
     )
 
 
-def _densities(values: np.ndarray, windows) -> np.ndarray:
-    """The stencil density at the observations' ``windows`` (from
-    _stencil_windows), clamped at 0: what ``DensityTable.interpolate``
-    reads on the grid."""
-    return np.maximum(_stencil_values(values, *windows), 0.0)
+def _densities(values: np.ndarray, start: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The stencil density at the observations' windows and weights,
+    clamped at 0: what ``DensityTable.interpolate`` reads on the grid."""
+    return np.maximum(_stencil_values(values, start, weights), 0.0)
 
 
 def _log_sum(dens: np.ndarray) -> float:
@@ -290,19 +289,18 @@ def _log_sum(dens: np.ndarray) -> float:
     return float(np.sum(np.log(np.maximum(dens, _DENSITY_FLOOR))))
 
 
-def _neg_log_density_sum_and_grad(raw: np.ndarray, windows, weights: np.ndarray):
-    """(-_log_sum(_densities(max(raw, 0), windows)), and its gradient in
-    the raw node values); ``weights`` is _stencil_weights of the windows'
-    positions.
+def _neg_log_density_sum_and_grad(raw: np.ndarray, start: np.ndarray, weights: np.ndarray):
+    """(-_log_sum(_densities(max(raw, 0), start, weights)), and its
+    gradient in the raw node values).
 
     The gradient passes the clamps at 0 where a node or a density is
     positive, and the floor where a density is above it; elsewhere it is 0.
     """
     values = np.maximum(raw, 0.0)
-    dens = _densities(values, windows)
+    dens = _densities(values, start, weights)
     kept = dens > _DENSITY_FLOOR
     g = np.divide(-1.0, dens, out=np.zeros_like(dens), where=kept)
-    grad = _stencil_pullback(windows[0], weights, g, raw.shape[0])
+    grad = _stencil_pullback(start, weights, g, raw.shape[0])
     return -_log_sum(dens), np.where(raw > 0.0, grad, 0.0)
 
 
@@ -355,11 +353,11 @@ class _LikelihoodPlan:
     tail radius (aliasing).  Anything else is penalized.  An evaluation is
     then one characteristic-function kernel, one FFT, the clamp at 0 and a
     degree-4 stencil gather at the observations' precomputed 5-node
-    windows (``DensityTable.interpolate`` to the bit).  Its score is
-    exact, in reverse mode: the gather's adjoint, one bincount of the
-    windows' precomputed stencil weights, gives the
-    gradient in the node values, one more FFT carries it back through the
-    inversion, and the kernel's partials in closed form finish it.
+    windows and weights (``DensityTable.interpolate`` to the bit).  Its
+    score is exact, in reverse mode: the gather's adjoint, one bincount of
+    those same weights, gives the gradient in the node values, one more
+    FFT carries it back through the inversion, and the kernel's partials
+    in closed form finish it.
 
     ``objective(kind)`` is the negative log-likelihood in a kind's
     transformed coordinates; with ``score=True`` it returns the value and
@@ -394,8 +392,8 @@ class _LikelihoodPlan:
             n_fft = sp_fft.next_fast_len(math.ceil(balanced / g0.dx))
         self.grid = _aligned_grid(g0.x_min, g0.x_max, g0.m, n_fft, n_freq)
         self._pdf = _Inversion(self.grid)
-        self._windows = _stencil_windows(self.grid, obs)
-        self._weights = _stencil_weights(self._windows[1])
+        self._start, y = _stencil_windows(self.grid, obs)
+        self._weights = _stencil_weights(y)
         self._period = n_fft * self.grid.dx
 
     def penalty_cause(self, p: GTSParams) -> str | None:
@@ -408,12 +406,12 @@ class _LikelihoodPlan:
         return None
 
     def neg_loglik(self, p: GTSParams) -> float:
-        return -_log_sum(_densities(np.maximum(self._pdf.pdf(p), 0.0), self._windows))
+        return -_log_sum(_densities(np.maximum(self._pdf.pdf(p), 0.0), self._start, self._weights))
 
     def neg_loglik_and_score(self, p: GTSParams):
         """(neg_loglik(p), its gradient in the seven natural fields)."""
         raw, pullback = self._pdf.pdf_with_pullback(p)
-        value, grad = _neg_log_density_sum_and_grad(raw, self._windows, self._weights)
+        value, grad = _neg_log_density_sum_and_grad(raw, self._start, self._weights)
         return value, pullback(grad)
 
     def objective(self, kind: RestrictedKind, score: bool = False):

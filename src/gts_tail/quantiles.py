@@ -11,10 +11,11 @@ with b the interpolant's coefficients shifted by alpha, and
 
     x_alpha = x_i + y * (x_{i+1} - x_i).
 
-The coefficients b are each a fixed-order sum over the five node values
-(no BLAS call), and an array of levels is solved in one vectorized pass of
-the same safeguarded Newton-bisection, element for element the arithmetic
-of the one-level solve: both give the same bits, on every machine.
+Each b is a fixed-order sum over the node values of the table reads'
+window (`_stencil_start`), weighted by the exact Lagrange coefficients
+rounded once (no BLAS call), and an array of levels is solved in one
+vectorized pass of the same safeguarded Newton-bisection, element for
+element the arithmetic of the one-level solve: both give the same bits.
 Inverse-CDF sampling runs that pass on seeded uniforms.
 """
 
@@ -33,7 +34,7 @@ from .errors import (
     OutOfRange,
 )
 from .returns_io import ReturnSeries
-from .spectral import _STENCILS, CdfTable
+from .spectral import CdfTable, _stencil_start
 
 __all__ = ["QuarticCoeffs", "solve_quartic_unit", "quantile", "sample"]
 
@@ -44,8 +45,23 @@ _STALL_TOL = 1e-10
 _SNIFF_POINTS = (0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0)
 _SCREEN_MARGIN = 1.0 + 1e-12
 
-# The stencil matrices as rows of Python floats, for _stencil_rows.
-_ROWS = {o: tuple(tuple(float(v) for v in row) for row in M) for o, M in _STENCILS.items()}
+
+def _lagrange_rows(o: int) -> tuple:
+    """Row r: the y**r coefficients of the Lagrange basis on nodes o..o+4,
+    each an integer over prod_{k != j} (j - k), which int / rounds once."""
+    cols = []
+    for j in range(5):
+        poly, den = [1], 1
+        for k in set(range(5)) - {j}:
+            poly = [a - (o + k) * b for a, b in zip([0, *poly], [*poly, 0])]
+            den *= j - k
+        cols.append([c / den for c in poly])
+    return tuple(zip(*cols))
+
+
+# Offset o = start - i puts the nodes at o..o+4 in the bracket's y: -2 is
+# centred on the bracket [0, 1], and 0, -1 and -3 serve the table ends.
+_MONOMIAL_ROWS = {o: _lagrange_rows(o) for o in (0, -1, -2, -3)}
 
 
 @dataclass(frozen=True)
@@ -297,11 +313,11 @@ def _bracket_index(values: np.ndarray, alpha):
 def _quartics(F: np.ndarray, i: np.ndarray, alpha: np.ndarray) -> list:
     """Shifted stencil coefficients for brackets i: five rows b0..b4, one
     quartic per column."""
-    start = np.clip(i - 2, 0, F.shape[0] - 5)
+    start = _stencil_start(i, F.shape[0])
     offset = start - i
     w = [F[j:][start] for j in range(5)]
     c = [np.empty(i.shape[0]) for _ in range(5)]
-    for o, rows in _ROWS.items():
+    for o, rows in _MONOMIAL_ROWS.items():
         k = offset == o
         if k.all():
             c = _stencil_rows(rows, w)
@@ -315,8 +331,9 @@ def _quartics(F: np.ndarray, i: np.ndarray, alpha: np.ndarray) -> list:
 
 def _quartic_at(F: np.ndarray, i: int, alpha: float) -> QuarticCoeffs:
     """One column of _quartics, on Python floats, to the same bits."""
+    # _stencil_start on one int: np.clip would cost most of the solve.
     start = min(max(i - 2, 0), F.shape[0] - 5)
-    b = _stencil_rows(_ROWS[start - i], F[start : start + 5].tolist())
+    b = _stencil_rows(_MONOMIAL_ROWS[start - i], F[start : start + 5].tolist())
     b[0] -= alpha
     return QuarticCoeffs(*b)
 

@@ -33,11 +33,11 @@ reach m.  The samples cf(xi) exp(-i x_min xi) come from a real-arithmetic
 kernel that folds the grid phase into the characteristic function's own
 cos/sin pair; the public complex exponent stays the reference it is tested
 against.  Tables and a fit's likelihood share one inversion (`_Inversion`)
-and read values between nodes with one local degree-4 stencil;
-a grid that stays fixed while the law changes (a fit's likelihood plan)
-builds it once, and also carries a gradient back through it by its
-transpose.  `frft`, the fractional FFT at any spacing, is public and tested
-but no table needs it.
+and read values between nodes with one local degree-4 stencil, Lagrange
+weights in product form with no BLAS call; a grid that stays fixed while
+the law changes (a fit's likelihood plan) builds both once, and carries a
+gradient back through them by their transposes.  `frft`, the fractional
+FFT at any spacing, is public and tested but no table needs it.
 
 A slow adaptive-quadrature oracle (`direct_quadrature_oracle`) evaluates the
 one-sided forms of the same inversion integrals at a single point for
@@ -48,8 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING
+from functools import lru_cache
 
 import numpy as np
 from scipy import fft as sp_fft
@@ -67,9 +66,6 @@ from .core import (
     cumulant,
 )
 from .errors import ConfigError, ConvergenceFailure, NonFinite, NumericalFailure, SizeError
-
-if TYPE_CHECKING:
-    from scipy.interpolate import PchipInterpolator
 
 __all__ = [
     "GridConfig",
@@ -383,51 +379,58 @@ def build_grid(p: GTSParams, cfg: GridConfig = GridConfig()) -> SpectralGrid:
 # tables
 # --------------------------------------------------------------------------
 
-# Inverse Vandermonde matrices mapping 5 stencil values to monomial
-# coefficients of the local degree-4 interpolant, one per stencil offset.
-# Offset o puts the stencil nodes at local coordinates o, o+1, .., o+4, so
-# o = -2 is centered on the bracket [0, 1] and o in {0, -1, -3} covers grid
-# edges.  Interpolation uses o = 0; quantiles use all four.
-_STENCILS = {
-    o: np.linalg.inv(np.vander(np.arange(o, o + 5, dtype=float), 5, increasing=True))
-    for o in (0, -1, -2, -3)
-}
+def _stencil_start(i, m: int):
+    """First stencil node of brackets i on m nodes: two below, shifted inward at the ends."""
+    return np.clip(i - 2, 0, m - 5)
 
 
 def _stencil_windows(grid: SpectralGrid, xq: np.ndarray):
-    """(index, y): the 5 grid nodes of each point's degree-4 stencil, an
-    (n, 5) index array, and the point's position in the stencil's local
-    coordinates, where its nodes sit at 0, 1, .., 4.  The stencil starts
-    two nodes below the point's bracket, shifted inward at the grid ends;
-    points off the grid extrapolate the end stencil."""
+    """(start, y): each point's stencil start and its position in the
+    stencil's local coordinates, where the nodes sit at 0, 1, .., 4.
+    Points off the grid extrapolate the end stencil."""
     pos = (xq - grid.x_min) / grid.dx
-    start = np.clip(np.floor(pos).astype(int) - 2, 0, grid.m - 5)
-    return start[:, None] + np.arange(5), pos - start
-
-
-def _stencil_values(values: np.ndarray, index: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The local degree-4 Lagrange interpolant of ``values`` at the
-    windows ``_stencil_windows`` gives, in Horner form."""
-    coeff = values[index] @ _STENCILS[0].T
-    out = coeff[:, 4]
-    for k in (3, 2, 1, 0):
-        out = out * y + coeff[:, k]
-    return out
+    start = _stencil_start(np.floor(pos).astype(int), grid.m)
+    return start, pos - start
 
 
 def _stencil_weights(y: np.ndarray) -> np.ndarray:
-    """The (n, 5) weights y**k @ _STENCILS[0] that the stencil at local
-    positions ``y`` puts on its window's node values: _stencil_values is
-    sum(values[index] * weights, axis=1) up to rounding."""
-    return (y[:, None] ** np.arange(5)) @ _STENCILS[0]
+    """The (5, n) Lagrange weights prod_{k != j} (y - k)/(j - k) of nodes
+    j = 0..4 at local positions y, in product form: backward stable, with
+    no BLAS call, so the same few rounding errors on every machine."""
+    d1, d2, d3, d4 = y - 1.0, y - 2.0, y - 3.0, y - 4.0
+    y01, d34 = y * d1, d3 * d4
+    y012, d234 = y01 * d2, d2 * d34
+    return np.array((d1 * d234 / 24.0, y * d234 / -6.0, y01 * d34 / 4.0, y012 * d4 / -6.0,
+                     y012 * d3 / 24.0))
 
 
-def _stencil_pullback(index: np.ndarray, weights: np.ndarray, g: np.ndarray, m: int) -> np.ndarray:
+def _stencil_values(values: np.ndarray, start: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The stencil read of ``values``: the left-to-right sum
+    w0 v[start] + w1 v[start + 1] + .. + w4 v[start + 4]."""
+    out = weights[0] * values[start]
+    for j in range(1, 5):
+        out += weights[j] * values[j:][start]
+    return out
+
+
+def _stencil_pullback(start: np.ndarray, weights: np.ndarray, g: np.ndarray, m: int) -> np.ndarray:
     """The gradient in the m node values of sum(g * _stencil_values(values,
-    index, y)), from weights = _stencil_weights(y).  The interpolant is
-    linear in the values, so its adjoint adds each point's weights, times
-    g, onto its window."""
-    return np.bincount(index.ravel(), (g[:, None] * weights).ravel(), m)
+    start, weights)): the read is linear in the values, so its adjoint adds
+    each point's weights, times g, onto its window."""
+    return np.bincount((start + np.arange(5)[:, None]).ravel(), (weights * g).ravel(), m)
+
+
+def _stencil_read(table, x):
+    """(scalar, points, reads): ``x`` as a 1-D array and the table's read
+    at each point clipped into the grid, where each table sets its own
+    values off the grid.  NaN raises NonFinite."""
+    x = np.asarray(x, dtype=float)
+    xq = np.atleast_1d(x)
+    if np.isnan(xq).any():
+        raise NonFinite("table argument is NaN")
+    # Clipped so infinite and far points index the grid without overflow.
+    start, y = _stencil_windows(table.grid, np.clip(xq, table.grid.x_min, table.grid.x_max))
+    return x.ndim == 0, xq, _stencil_values(table.values, start, _stencil_weights(y))
 
 
 @dataclass(frozen=True)
@@ -438,23 +441,11 @@ class DensityTable:
     values: np.ndarray
 
     def interpolate(self, x):
-        """Locally degree-4 interpolated density; zero outside the grid."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xq = np.atleast_1d(x)
-        out = np.maximum(_stencil_values(self.values, *_stencil_windows(self.grid, xq)), 0.0)
+        """Locally degree-4 interpolated density; zero outside the grid, NonFinite on NaN."""
+        scalar, xq, out = _stencil_read(self, x)
+        out = np.maximum(out, 0.0)
         out[(xq < self.grid.x_min) | (xq > self.grid.x_max)] = 0.0
         return float(out[0]) if scalar else out
-
-    @cached_property
-    def monotone_interpolator(self) -> PchipInterpolator:
-        """Shape-preserving cubic through the table (scipy's PCHIP), for
-        callers that need an interpolant that never overshoots; the
-        likelihood reads the table through ``interpolate``'s stencil.
-        scipy.interpolate is imported on first use."""
-        from scipy.interpolate import PchipInterpolator
-
-        return PchipInterpolator(self.grid.x(), self.values, extrapolate=False)
 
     def trapezoid_mass(self) -> float:
         return float(np.trapezoid(self.values, dx=self.grid.dx))
@@ -471,14 +462,7 @@ class CdfTable:
         """Locally degree-4 interpolated CDF, clamped to the table ends.
 
         Infinite arguments take the end values; NaN raises NonFinite."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xq = np.atleast_1d(x)
-        if np.isnan(xq).any():
-            raise NonFinite("CDF argument is NaN")
-        # Clipped only so infinite points index the grid; they take the end values below.
-        xc = np.clip(xq, self.grid.x_min, self.grid.x_max)
-        out = _stencil_values(self.values, *_stencil_windows(self.grid, xc))
+        scalar, xq, out = _stencil_read(self, x)
         out[xq <= self.grid.x_min] = self.values[0]
         out[xq >= self.grid.x_max] = self.values[-1]
         out = np.clip(out, 0.0, 1.0)

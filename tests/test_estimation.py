@@ -32,6 +32,7 @@ from gts_tail.estimation import (
     _HESSIAN_HEADROOM,
     _HESSIAN_STEP,
     _PLAN_PERIOD,
+    _ROUND_GAIN,
     FitOptions,
     _auto_init,
     _from_transformed,
@@ -626,18 +627,24 @@ _PILOT_BILATERAL_GAMMA_ESTIMATE = (
 
 def test_polish_rounds_refreeze_at_the_node_budget_while_they_gain(bilateral_gamma_budget_fit):
     # A round that touches a bound of a plan at the budget re-freezes it
-    # around its point, with the same nodes, until a round gains under 1e-6
-    # nats: on one plan, frozen at the new estimate, that gains 8.28 nats
-    # over stopping at the first such round.
+    # around its point, with the same nodes, while it gains _ROUND_GAIN
+    # nats or more: each at-budget round that another follows gained that
+    # much on its own plan.  How far the rounds walk before one gains less
+    # follows the last bits of the path, L-BFGS-B's own BLAS calls among
+    # them (the rounds after the first gained 4.9 to 18.9 nats in total
+    # across OpenBLAS kernels), so no larger total is asserted.  On one
+    # plan, frozen at the new estimate, the fit ends above stopping at the
+    # first such round.
     data, options, fit, rounds = bilateral_gamma_budget_fit
     at_budget = [r for r in rounds if r.plan["n_freq"] == 2**15]
     assert len(at_budget) >= 2 and all(sum(r.penalties.values()) > 0 for r in at_budget)
+    assert all(r.gain >= _ROUND_GAIN for r in at_budget[:-1])
     common = _LikelihoodPlan(
         fit.params, np.asarray(data.values), replace(options, max_n_freq=2**20), _HEADROOM
     )
     before = gt.validate_params(*_PILOT_BILATERAL_GAMMA_ESTIMATE)
     assert common.penalty_cause(before) is None and common.penalty_cause(fit.params) is None
-    assert common.neg_loglik(before) - common.neg_loglik(fit.params) >= 8.0
+    assert common.neg_loglik(before) > common.neg_loglik(fit.params)
 
 
 def test_hessian_symmetry(btc_params, btc_sample_5k):
@@ -926,16 +933,16 @@ def test_log_density_gradient_matches_central_differences():
     edges = [x[positive[0] - 1] + 0.6 * grid.dx, x[positive[-1]] + 0.4 * grid.dx]
     obs = np.concatenate([rng.uniform(-2.5, -0.5, 60), rng.uniform(0.5, 2.5, 60), edges,
                           [-5.5, 5.2, -7.0, 8.0]])
-    windows = _stencil_windows(grid, obs)
-    weights = _stencil_weights(windows[1])
-    value, grad = _neg_log_density_sum_and_grad(raw, windows, weights)
+    start, y = _stencil_windows(grid, obs)
+    weights = _stencil_weights(y)
+    value, grad = _neg_log_density_sum_and_grad(raw, start, weights)
     clamped = raw < 0.0
     assert clamped[:20].all() and clamped[-20:].all()
     assert np.all(grad[clamped] == 0.0) and np.count_nonzero(grad) > 40
     eps = 1e-9
 
     def neg(v):
-        return _neg_log_density_sum_and_grad(v, windows, weights)[0]
+        return _neg_log_density_sum_and_grad(v, start, weights)[0]
 
     fd = np.array([(neg(raw + e) - neg(raw - e)) / (2 * eps) for e in eps * np.eye(x.size)])
     assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(grad))

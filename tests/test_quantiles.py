@@ -3,6 +3,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import gts_tail as gt
 from gts_tail.errors import BracketFailure, MultipleRootsWarning, NoBracket, OutOfRange
 from gts_tail.quantiles import (
+    _MONOMIAL_ROWS,
     QuarticCoeffs,
     _derivative_sign_changes,
     _flagged,
@@ -20,6 +22,31 @@ from gts_tail.quantiles import (
     solve_quartic_unit,
 )
 from gts_tail.spectral import CdfTable, SpectralGrid
+
+
+def _exact_lagrange_rows(o: int) -> list:
+    """inv(V) for the Vandermonde matrix V[i][k] = (o + i)**k, by
+    Gauss-Jordan elimination in exact rational arithmetic: row r holds the
+    y**r coefficients of the Lagrange basis on the nodes o..o+4."""
+    n = 5
+    a = [[Fraction(o + i) ** k for k in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+         for i in range(n)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if a[r][c] != 0)
+        a[c], a[pivot] = a[pivot], a[c]
+        a[c] = [v / a[c][c] for v in a[c]]
+        for r in range(n):
+            if r != c and a[r][c] != 0:
+                a[r] = [v - a[r][c] * w for v, w in zip(a[r], a[c])]
+    return [row[n:] for row in a]
+
+
+@pytest.mark.parametrize("offset", [0, -1, -2, -3])
+def test_stencil_rows_are_the_exact_lagrange_coefficients(offset):
+    # Each coefficient is the exact rational rounded once: no inverted
+    # matrix, whose last bits followed the BLAS kernel.
+    want = tuple(tuple(float(v) for v in row) for row in _exact_lagrange_rows(offset))
+    assert _MONOMIAL_ROWS[offset] == want
 
 
 # --------------------------------------------------------------------------
@@ -422,15 +449,23 @@ def test_sample_takes_integer_n_and_seed(btc_tables):
 
 
 def _sample_digest(env_extra: dict) -> str:
-    """sha256 of sample(BTC default table, 20000, seed 7), in a new
-    interpreter with env_extra added to its environment."""
+    """sha256 of sample(BTC default table, 20000, seed 7) and of the
+    tables' reads at those draws (``evaluate``, ``interpolate`` and
+    ``log_likelihood``), in a new interpreter with env_extra added to its
+    environment."""
     root = os.path.dirname(os.path.dirname(gt.__file__))
     path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
     script = (
         "import hashlib, gts_tail as gt\n"
         "p = gt.BITCOIN_DAILY.params\n"
-        "cdf = gt.cdf_table(p, gt.build_grid(p))\n"
-        "print(hashlib.sha256(gt.sample(cdf, 20000, 7).values.tobytes()).hexdigest())\n"
+        "grid = gt.build_grid(p)\n"
+        "cdf, pdf = gt.cdf_table(p, grid), gt.pdf_table(p, grid)\n"
+        "data = gt.sample(cdf, 20000, 7)\n"
+        "h = hashlib.sha256(data.values.tobytes())\n"
+        "h.update(cdf.evaluate(data.values).tobytes())\n"
+        "h.update(pdf.interpolate(data.values).tobytes())\n"
+        "h.update(gt.log_likelihood(p, data).hex().encode())\n"
+        "print(h.hexdigest())\n"
     )
     r = subprocess.run(
         [sys.executable, "-c", script],
@@ -445,6 +480,7 @@ def _sample_digest(env_extra: dict) -> str:
 
 def test_sample_bytes_do_not_depend_on_the_blas_kernel():
     # OpenBLAS picks its kernel from the CPU unless OPENBLAS_CORETYPE names
-    # one; the quartic coefficients are fixed-order sums, so the draws must
-    # not follow it.  Under another BLAS the variable is ignored.
+    # one; the quartic coefficients and the table reads are fixed-order
+    # sums, so neither the draws nor the reads may follow it.  Under
+    # another BLAS the variable is ignored.
     assert _sample_digest({}) == _sample_digest({"OPENBLAS_CORETYPE": "Prescott"})
