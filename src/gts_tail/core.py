@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import digamma as _digamma
-from scipy.special import gamma as _gamma
 
 from ._textio import text_stream
 from .errors import DomainError, NonFinite, OutOfDomain, ParseError
@@ -268,6 +266,9 @@ def _shifted_cf_pullback(p: GTSParams, xi: np.ndarray, shift: float):
     cf = _polar(re, im - shift * xi)
 
     def pullback(w: np.ndarray) -> np.ndarray:
+        # Imported on the first score, so that importing gts_tail loads no scipy.
+        from scipy.special import digamma
+
         wr, wi = w.real, w.imag
         total = wr.sum()
         out = np.zeros(len(PARAM_NAMES))
@@ -283,7 +284,7 @@ def _shifted_cf_pullback(p: GTSParams, xi: np.ndarray, shift: float):
             out[3 + j] = k * by_e / alpha
             out[5 + j] = k * (over - total / lam)
             out[1 + j] = k * (
-                (math.log(lam) - float(_digamma(1.0 - beta))) * by_e
+                (math.log(lam) - float(digamma(1.0 - beta))) * by_e
                 + _expm1_ratio_partial(beta, zr, zi, er, ei, series, wr, wi, sign, by_e)
             )
         return out
@@ -423,15 +424,27 @@ def cumulant(p: GTSParams, n: int) -> float:
                  - alpha- Gamma(1-beta-) lambda-**(beta--1)
     kappa_n = alpha+ Gamma(n-beta+) lambda+**(beta+-n)
             + (-1)**n alpha- Gamma(n-beta-) lambda-**(beta--n)   (n >= 2)
+
+    Raises DomainError for an order that is not an integer >= 1 (a bool
+    included) and NonFinite when the cumulant overflows.
     """
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"cumulant order must be >= 1, got {n}")
-    plus = p.alpha_plus * _gamma(n - p.beta_plus) * p.lambda_plus ** (p.beta_plus - n)
-    minus = p.alpha_minus * _gamma(n - p.beta_minus) * p.lambda_minus ** (p.beta_minus - n)
-    if n == 1:
-        return p.mu + plus - minus
-    return plus + (-1) ** n * minus
+    try:
+        order = int(n)
+        integral = order == n and not isinstance(n, (bool, np.bool_))
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral or order < 1:
+        raise DomainError(f"cumulant order must be an integer >= 1, got {n!r}")
+    n = order
+    try:
+        plus = p.alpha_plus * math.gamma(n - p.beta_plus) * p.lambda_plus ** (p.beta_plus - n)
+        minus = p.alpha_minus * math.gamma(n - p.beta_minus) * p.lambda_minus ** (p.beta_minus - n)
+        out = p.mu + plus - minus if n == 1 else plus + (-1) ** n * minus
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise NonFinite(f"cumulant of order {n} is not finite")
+    return out
 
 
 # --------------------------------------------------------------------------

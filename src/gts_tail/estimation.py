@@ -45,8 +45,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import fft as sp_fft
-from scipy.special import erfc
 
 from .core import PARAM_NAMES, GTSParams, RestrictedKind, _log_modulus, cumulant, validate_params
 from .errors import (
@@ -375,6 +373,8 @@ class _LikelihoodPlan:
         self, p0: GTSParams, obs: np.ndarray, options: FitOptions, headroom: float,
         period: float = _PLAN_PERIOD,
     ):
+        from scipy import fft as sp_fft
+
         self._started = time.perf_counter()
         self.evaluations = 0
         self.score_evaluations = 0
@@ -746,6 +746,8 @@ def _standard_errors(fit: FitResult, plan: _LikelihoodPlan):
     for (_, fields), s in zip(kind.fields, se_free):
         for name in fields:
             se[name] = float(s)
+
+    from scipy.special import erfc
 
     est = dict(zip(se.keys(), fit.params.as_tuple()))
     pvals = {}

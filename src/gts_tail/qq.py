@@ -21,7 +21,6 @@ from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
 import numpy as np
-from scipy.special import chdtrc, ndtr, ndtri
 
 from ._textio import text_stream
 from .errors import (
@@ -168,6 +167,8 @@ def normal_quantile(mean: float, sd: float, p):
         raise NonFinite(f"mean and sd must be finite, got mean={mean}, sd={sd}")
     if not sd > 0.0:
         raise DomainError(f"sd must be positive, got {sd}")
+    from scipy.special import ndtr, ndtri
+
     z = ndtri(q)
     dens = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -301,12 +302,16 @@ def chi2_sf(x: float, df: int) -> float:
     """Survival function of the chi-squared law: Q(df/2, x/2).
 
     The regularized upper incomplete gamma comes from scipy.special.chdtrc.
+    Raises NonFinite for a NaN statistic or df, DomainError for df < 1 or
+    a negative statistic.
     """
+    from scipy.special import chdtrc
+
+    x = float(x)
+    if math.isnan(x) or math.isnan(df):
+        raise NonFinite(f"chi-squared statistic and df must not be NaN, got x={x}, df={df}")
     if df < 1:
         raise DomainError(f"df must be >= 1, got {df}")
-    x = float(x)
-    if math.isnan(x):
-        raise NonFinite("chi-squared statistic is NaN")
     if x < 0.0:
         raise DomainError(f"chi-squared statistic must be >= 0, got {x}")
     return float(chdtrc(df, x))

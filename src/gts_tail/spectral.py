@@ -51,8 +51,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as sp_fft
-from scipy.special import ndtr
 
 from ._textio import text_stream
 from .core import (
@@ -113,6 +111,8 @@ def frft(seq, delta: float) -> np.ndarray:
     a = np.asarray(seq, dtype=complex)
     if a.ndim != 1 or a.shape[0] < 1:
         raise SizeError(f"frft needs a nonempty 1-D sequence, got shape {a.shape}")
+    from scipy import fft as sp_fft
+
     n = a.shape[0]
     size = sp_fft.next_fast_len(2 * n - 1)
     t = np.arange(n, dtype=float)
@@ -248,6 +248,8 @@ def _nodes_reaching(cutoff: float, n_fft: int, dx: float) -> int:
 def _fast_len_at_most(n: int) -> int:
     """The largest fast FFT length at most n (n >= 1): 11-smooth numbers
     lie a few apart at the lengths grids use."""
+    from scipy import fft as sp_fft
+
     while sp_fft.next_fast_len(n) != n:
         n -= 1
     return n
@@ -353,6 +355,8 @@ def build_grid(p: GTSParams, cfg: GridConfig = GridConfig()) -> SpectralGrid:
     # at half the period.
     guard = half_width + _tail_radius(p, _ALIAS_MASS)
     if cfg.n_freq is None:
+        from scipy import fft as sp_fft
+
         n_fft = sp_fft.next_fast_len(math.ceil(guard / dx))
         n_freq = _nodes_reaching(cutoff, n_fft, dx)
     else:
@@ -472,6 +476,8 @@ class CdfTable:
 def _dft(a: np.ndarray, n: int) -> np.ndarray:
     """sum_k a_k exp(-2 pi i r k/n) for r = 0..n-1: one length-n FFT of
     ``a`` zero-padded to n, or folded mod n when longer."""
+    from scipy import fft as sp_fft
+
     if a.shape[0] > n:
         a = np.pad(a, (0, -a.shape[0] % n)).reshape(-1, n).sum(axis=0)
     return sp_fft.fft(a, n)
@@ -568,6 +574,8 @@ def pdf_table(p: GTSParams, grid: SpectralGrid) -> DensityTable:
 
 def _cdf_values(p: GTSParams, grid: SpectralGrid) -> np.ndarray:
     """Raw inverted distribution-function values, unclipped and unchecked."""
+    from scipy.special import ndtr
+
     inv = _Inversion(grid)
     xi = inv.xi
     k1 = cumulant(p, 1)

@@ -340,6 +340,41 @@ def test_even_cumulants_positive(btc_params, eth_params):
         assert gt.cumulant(p, 4) > 0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cumulants_match_mpmath_to_a_few_ulps(btc_params, eth_params, n):
+    # The error is measured against the magnitude of the terms, since kappa_1
+    # and kappa_3 subtract one side from the other (and mu).
+    bg = gt.bilateral_gamma_params(0.05, 1.5, 1.2, 0.6, 0.5)
+    with mpmath.workdps(50):
+        for p in (btc_params, eth_params, bg):
+            terms = [
+                sign * mpmath.mpf(alpha) * mpmath.gamma(n - mpmath.mpf(beta))
+                * mpmath.mpf(lam) ** (mpmath.mpf(beta) - n)
+                for sign, alpha, beta, lam in (
+                    (1, p.alpha_plus, p.beta_plus, p.lambda_plus),
+                    ((-1) ** n, p.alpha_minus, p.beta_minus, p.lambda_minus),
+                )
+            ]
+            if n == 1:
+                terms.append(mpmath.mpf(p.mu))
+            err = abs(gt.cumulant(p, n) - sum(terms)) / sum(abs(t) for t in terms)
+            assert err <= 6 * np.finfo(float).eps, (p, float(err))
+
+
+def test_cumulant_order_must_be_an_integer(btc_params):
+    assert gt.cumulant(btc_params, 2.0) == gt.cumulant(btc_params, np.int64(2))
+    for n in (2.5, True, np.bool_(True), 0, -1, math.nan, math.inf, "2"):
+        with pytest.raises(DomainError):
+            gt.cumulant(btc_params, n)
+
+
+@pytest.mark.filterwarnings("error")
+def test_cumulant_overflow_raises_non_finite(btc_params):
+    for n in (171, 172, 10**6, 10**400):
+        with pytest.raises(NonFinite):
+            gt.cumulant(btc_params, n)
+
+
 def test_mgf_exponent_matches_psi_on_imaginary_axis(btc_params):
     theta = 0.1
     want = gt.characteristic_exponent(btc_params, complex(0.0, -theta))

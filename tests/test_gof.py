@@ -121,6 +121,8 @@ def test_chi2_sf_rejects_nan():
 
     with pytest.raises(NonFinite):
         gt.chi2_sf(math.nan, 3)
+    with pytest.raises(NonFinite):
+        gt.chi2_sf(3.0, math.nan)
 
 
 # --------------------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""Import cost: the table, quantile, sample, Q-Q and GOF paths load only
-scipy.special and scipy.fft.  scipy.optimize and scipy.integrate are
-imported by the functions that use them, on first use, and nothing imports
-scipy.interpolate, so every CLI call that never fits does not pay for
-them."""
+"""Import cost: importing gts_tail loads numpy and no scipy module, so
+cumulants, the characteristic function and path classification run without
+scipy.  Every scipy module is imported by the functions that use it, on
+first use: scipy.fft by the first grid, scipy.special by the first CDF
+table, Q-Q, GOF or fit (or already with scipy.fft, which imports it on
+scipy 1.17), scipy.optimize by the first fit and scipy.integrate by the
+quadrature oracle.  Nothing imports scipy.interpolate, so every CLI
+call that never fits does not pay for it."""
 
 import os
 import subprocess
@@ -56,6 +59,49 @@ def test_cli_calls_that_never_fit_load_no_optimize_integrate_or_interpolate(tmp_
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == ""
+
+
+def test_import_cumulants_classify_and_eval_cf_load_no_scipy(tmp_path):
+    r = _run_fresh(
+        """
+        import contextlib, io, sys
+        import gts_tail as gt, gts_tail.cli as cli
+
+        for preset in (gt.BITCOIN_DAILY, gt.ETHEREUM_DAILY):
+            assert all(gt.cumulant(preset.params, n) for n in (1, 2, 3, 4))
+        gt.write_params_file(gt.BITCOIN_DAILY.params, "btc.par")
+        for argv in (["classify", "--params", "btc.par"],
+                     ["eval-cf", "--params", "btc.par", "--xi", "0.5", "2.0"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0, argv
+        print(",".join(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """,
+        tmp_path,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == ""
+
+
+def test_pdf_table_loads_scipy_fft_and_only_what_it_imports(tmp_path):
+    # scipy.fft may import other scipy modules itself (scipy 1.17's fftlog
+    # imports scipy.special); the table path must add none of its own.
+    script = """
+        import sys
+        {}
+        print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+        """
+    pdf = _run_fresh(
+        script.format(
+            "import gts_tail as gt; p = gt.BITCOIN_DAILY.params; "
+            "gt.pdf_table(p, gt.build_grid(p, gt.GridConfig(m=4096)))"
+        ),
+        tmp_path,
+    )
+    fft = _run_fresh(script.format("import scipy.fft"), tmp_path)
+    assert pdf.returncode == 0, pdf.stderr
+    assert fft.returncode == 0, fft.stderr
+    assert "scipy.fft" in pdf.stdout.split()
+    assert pdf.stdout.split() == fft.stdout.split()
 
 
 def test_fit_oracle_and_interpolator_import_scipy_on_first_use(tmp_path):
