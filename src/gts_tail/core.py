@@ -364,8 +364,11 @@ def _mgf_exponent_values(p: GTSParams, theta):
 
 
 def levy_density(p: GTSParams, x):
-    """Density of the Levy measure at x != 0 (jumps per unit size)."""
+    """Density of the Levy measure at x != 0 (jumps per unit size); NaN
+    raises NonFinite."""
     x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        raise NonFinite("Levy density argument is NaN")
     if np.any(x == 0.0):
         raise DomainError("Levy density diverges at x = 0")
     pos = x > 0

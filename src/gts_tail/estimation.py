@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import PARAM_NAMES, GTSParams, RestrictedKind, _log_modulus, cumulant, validate_params
+from .core import PARAM_NAMES, GTSParams, RestrictedKind, cumulant, validate_params
 from .errors import (
     BoundaryEstimate,
     ConfigError,
@@ -60,17 +60,14 @@ from .errors import (
 )
 from .returns_io import ReturnSeries
 from .spectral import (
-    _ALIAS_MASS,
     GridConfig,
-    _aligned_grid,
-    _freq_cutoff,
+    _bound_crossed,
     _Inversion,
-    _nodes_reaching,
+    _sized_grid,
     _stencil_pullback,
     _stencil_values,
     _stencil_weights,
     _stencil_windows,
-    _tail_radius,
     build_grid,
     pdf_table,
 )
@@ -93,7 +90,6 @@ _PENALTY = 1e15
 # Likelihood grid: 20 standard deviations each side, cutoff at |cf| < 1e-8.
 _FIT_WIDTH_SDS = 20.0
 _FIT_FREQ_EPS = 1e-8
-_LOG_FREQ_EPS = math.log(_FIT_FREQ_EPS)
 # A frozen likelihood plan's cutoff, in multiples of the cutoff of the law
 # it is frozen at, and its period, in multiples of the guard (grid
 # half-width plus 1e-9 tail radius) of that law: the room its laws have
@@ -153,13 +149,13 @@ class FitOptions:
     The likelihood grid has ``grid_m`` spatial points and is deliberately
     lighter than the default table resolution (20 standard deviations each
     side, cutoff at |cf| < 1e-8).  Each polish round freezes one plan where
-    it starts: its x-range, a period 1.1 times the one the aliasing bound
-    asks for, as a fast FFT length, and the fewest frequency nodes that
-    reach 1.5 times that law's cutoff, at most ``max_n_freq``; the first
-    round's plan, frozen at the start, has a period 2 times that bound and
-    nodes reaching 4 times the cutoff.  The likelihood, read at each
-    observation by ``DensityTable.interpolate``'s degree-4 stencil, is
-    then a smooth function of the parameters.
+    it starts, sized by ``spectral._sized_grid`` with 1.5 times that law's
+    cutoff and 1.1 times its aliasing guard, at most ``max_n_freq`` nodes;
+    the first round's plan, frozen at the start, takes 4 times the cutoff
+    and 2 times the guard.  ``grid_m`` and ``max_n_freq`` are checked as
+    GridConfig's ``m`` and ``max_n_freq`` are.  The likelihood, read at each
+    observation by ``DensityTable.interpolate``'s degree-4 stencil, is then
+    a smooth function of the parameters.
     Laws the frozen grid cannot resolve (a characteristic function still
     above 1e-8 at the cutoff, or density aliases reaching the grid), such
     as stability indices near zero with small intensities, are treated as
@@ -266,16 +262,6 @@ def _likelihood_grid(p: GTSParams, data: np.ndarray, cfg: GridConfig) -> GridCon
     return replace(cfg, min_half_width=max(cfg.min_half_width, cover))
 
 
-def _base_grid_config(options: FitOptions) -> GridConfig:
-    """The likelihood grid's settings, with its node count left automatic."""
-    return GridConfig(
-        m=options.grid_m,
-        width_sds=_FIT_WIDTH_SDS,
-        freq_eps=_FIT_FREQ_EPS,
-        max_n_freq=options.max_n_freq,
-    )
-
-
 def _densities(values: np.ndarray, start: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """The stencil density at the observations' windows and weights,
     clamped at 0: what ``DensityTable.interpolate`` reads on the grid."""
@@ -334,21 +320,15 @@ class _LikelihoodPlan:
     """The likelihood on one frozen grid, its inversion precomputed, and how
     its evaluations went.
 
-    Frozen at a law p0: the x-range of p0's likelihood grid (x_min, dx, m),
-    an FFT-aligned frequency step 2 pi/(N dx) whose period N dx is the
-    fast FFT length at or above ``period`` times p0's guard (its half-width
-    plus its 1e-9 tail radius, build_grid's aliasing bound), and the fewest
-    (even) n_freq nodes whose top node reaches ``headroom`` times p0's
-    cutoff, at most ``max_n_freq``.  When that budget binds, the plan takes
-    the budget's nodes with the period P and top node Xi at which
-    P/guard = Xi/cutoff, so p0 keeps the same room from both bounds.  A p0
-    whose own grid needs more than the budget raises ConfigError, as
-    build_grid does.
+    Frozen at a law p0: the grid ``spectral._sized_grid`` sizes for p0's
+    likelihood grid settings with ``headroom`` on the cutoff and ``period``
+    on the aliasing guard, at most ``max_n_freq`` nodes.  A p0 whose own
+    grid needs more than that budget raises ConfigError, as build_grid
+    does.
 
-    A law is evaluated only where the frozen grid is valid for it, by the
-    two bounds build_grid sizes grids with: |cf(Xi)| <= 1e-8 (truncation)
-    and a period that clears its farther grid end from kappa_1 plus its
-    tail radius (aliasing).  Anything else is penalized.  An evaluation is
+    A law is evaluated only where the frozen grid holds it, by the two
+    bounds ``spectral._bound_crossed`` checks (truncation and aliasing).
+    Anything else is penalized.  An evaluation is
     then one characteristic-function kernel, one FFT, the clamp at 0 and a
     degree-4 stencil gather at the observations' precomputed 5-node
     windows and weights (``DensityTable.interpolate`` to the bit).  Its
@@ -373,37 +353,19 @@ class _LikelihoodPlan:
         self, p0: GTSParams, obs: np.ndarray, options: FitOptions, headroom: float,
         period: float = _PLAN_PERIOD,
     ):
-        from scipy import fft as sp_fft
-
         self._started = time.perf_counter()
         self.evaluations = 0
         self.score_evaluations = 0
         self.penalties = dict.fromkeys(("truncation", "aliasing", "error"), 0)
-        g0 = build_grid(p0, _likelihood_grid(p0, obs, _base_grid_config(options)))
-        cutoff = _freq_cutoff(p0, _FIT_FREQ_EPS)
-        guard = 0.5 * (g0.x_max - g0.x_min) + _tail_radius(p0, _ALIAS_MASS)
-        n_fft = sp_fft.next_fast_len(math.ceil(period * guard / g0.dx))
-        n_freq = _nodes_reaching(headroom * cutoff, n_fft, g0.dx)
-        budget = options.max_n_freq - options.max_n_freq % 2
-        if n_freq > budget:
-            # The budget's nodes span P Xi = pi (budget - 1).
-            n_freq = budget
-            balanced = math.sqrt(math.pi * (budget - 1) * guard / cutoff)
-            n_fft = sp_fft.next_fast_len(math.ceil(balanced / g0.dx))
-        self.grid = _aligned_grid(g0.x_min, g0.x_max, g0.m, n_fft, n_freq)
+        cfg = GridConfig(m=options.grid_m, width_sds=_FIT_WIDTH_SDS, freq_eps=_FIT_FREQ_EPS,
+                         max_n_freq=options.max_n_freq)
+        self.grid = _sized_grid(p0, _likelihood_grid(p0, obs, cfg), headroom, period)
         self._pdf = _Inversion(self.grid)
         self._start, y = _stencil_windows(self.grid, obs)
         self._weights = _stencil_weights(y)
-        self._period = n_fft * self.grid.dx
 
     def penalty_cause(self, p: GTSParams) -> str | None:
-        g = self.grid
-        if not _log_modulus(p)(g.freq_cutoff) <= _LOG_FREQ_EPS:
-            return "truncation"
-        k1 = cumulant(p, 1)
-        if not self._period >= max(g.x_max - k1, k1 - g.x_min) + _tail_radius(p, _ALIAS_MASS):
-            return "aliasing"
-        return None
+        return _bound_crossed(self.grid, p, _FIT_FREQ_EPS)
 
     def neg_loglik(self, p: GTSParams) -> float:
         return -_log_sum(_densities(np.maximum(self._pdf.pdf(p), 0.0), self._start, self._weights))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
@@ -127,7 +128,8 @@ def qq_points(observed: ReturnSeries, ref_quantile, levels=None, reference: str 
     once, on every level together, and a result of another shape raises
     DomainError.  With ``levels=None`` every order statistic is used at its
     Hazen position; an integer subsamples to that many Hazen levels, with
-    observed quantiles interpolated between order statistics.
+    observed quantiles interpolated between order statistics (a float
+    raises TypeError, fewer than 20 levels TooShort).
     """
     x = np.sort(np.asarray(observed.values, dtype=float))
     n = x.shape[0]
@@ -137,7 +139,7 @@ def qq_points(observed: ReturnSeries, ref_quantile, levels=None, reference: str 
         p = hazen_levels(n)
         obs_q = x
     else:
-        k = int(levels)
+        k = operator.index(levels)
         if k < _MIN_POINTS:
             raise TooShort(f"need >= {_MIN_POINTS} levels, got {k}")
         p = hazen_levels(k)
@@ -272,14 +274,18 @@ def gof_chi2(observed: ReturnSeries, table: CdfTable, bins: int = 50, n_fitted_p
     """(statistic, df, p-value) for Pearson's test on equiprobable bins.
 
     ``n_fitted_params`` reduces the degrees of freedom when the reference
-    law was fitted on this same sample.  Expected counts below 5 raise
-    BinUnderflow.
+    law was fitted on this same sample.  Both counts are integers (a float
+    raises TypeError); fewer than 2 bins or a negative ``n_fitted_params``
+    raise DomainError, and expected counts below 5 raise BinUnderflow.
     """
     x = np.asarray(observed.values, dtype=float)
     _check_n(x)
-    bins = int(bins)
+    bins = operator.index(bins)
+    n_fitted_params = operator.index(n_fitted_params)
     if bins < 2:
-        raise DomainError("need at least 2 bins")
+        raise DomainError(f"need at least 2 bins, got {bins}")
+    if n_fitted_params < 0:
+        raise DomainError(f"n_fitted_params must be >= 0, got {n_fitted_params}")
     n = x.shape[0]
     expected = n / bins
     if expected < 5.0:
@@ -288,7 +294,7 @@ def gof_chi2(observed: ReturnSeries, table: CdfTable, bins: int = 50, n_fitted_p
     idx = np.minimum((u * bins).astype(int), bins - 1)
     counts = np.bincount(idx, minlength=bins)
     stat = float(np.sum((counts - expected) ** 2) / expected)
-    df = bins - 1 - int(n_fitted_params)
+    df = bins - 1 - n_fitted_params
     if df < 1:
         raise DomainError("degrees of freedom fell below 1")
     return stat, df, chi2_sf(stat, df)

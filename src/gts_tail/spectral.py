@@ -28,11 +28,12 @@ x-grid, dxi = 2*pi/(N*dx) for a fast FFT length N, so the half sum at every
 grid point is a phase times one plain length-N DFT of the samples (folded
 mod N when n/2 > N, read cyclically when m > N).  N dx is the spatial period
 that keeps the density's aliases off the grid, and n is the fewest even
-nodes whose top one reaches the cutoff (see `build_grid`); neither need
-reach m.  The samples cf(xi) exp(-i x_min xi) come from a real-arithmetic
-kernel that folds the grid phase into the characteristic function's own
-cos/sin pair; the public complex exponent stays the reference it is tested
-against.  Tables and a fit's likelihood share one inversion (`_Inversion`)
+nodes whose top one reaches the cutoff; neither need reach m.  One rule,
+`_sized_grid`, sizes the tables' grids and a fit's likelihood plans.  The
+samples cf(xi) exp(-i x_min xi) come from a real-arithmetic kernel that
+folds the grid phase into the characteristic function's own cos/sin pair;
+the public complex exponent stays the reference it is tested against.
+Tables and a fit's likelihood share one inversion (`_Inversion`)
 and read values between nodes with one local degree-4 stencil, Lagrange
 weights in product form with no BLAS call; a grid that stays fixed while
 the law changes (a fit's likelihood plan) builds both once, and carries a
@@ -47,6 +48,7 @@ verification; it shares no code with the FRFT path.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -106,11 +108,14 @@ def frft(seq, delta: float) -> np.ndarray:
     The tables do not need it: their frequency step is aligned with the
     x-grid, which makes their sums plain DFTs.
 
-    Raises SizeError for an empty or non-1-D sequence.
+    Raises SizeError for an empty or non-1-D sequence, and NonFinite for a
+    NaN or infinite entry or ``delta``.
     """
     a = np.asarray(seq, dtype=complex)
     if a.ndim != 1 or a.shape[0] < 1:
         raise SizeError(f"frft needs a nonempty 1-D sequence, got shape {a.shape}")
+    if not (math.isfinite(delta) and np.isfinite(a).all()):
+        raise NonFinite(f"frft needs a finite sequence and spacing, got delta={delta!r}")
     from scipy import fft as sp_fft
 
     n = a.shape[0]
@@ -167,8 +172,8 @@ def newton_cotes_weights(n: int) -> np.ndarray:
 class GridConfig:
     """User-tunable knobs for table construction.
 
-    m:              number of spatial points (rounded up to a power of two,
-                    minimum 256, at most 2**22)
+    m:              number of spatial points, an integer from 1 to 2**22
+                    (rounded up to a power of two, minimum 256)
     width_sds:      half-width of the x-range in standard deviations
     min_half_width: absolute floor for the half-width (percent)
     freq_eps:       |cf| threshold defining the frequency cutoff
@@ -177,10 +182,10 @@ class GridConfig:
                     clears the aliasing bound, also below m); None selects
                     the fewest nodes that reach the cutoff on the shortest
                     fast period above that bound
-    max_n_freq:     budget on frequency nodes and on the transform length;
-                    slowly decaying characteristic functions (stability
-                    indices near zero) can demand more nodes than any sane
-                    budget, which raises ConfigError
+    max_n_freq:     budget on frequency nodes and on the transform length,
+                    an integer of at least 8; slowly decaying characteristic
+                    functions (stability indices near zero) can demand more
+                    nodes than any sane budget, which raises ConfigError
     """
 
     m: int = 2**14
@@ -195,9 +200,10 @@ class GridConfig:
 class SpectralGrid:
     """Uniform evaluation grid plus the frequency discretization behind it.
 
-    The n_freq frequency nodes are -Xi + l*dxi with dxi = 2 Xi/(n_freq - 1)
-    and Xi = freq_cutoff.  Grids from build_grid align dxi with dx: the
-    spatial period 2 pi/dxi is a whole number ``n_fft`` of grid steps.
+    The frequency step is dxi = 2 pi/(n_fft dx): the spatial period is
+    n_fft grid steps, and each inversion one length-n_fft FFT.  The n_freq
+    frequency nodes are -Xi + l*dxi, symmetric about 0, with
+    Xi = freq_cutoff = (n_freq/2 - 1/2) dxi.
     """
 
     x_min: float
@@ -205,38 +211,19 @@ class SpectralGrid:
     m: int
     dx: float
     n_freq: int
-    freq_cutoff: float
+    n_fft: int
 
     def x(self) -> np.ndarray:
         return self.x_min + self.dx * np.arange(self.m)
 
     @property
-    def n_fft(self) -> int:
-        """N with dxi = 2 pi/(N dx): the length of the inversion's FFT.
-
-        Raises ConfigError when the period is not a whole number of steps
-        (a grid not built by build_grid, or one whose fields were replaced).
-        """
-        steps = math.pi * (self.n_freq - 1) / (self.freq_cutoff * self.dx)
-        n = round(steps)
-        if not (n >= 1 and abs(steps - n) <= 1e-9 * n):
-            raise ConfigError(
-                f"frequency step is not 2*pi/(N*dx) for a whole N (period {steps!r} steps); "
-                "build grids with build_grid"
-            )
-        return n
+    def freq_cutoff(self) -> float:
+        """The top frequency node Xi."""
+        return (0.5 * self.n_freq - 0.5) * (2.0 * math.pi / (self.n_fft * self.dx))
 
 
 def _next_pow2(n: float) -> int:
     return 1 << max(0, math.ceil(math.log2(max(1.0, n))))
-
-
-def _aligned_grid(x_min: float, x_max: float, m: int, n_fft: int, n_freq: int) -> SpectralGrid:
-    """The grid of m points on [x_min, x_max] with frequency step
-    2 pi/(n_fft dx) and n_freq nodes: its cutoff is the top node."""
-    dx = (x_max - x_min) / (m - 1)
-    dxi = 2.0 * math.pi / (n_fft * dx)
-    return SpectralGrid(x_min, x_max, m, dx, n_freq, (0.5 * n_freq - 0.5) * dxi)
 
 
 def _nodes_reaching(cutoff: float, n_fft: int, dx: float) -> int:
@@ -309,6 +296,90 @@ def _tail_radius(p: GTSParams, eps: float) -> float:
     return max(float(t[:n].min()), float(t[n:].min()), 0.0)
 
 
+def _grid_count(name: str, value, least: int) -> int:
+    """``value`` as an int of at least ``least``, else ConfigError (a float, NaN or bool too)."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__") or value < least:
+        raise ConfigError(f"grid {name} must be an integer of at least {least}, got {value!r}")
+    return operator.index(value)
+
+
+def _sized_grid(
+    p: GTSParams, cfg: GridConfig, headroom: float = 1.0, period: float = 1.0
+) -> SpectralGrid:
+    """build_grid(p, cfg), or a likelihood plan's grid with automatic node
+    counts that reach ``headroom`` times the cutoff on ``period`` times the
+    guard.  Over the budget the plan takes the budget's nodes with the
+    period P and top node Xi at which P/guard = Xi/cutoff, so p keeps equal
+    room from both bounds of ``_bound_crossed``; p's own grid must fit."""
+    if not 0.0 < cfg.freq_eps < 1.0:
+        raise ConfigError(f"freq_eps must lie in (0, 1), got {cfg.freq_eps}")
+    if not (math.isfinite(cfg.width_sds) and math.isfinite(cfg.min_half_width)):
+        raise ConfigError("grid width_sds and min_half_width must be finite")
+    m = _grid_count("m", cfg.m, 1)
+    if m > _MAX_M:
+        raise ConfigError(f"grid m={m} is over the ceiling of {_MAX_M} spatial points")
+    max_n_freq = _grid_count("max_n_freq", cfg.max_n_freq, 8)
+    m = max(256, _next_pow2(m))
+    k1 = cumulant(p, 1)
+    k2 = cumulant(p, 2)
+    half_width = max(cfg.width_sds * math.sqrt(k2), cfg.min_half_width)
+    if not half_width > 0.0:
+        raise ConfigError("grid half-width must be positive")
+    x_min = k1 - half_width
+    x_max = k1 + half_width
+    dx = (x_max - x_min) / (m - 1)
+
+    cutoff = _freq_cutoff(p, cfg.freq_eps)
+
+    # Aliasing bound: the copies of the density one period N dx away from
+    # kappa_1 must clear the grid.  The weights are 1 on every interior node
+    # (the end corrections touch four nodes a side), so they add no copies
+    # at half the period.
+    guard = half_width + _tail_radius(p, _ALIAS_MASS)
+    from scipy import fft as sp_fft
+
+    if cfg.n_freq is None:
+        n_fft = sp_fft.next_fast_len(math.ceil(guard / dx))
+        n_freq = _nodes_reaching(cutoff, n_fft, dx)
+    else:
+        n_freq = _grid_count("n_freq", cfg.n_freq, 8)
+        if n_freq % 2:
+            raise ConfigError(f"n_freq must be an even count of at least 8, got {n_freq}")
+        n_fft = _fast_len_at_most(max(1, math.floor(math.pi * (n_freq - 1) / (cutoff * dx))))
+        if n_fft * dx < guard:
+            raise ConfigError(
+                f"n_freq={n_freq} below the aliasing bound for this parameter set: its "
+                f"period of {n_fft} steps falls short of the {guard / dx:.1f} steps to clear; "
+                "results would fold back onto the grid"
+            )
+    if max(n_freq, n_fft) > max_n_freq:
+        raise ConfigError(
+            f"frequency grid needs {n_freq} nodes and a {n_fft}-point transform, over the "
+            f"budget {max_n_freq}; the characteristic function decays too slowly for "
+            "this inversion"
+        )
+    if (headroom, period) != (1.0, 1.0):
+        n_fft = sp_fft.next_fast_len(math.ceil(period * guard / dx))
+        n_freq = _nodes_reaching(headroom * cutoff, n_fft, dx)
+        budget = max_n_freq - max_n_freq % 2
+        if n_freq > budget:
+            # The budget's nodes span P Xi = pi (budget - 1).
+            balanced = math.sqrt(math.pi * (budget - 1) * guard / cutoff)
+            n_freq, n_fft = budget, sp_fft.next_fast_len(math.ceil(balanced / dx))
+    return SpectralGrid(x_min, x_max, m, dx, n_freq, n_fft)
+
+
+def _bound_crossed(grid: SpectralGrid, p: GTSParams, freq_eps: float) -> str | None:
+    """None where ``grid`` holds the law p, else the bound p is past:
+    "truncation" (|cf| above freq_eps at the top node) or "aliasing" (one
+    period short of the farther grid end from kappa_1 plus its tail radius)."""
+    if not _log_modulus(p)(grid.freq_cutoff) <= math.log(freq_eps):
+        return "truncation"
+    k1 = cumulant(p, 1)
+    reach = max(grid.x_max - k1, k1 - grid.x_min) + _tail_radius(p, _ALIAS_MASS)
+    return None if grid.n_fft * grid.dx >= reach else "aliasing"
+
+
 def build_grid(p: GTSParams, cfg: GridConfig = GridConfig()) -> SpectralGrid:
     """Size the spatial and frequency grids for a parameter set.
 
@@ -327,56 +398,12 @@ def build_grid(p: GTSParams, cfg: GridConfig = GridConfig()) -> SpectralGrid:
     guard.
 
     Raises ConfigError when freq_eps is not in (0, 1), a width setting is
-    not finite, m is above 2**22, an explicit n_freq is odd, below 8 or
-    below the aliasing bound, or the grid needs more than max_n_freq nodes
-    or transform points.
+    not finite, m is not an integer from 1 to 2**22, max_n_freq is not an
+    integer of at least 8, an explicit n_freq is not an even integer of at
+    least 8 or is below the aliasing bound, or the grid needs more than
+    max_n_freq nodes or transform points.
     """
-    if not 0.0 < cfg.freq_eps < 1.0:
-        raise ConfigError(f"freq_eps must lie in (0, 1), got {cfg.freq_eps}")
-    if not (math.isfinite(cfg.width_sds) and math.isfinite(cfg.min_half_width)):
-        raise ConfigError("grid width_sds and min_half_width must be finite")
-    if cfg.m > _MAX_M:
-        raise ConfigError(f"grid m={cfg.m} is over the ceiling of {_MAX_M} spatial points")
-    m = max(256, _next_pow2(cfg.m))
-    k1 = cumulant(p, 1)
-    k2 = cumulant(p, 2)
-    half_width = max(cfg.width_sds * math.sqrt(k2), cfg.min_half_width)
-    if not half_width > 0.0:
-        raise ConfigError("grid half-width must be positive")
-    x_min = k1 - half_width
-    x_max = k1 + half_width
-    dx = (x_max - x_min) / (m - 1)
-
-    cutoff = _freq_cutoff(p, cfg.freq_eps)
-
-    # Aliasing bound: the copies of the density one period N dx away from
-    # kappa_1 must clear the grid.  The weights are 1 on every interior node
-    # (the end corrections touch four nodes a side), so they add no copies
-    # at half the period.
-    guard = half_width + _tail_radius(p, _ALIAS_MASS)
-    if cfg.n_freq is None:
-        from scipy import fft as sp_fft
-
-        n_fft = sp_fft.next_fast_len(math.ceil(guard / dx))
-        n_freq = _nodes_reaching(cutoff, n_fft, dx)
-    else:
-        n_freq = int(cfg.n_freq)
-        if n_freq < 8 or n_freq % 2:
-            raise ConfigError(f"n_freq must be an even count of at least 8, got {n_freq}")
-        n_fft = _fast_len_at_most(max(1, math.floor(math.pi * (n_freq - 1) / (cutoff * dx))))
-        if n_fft * dx < guard:
-            raise ConfigError(
-                f"n_freq={n_freq} below the aliasing bound for this parameter set: its "
-                f"period of {n_fft} steps falls short of the {guard / dx:.1f} steps to clear; "
-                "results would fold back onto the grid"
-            )
-    if max(n_freq, n_fft) > cfg.max_n_freq:
-        raise ConfigError(
-            f"frequency grid needs {n_freq} nodes and a {n_fft}-point transform, over the "
-            f"budget {cfg.max_n_freq}; the characteristic function decays too slowly for "
-            "this inversion"
-        )
-    return _aligned_grid(x_min, x_max, m, n_fft, n_freq)
+    return _sized_grid(p, cfg)
 
 
 # --------------------------------------------------------------------------

@@ -215,6 +215,8 @@ def test_exit_code_numerical_error(params_file):
         ("--freq-eps", "1"),
         ("--freq-eps", "2"),
         ("--grid-min-half-width", "inf"),
+        ("--grid-m", "0"),
+        ("--grid-m", "-5"),
     ],
 )
 def test_grid_flags_outside_their_domain_exit_2(params_file, flags):

@@ -265,6 +265,15 @@ def test_levy_density_rejects_zero(btc_params):
         gt.levy_density(btc_params, 0.0)
 
 
+def test_levy_density_rejects_nan(btc_params):
+    with pytest.raises(NonFinite):
+        gt.levy_density(btc_params, math.nan)
+    with pytest.raises(NonFinite):
+        gt.levy_density(btc_params, np.array([1.0, math.nan]))
+    # The far tails are the limit 0, not an error.
+    assert gt.levy_density(btc_params, math.inf) == 0.0
+
+
 def test_levy_density_monotone_decreasing_in_abs_x(btc_params):
     x = np.linspace(0.05, 30, 400)
     d = gt.levy_density(btc_params, x)

@@ -218,6 +218,19 @@ def test_fit_options_are_the_settings_callers_set():
             FitOptions(**{gone: 1})
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [dict(grid_m=math.nan), dict(grid_m=0), dict(grid_m=2048.0), dict(max_n_freq=math.nan),
+     dict(max_n_freq=True), dict(max_n_freq=4)],
+)
+def test_fit_grid_sizes_must_be_integers(setting):
+    # Checked when the first plan is frozen, before any evaluation: a NaN
+    # grid_m used to fit on 256 points, and a NaN budget lifted the node cap.
+    data = gt.ReturnSeries(values=list(np.random.default_rng(0).normal(size=200)))
+    with pytest.raises(ConfigError, match="must be an integer"):
+        gt.fit_mle(data, options=FitOptions(**setting))
+
+
 def test_information_criteria_formula():
     fit = gt.FitResult(
         params=gt.BITCOIN_DAILY.params,
@@ -300,6 +313,33 @@ def benchmark_sample(btc_tables):
     """The fit-mle benchmark's sample: 3000 draws from the default BTC table."""
     _, cdf = btc_tables
     return gt.sample(cdf, 3000, seed=2025)
+
+
+# (n_freq, n_fft) of the plans frozen on the benchmark sample at its moment
+# start and at the BTC preset, with the room the fit gives its first
+# round's plan, a later round's and the Hessian's.  None of them involves
+# an optimizer, so they hold on every BLAS kernel.
+_PLAN_ROOM = {
+    "first": (_FIRST_HEADROOM, _FIRST_PERIOD),
+    "round": (_HEADROOM, _PLAN_PERIOD),
+    "hessian": (_HESSIAN_HEADROOM, _PLAN_PERIOD),
+}
+_PINNED_PLANS = {
+    ("start", "first"): (12532, 9800),
+    ("start", "round"): (2580, 5376),
+    ("start", "hessian"): (2150, 5376),
+    ("btc", "first"): (45434, 10584),
+    ("btc", "round"): (9390, 5832),
+    ("btc", "hessian"): (7826, 5832),
+}
+
+
+@pytest.mark.parametrize("law, room", list(_PINNED_PLANS))
+def test_plan_sizes_on_the_benchmark_sample_are_pinned(law, room, benchmark_sample, btc_params):
+    obs = np.asarray(benchmark_sample.values)
+    p0 = _auto_init(obs) if law == "start" else btc_params
+    grid = _LikelihoodPlan(p0, obs, FitOptions(), *_PLAN_ROOM[room]).grid
+    assert (grid.m, grid.n_freq, grid.n_fft) == (2**12, *_PINNED_PLANS[law, room])
 
 
 # --------------------------------------------------------------------------
@@ -925,7 +965,7 @@ def test_log_density_gradient_matches_central_differences():
     # negative and clamped to 0.  Observations in the bulk, in the two
     # intervals from the last clamped node to the first positive one, in
     # the clamped tails, and off the grid.
-    grid = gt.SpectralGrid(-6.0, 6.0, 241, 0.05, 8, 1.0)
+    grid = gt.SpectralGrid(-6.0, 6.0, 241, 0.05, 8, 440)
     x = grid.x()
     raw = np.exp(-0.5 * x**2) * (1.0 + 0.4 * np.tanh(x)) / 2.5 - 1e-3
     rng = np.random.default_rng(3)

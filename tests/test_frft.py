@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gts_tail import frft
-from gts_tail.errors import SizeError
+from gts_tail.errors import NonFinite, SizeError
 
 
 def brute_force(seq, delta):
@@ -61,3 +61,17 @@ def test_any_length_matches_brute_force(n):
 def test_rejects_an_empty_sequence():
     with pytest.raises(SizeError):
         frft(np.zeros(0, dtype=complex), 0.01)
+
+
+@pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf])
+def test_rejects_a_non_finite_spacing(delta):
+    with pytest.raises(NonFinite):
+        frft(np.ones(8, dtype=complex), delta)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_rejects_a_non_finite_sequence(bad):
+    a = np.ones(8, dtype=complex)
+    a[3] = bad
+    with pytest.raises(NonFinite):
+        frft(a, 0.01)

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import gammaincc
 
 import gts_tail as gt
-from gts_tail.errors import BinUnderflow, BoundaryObservation, TooShort
+from gts_tail.errors import BinUnderflow, BoundaryObservation, DomainError, TooShort
 from gts_tail.qq import hazen_levels
 
 
@@ -73,6 +73,28 @@ def test_chi2_fitted_params_reduce_df(btc_tables):
     s = gt.sample(cdf, 1000, seed=0)
     _, df, _ = gt.gof_chi2(s, cdf, bins=20, n_fitted_params=7)
     assert df == 12
+
+
+@pytest.mark.parametrize(
+    "counts", [dict(bins=math.nan), dict(bins=2.7), dict(bins=20.0), dict(n_fitted_params=1.5)]
+)
+def test_chi2_counts_must_be_integers(btc_tables, counts):
+    # Sample's rule: a float is refused, not truncated.
+    _, cdf = btc_tables
+    s = gt.sample(cdf, 1000, seed=0)
+    with pytest.raises(TypeError):
+        gt.gof_chi2(s, cdf, **counts)
+
+
+@pytest.mark.parametrize(
+    "counts", [dict(bins=1), dict(n_fitted_params=-3), dict(n_fitted_params=19)]
+)
+def test_chi2_counts_out_of_range_raise_domain_error(btc_tables, counts):
+    # A negative count of fitted parameters used to raise df past bins - 1.
+    _, cdf = btc_tables
+    s = gt.sample(cdf, 1000, seed=0)
+    with pytest.raises(DomainError):
+        gt.gof_chi2(s, cdf, **{"bins": 20, **counts})
 
 
 def test_chi2_bin_underflow(btc_tables):

@@ -83,6 +83,17 @@ def test_levels_subsampling():
     assert qq.n == 101
 
 
+@pytest.mark.parametrize("levels", [math.nan, math.inf, 25.9, 100.0])
+def test_levels_must_be_an_integer(levels):
+    # Sample's rule: a float is refused, not truncated.
+    obs = gt.ReturnSeries(values=np.linspace(-1.0, 1.0, 300))
+    with pytest.raises(TypeError):
+        gt.qq_points(obs, lambda q: gt.normal_quantile(0.0, 1.0, q), levels=levels)
+    assert gt.qq_points(obs, lambda q: q, levels=np.int64(25)).n == 25
+    with pytest.raises(TooShort):
+        gt.qq_points(obs, lambda q: q, levels=19)
+
+
 # --------------------------------------------------------------------------
 # normal_quantile
 # --------------------------------------------------------------------------

@@ -339,7 +339,7 @@ def test_array_with_one_level_out_of_range_raises(btc_tables):
 def _unit_table(F):
     """A CdfTable holding F on the nodes 0, 1, .., len(F) - 1."""
     m = len(F)
-    grid = SpectralGrid(x_min=0.0, x_max=m - 1.0, m=m, dx=1.0, n_freq=16, freq_cutoff=1.0)
+    grid = SpectralGrid(x_min=0.0, x_max=m - 1.0, m=m, dx=1.0, n_freq=16, n_fft=16)
     return CdfTable(grid=grid, values=np.asarray(F, dtype=float))
 
 

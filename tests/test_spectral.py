@@ -15,7 +15,6 @@ from gts_tail.core import PARAM_NAMES
 from gts_tail.errors import ConfigError, NonFinite, NumericalFailure
 from gts_tail.spectral import (
     GridConfig,
-    _aligned_grid,
     _cdf_values,
     _freq_cutoff,
     _Inversion,
@@ -47,6 +46,9 @@ def test_grid_m_rounds_up(btc_params):
     assert grid.m == 1024
     grid = gt.build_grid(btc_params, GridConfig(m=100))
     assert grid.m == 256
+    # Any integer type: numpy counts are counts too.
+    cfg = GridConfig(m=np.int64(1000), max_n_freq=np.int32(2**22))
+    assert gt.build_grid(btc_params, cfg).m == 1024
 
 
 def test_grid_symmetric_for_symmetric_params(symmetric_params):
@@ -102,11 +104,36 @@ def test_grid_takes_the_smallest_full_period_clearing_the_guard(asset, pow2):
     assert n < pow2 and N != grid.m
 
 
+# (n_freq, n_fft, freq_cutoff.hex()) of each preset's default grid: the
+# tables, quantiles and draws of the paper's report are computed on these.
+_DEFAULT_GRIDS = {
+    "btc": (15378, 21168, "0x1.e2c07d3100ed9p+7"),
+    "eth": (6258, 18480, "0x1.4d6bea326579bp+6"),
+}
+
+
+@pytest.mark.parametrize("asset", list(_DEFAULT_GRIDS))
+def test_default_grid_sizes_are_pinned(asset):
+    p = gt.BITCOIN_DAILY.params if asset == "btc" else gt.ETHEREUM_DAILY.params
+    grid = gt.build_grid(p)
+    assert (grid.n_freq, grid.n_fft, grid.freq_cutoff.hex()) == _DEFAULT_GRIDS[asset]
+    assert grid.m == 2**14 and grid.dx == (grid.x_max - grid.x_min) / (grid.m - 1)
+
+
+def test_grid_cutoff_is_the_top_node_of_its_aligned_step(btc_params):
+    # The grid stores N; its cutoff is read off n_freq, N and dx, so any
+    # field replaced keeps the step aligned.
+    grid = gt.build_grid(btc_params, GridConfig(m=1024))
+    moved = replace(grid, n_freq=2 * grid.n_freq)
+    dxi = 2.0 * math.pi / (grid.n_fft * grid.dx)
+    assert moved.freq_cutoff == (moved.n_freq / 2 - 0.5) * dxi
+    assert np.array_equal(_Inversion(moved).xi, dxi * (0.5 + np.arange(grid.n_freq)))
+
+
 def _with_period(grid, n_fft):
     """``grid`` with its frequency step set by n_fft, and the fewest nodes
     that still reach its cutoff."""
-    n_freq = _nodes_reaching(grid.freq_cutoff, n_fft, grid.dx)
-    return _aligned_grid(grid.x_min, grid.x_max, grid.m, n_fft, n_freq)
+    return replace(grid, n_fft=n_fft, n_freq=_nodes_reaching(grid.freq_cutoff, n_fft, grid.dx))
 
 
 @pytest.mark.parametrize("asset", ["btc", "eth"])
@@ -131,15 +158,6 @@ def test_doubling_the_chosen_nodes_moves_no_table(asset, btc_tables, eth_tables)
     # BTC's period clears its guard by only 0.05 %, and the aliases left
     # move its CDF by up to 2.9e-12 at the far end.
     assert np.max(np.abs(gt.cdf_table(p, doubled).values - cdf.values)) <= 5e-12
-
-
-def test_a_grid_off_the_aligned_step_is_refused(btc_tables):
-    # Twice the nodes at the same cutoff put the period at a fraction of a
-    # grid step, where no plain FFT applies.
-    p = gt.BITCOIN_DAILY.params
-    grid = btc_tables[0].grid
-    with pytest.raises(ConfigError, match="whole N"):
-        gt.pdf_table(p, replace(grid, n_freq=2 * grid.n_freq))
 
 
 def test_explicit_n_freq_below_m_needs_only_the_aliasing_bound(eth_params):
@@ -336,6 +354,19 @@ def test_narrow_grid_raises(btc_params):
         dict(width_sds=float("nan")),
         dict(min_half_width=float("inf")),
         dict(min_half_width=float("nan")),
+        dict(m=float("nan")),
+        dict(m=-5),
+        dict(m=0),
+        dict(m=True),
+        dict(m=1000.5),
+        dict(m=1024.0),
+        dict(max_n_freq=float("nan")),
+        dict(max_n_freq=float("inf")),
+        dict(max_n_freq=4),
+        dict(max_n_freq=False),
+        dict(max_n_freq=2.0**17),
+        dict(n_freq=float("nan")),
+        dict(n_freq=6),
     ],
 )
 def test_grid_settings_outside_their_domain_raise_config_error(btc_params, setting):
@@ -374,7 +405,7 @@ def _direct_sums(p, grid):
 def _with_nodes(grid, n_freq):
     """``grid`` with n_freq nodes, its top node nearest its cutoff."""
     n_fft = round(math.pi * (n_freq - 1) / (grid.freq_cutoff * grid.dx))
-    return _aligned_grid(grid.x_min, grid.x_max, grid.m, n_fft, n_freq)
+    return replace(grid, n_fft=n_fft, n_freq=n_freq)
 
 
 @pytest.mark.parametrize("n_freq", [256, 1024])
@@ -412,7 +443,7 @@ def _regime_grid(regime):
     n_fft, n_freq = _REGIMES[regime]
     if n_freq is None:
         return p, _with_period(grid, n_fft)
-    return p, _aligned_grid(grid.x_min, grid.x_max, grid.m, n_fft, n_freq)
+    return p, replace(grid, n_fft=n_fft, n_freq=n_freq)
 
 
 @pytest.mark.parametrize("regime", list(_REGIMES))
