@@ -360,7 +360,11 @@ class _LikelihoodPlan:
         cfg = GridConfig(m=options.grid_m, width_sds=_FIT_WIDTH_SDS, freq_eps=_FIT_FREQ_EPS,
                          max_n_freq=options.max_n_freq)
         self.grid = _sized_grid(p0, _likelihood_grid(p0, obs, cfg), headroom, period)
-        self._pdf = _Inversion(self.grid)
+        # The fit has loaded scipy (for scipy.optimize), and scipy's FFT is the
+        # faster at plan lengths.
+        from scipy import fft as sp_fft
+
+        self._pdf = _Inversion(self.grid, sp_fft.fft)
         self._start, y = _stencil_windows(self.grid, obs)
         self._weights = _stencil_weights(y)
 

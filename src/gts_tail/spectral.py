@@ -40,6 +40,13 @@ the law changes (a fit's likelihood plan) builds both once, and carries a
 gradient back through them by their transposes.  `frft`, the fractional
 FFT at any spacing, is public and tested but no table needs it.
 
+The FFT follows the caller.  Tables (and so quantiles and draws) and `frft`
+transform with numpy.fft, size by `_next_fast_len` and add back the normal
+CDF by `_ndtr`, so they load no scipy module.  A fit's likelihood plans
+pass scipy.fft.fft: the fit loads scipy for scipy.optimize anyway, and at
+plan lengths scipy's transform is the faster.  Both are pocketfft and give
+the same bytes on the default grids and the benchmark fit's plans.
+
 A slow adaptive-quadrature oracle (`direct_quadrature_oracle`) evaluates the
 one-sided forms of the same inversion integrals at a single point for
 verification; it shares no code with the FRFT path.
@@ -49,6 +56,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -116,17 +124,15 @@ def frft(seq, delta: float) -> np.ndarray:
         raise SizeError(f"frft needs a nonempty 1-D sequence, got shape {a.shape}")
     if not (math.isfinite(delta) and np.isfinite(a).all()):
         raise NonFinite(f"frft needs a finite sequence and spacing, got delta={delta!r}")
-    from scipy import fft as sp_fft
-
     n = a.shape[0]
-    size = sp_fft.next_fast_len(2 * n - 1)
+    size = _next_fast_len(2 * n - 1)
     t = np.arange(n, dtype=float)
     chirp = np.exp(-1j * np.pi * delta * (t * t))
     # Kernel conj(chirp) at lags -(n-1)..n-1, negative lags wrapped to the end.
     kernel = np.zeros(size, dtype=complex)
     kernel[:n] = np.conj(chirp)
     kernel[size - n + 1 :] = np.conj(chirp[1:][::-1])
-    return chirp * sp_fft.ifft(sp_fft.fft(a * chirp, size) * sp_fft.fft(kernel))[:n]
+    return chirp * np.fft.ifft(np.fft.fft(a * chirp, size) * np.fft.fft(kernel))[:n]
 
 
 # End weights of the order-4 rule, written as the Simpson and 3/8 averages
@@ -232,14 +238,32 @@ def _nodes_reaching(cutoff: float, n_fft: int, dx: float) -> int:
     return 2 * max(4, math.ceil(cutoff * n_fft * dx / (2.0 * math.pi) + 0.5))
 
 
-def _fast_len_at_most(n: int) -> int:
-    """The largest fast FFT length at most n (n >= 1): 11-smooth numbers
-    lie a few apart at the lengths grids use."""
-    from scipy import fft as sp_fft
+@lru_cache(maxsize=None)
+def _fast_lengths(bits: int) -> tuple:
+    """The 11-smooth numbers up to 2**bits, ascending: the lengths that
+    pocketfft, behind numpy.fft and scipy.fft alike, transforms fastest."""
+    lengths = [1]
+    for prime in (2, 3, 5, 7, 11):
+        grown = []
+        for k in lengths:
+            while k <= 1 << bits:
+                grown.append(k)
+                k *= prime
+        lengths = grown
+    return tuple(sorted(lengths))
 
-    while sp_fft.next_fast_len(n) != n:
-        n -= 1
-    return n
+
+def _next_fast_len(n: int) -> int:
+    """The smallest 11-smooth integer at least n (n >= 1): the length
+    scipy.fft.next_fast_len picks for a complex transform."""
+    lengths = _fast_lengths((n - 1).bit_length())
+    return lengths[bisect_left(lengths, n)]
+
+
+def _fast_len_at_most(n: int) -> int:
+    """The largest fast FFT length at most n (n >= 1)."""
+    lengths = _fast_lengths((n - 1).bit_length())
+    return lengths[bisect_right(lengths, n) - 1]
 
 
 def _freq_cutoff(p: GTSParams, eps: float) -> float:
@@ -336,10 +360,8 @@ def _sized_grid(
     # (the end corrections touch four nodes a side), so they add no copies
     # at half the period.
     guard = half_width + _tail_radius(p, _ALIAS_MASS)
-    from scipy import fft as sp_fft
-
     if cfg.n_freq is None:
-        n_fft = sp_fft.next_fast_len(math.ceil(guard / dx))
+        n_fft = _next_fast_len(math.ceil(guard / dx))
         n_freq = _nodes_reaching(cutoff, n_fft, dx)
     else:
         n_freq = _grid_count("n_freq", cfg.n_freq, 8)
@@ -359,13 +381,13 @@ def _sized_grid(
             "this inversion"
         )
     if (headroom, period) != (1.0, 1.0):
-        n_fft = sp_fft.next_fast_len(math.ceil(period * guard / dx))
+        n_fft = _next_fast_len(math.ceil(period * guard / dx))
         n_freq = _nodes_reaching(headroom * cutoff, n_fft, dx)
         budget = max_n_freq - max_n_freq % 2
         if n_freq > budget:
             # The budget's nodes span P Xi = pi (budget - 1).
             balanced = math.sqrt(math.pi * (budget - 1) * guard / cutoff)
-            n_freq, n_fft = budget, sp_fft.next_fast_len(math.ceil(balanced / dx))
+            n_freq, n_fft = budget, _next_fast_len(math.ceil(balanced / dx))
     return SpectralGrid(x_min, x_max, m, dx, n_freq, n_fft)
 
 
@@ -500,14 +522,12 @@ class CdfTable:
         return float(out[0]) if scalar else out
 
 
-def _dft(a: np.ndarray, n: int) -> np.ndarray:
-    """sum_k a_k exp(-2 pi i r k/n) for r = 0..n-1: one length-n FFT of
+def _dft(a: np.ndarray, n: int, fft) -> np.ndarray:
+    """sum_k a_k exp(-2 pi i r k/n) for r = 0..n-1: one length-n ``fft`` of
     ``a`` zero-padded to n, or folded mod n when longer."""
-    from scipy import fft as sp_fft
-
     if a.shape[0] > n:
         a = np.pad(a, (0, -a.shape[0] % n)).reshape(-1, n).sum(axis=0)
-    return sp_fft.fft(a, n)
+    return fft(a, n)
 
 
 class _Inversion:
@@ -526,10 +546,11 @@ class _Inversion:
     exp(-i pi j/N) exp(-2 pi i j k/N): the sum is exp(-i pi j/N) times a
     length-N DFT of the inputs folded mod N, read at j mod N.  The
     half-node factor flips sign each time j passes a multiple of N.  So
-    every inversion is one FFT, and its transpose another.
+    every inversion is one FFT, and its transpose another, both by ``fft``
+    (numpy.fft.fft, or scipy.fft.fft for a caller that has loaded scipy).
     """
 
-    def __init__(self, grid: SpectralGrid):
+    def __init__(self, grid: SpectralGrid, fft=np.fft.fft):
         n = grid.n_fft
         half = grid.n_freq // 2
         dxi = 2.0 * np.pi / (n * grid.dx)
@@ -537,17 +558,18 @@ class _Inversion:
         self.weights = newton_cotes_weights(grid.n_freq)[half:] * dxi
         self.x_min = grid.x_min
         self._n = n
+        self._fft = fft
         self._phase = np.exp((-1j * np.pi / n) * np.arange(grid.m)) / np.pi
 
     def __call__(self, a: np.ndarray) -> np.ndarray:
         # np.resize repeats the DFT with period N out to the m grid points.
-        return (self._phase * np.resize(_dft(a, self._n), self._phase.shape[0])).real
+        return (self._phase * np.resize(_dft(a, self._n, self._fft), self._phase.shape[0])).real
 
     def transpose(self, g: np.ndarray) -> np.ndarray:
         """u with sum(g * self(a)) = Re sum_k u_k a_k for every a, g real:
         the outputs folded mod N, one FFT (the DFT matrix is symmetric), and
         the result read at k mod N."""
-        return np.resize(_dft(g * self._phase, self._n), self.xi.shape[0])
+        return np.resize(_dft(g * self._phase, self._n, self._fft), self.xi.shape[0])
 
     def pdf(self, p: GTSParams) -> np.ndarray:
         """_pdf_values(p, grid): one _shifted_cf and one FFT."""
@@ -599,10 +621,75 @@ def pdf_table(p: GTSParams, grid: SpectralGrid) -> DensityTable:
     return table
 
 
+# Cephes' rational approximations behind scipy.special.ndtr: erf(x) =
+# x T(x^2)/U(x^2) for |x| < 1, and erfc(x) = exp(-x^2) P(x)/Q(x) for
+# 1 <= x < 8 and exp(-x^2) R(x)/S(x) from 8 up.  Q, S and U are monic;
+# their leading 1 is left out.
+_NDTR_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+           7.00332514112805075473e3, 5.55923013010394962768e4)
+_NDTR_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+           2.26290000613890934246e4, 4.92673942608635921086e4)
+_NDTR_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_NDTR_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_NDTR_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_NDTR_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+# exp(-x^2) underflows to zero past x^2 = log(DBL_MAX).
+_NDTR_MAXLOG = 7.09782712893383996843e2
+
+
+def _horner(x: np.ndarray, coefs: tuple, monic: bool = False) -> np.ndarray:
+    """The polynomial with ``coefs`` from the highest power down, in
+    Horner's order; ``monic`` puts a leading 1 before them."""
+    out = x + coefs[0] if monic else np.full_like(x, coefs[0])
+    for c in coefs[1:]:
+        out *= x
+        out += c
+    return out
+
+
+def _ndtr(a: np.ndarray) -> np.ndarray:
+    """The standard normal CDF: cephes' ndtr, the form scipy.special.ndtr
+    evaluates, on numpy arrays.
+
+    A port of a function scipy already provides, kept because a one-shot
+    table would otherwise load scipy.special (with scipy 1.17's array-API
+    layer) for this one call, about 0.3 s of a fresh process.  It
+    reproduces scipy's bits wherever numpy's exp agrees with the C
+    library's, and is otherwise within a few ulps; results are exactly 0
+    and 1 once exp(-x^2) underflows, and NaN stays NaN.
+    """
+    x = a * (0.5 * math.sqrt(2.0))
+    z = np.abs(x)
+    out = np.empty_like(x)
+    small = z < 1.0
+    near = ~small & (z < 8.0)
+    far = ~(small | near)
+    xs = x[small]
+    zz = xs * xs
+    out[small] = 0.5 + 0.5 * (xs * _horner(zz, _NDTR_T) / _horner(zz, _NDTR_U, monic=True))
+    # erfc(z) on the rest, each rational on its own range.
+    erfc = np.empty_like(x)
+    zn = z[near]
+    erfc[near] = np.exp(-zn * zn) * _horner(zn, _NDTR_P) / _horner(zn, _NDTR_Q, monic=True)
+    zf = z[far]
+    with np.errstate(over="ignore", invalid="ignore"):
+        zz = zf * zf
+        tail = np.exp(-zz) * _horner(zf, _NDTR_R) / _horner(zf, _NDTR_S, monic=True)
+    erfc[far] = np.where(zz > _NDTR_MAXLOG, 0.0, tail)
+    large = ~small
+    half = 0.5 * erfc[large]
+    out[large] = np.where(x[large] > 0.0, 1.0 - half, half)
+    return out
+
+
 def _cdf_values(p: GTSParams, grid: SpectralGrid) -> np.ndarray:
     """Raw inverted distribution-function values, unclipped and unchecked."""
-    from scipy.special import ndtr
-
     inv = _Inversion(grid)
     xi = inv.xi
     k1 = cumulant(p, 1)
@@ -611,7 +698,7 @@ def _cdf_values(p: GTSParams, grid: SpectralGrid) -> np.ndarray:
     ref = _polar(-0.5 * k2 * xi * xi, k1 * xi - grid.x_min * xi)
     h = (_shifted_cf(p, xi, grid.x_min) - ref) / (1j * xi)
     corr = inv(inv.weights * h)
-    return ndtr((grid.x() - k1) / math.sqrt(k2)) - corr
+    return _ndtr((grid.x() - k1) / math.sqrt(k2)) - corr
 
 
 def cdf_table(p: GTSParams, grid: SpectralGrid) -> CdfTable:

@@ -47,6 +47,7 @@ from gts_tail.estimation import (
 from gts_tail.spectral import (
     GridConfig,
     _freq_cutoff,
+    _Inversion,
     _pdf_values,
     _stencil_weights,
     _stencil_windows,
@@ -340,6 +341,19 @@ def test_plan_sizes_on_the_benchmark_sample_are_pinned(law, room, benchmark_samp
     p0 = _auto_init(obs) if law == "start" else btc_params
     grid = _LikelihoodPlan(p0, obs, FitOptions(), *_PLAN_ROOM[room]).grid
     assert (grid.m, grid.n_freq, grid.n_fft) == (2**12, *_PINNED_PLANS[law, room])
+
+
+@pytest.mark.parametrize("law, room", list(_PINNED_PLANS))
+def test_plans_invert_with_scipys_fft_to_numpys_bytes(law, room, benchmark_sample, btc_params):
+    # A plan transforms with scipy.fft, a table with numpy.fft: on a plan's
+    # grid both give the same bytes, forward and transposed.
+    obs = np.asarray(benchmark_sample.values)
+    p0 = _auto_init(obs) if law == "start" else btc_params
+    plan = _LikelihoodPlan(p0, obs, FitOptions(), *_PLAN_ROOM[room])
+    numpy_fft = _Inversion(plan.grid)
+    assert np.array_equal(plan._pdf.pdf(p0), numpy_fft.pdf(p0))
+    g = np.random.default_rng(3).normal(size=plan.grid.m)
+    assert np.array_equal(plan._pdf.transpose(g), numpy_fft.transpose(g))
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import fft as sp_fft
 
 from gts_tail import frft
 from gts_tail.errors import NonFinite, SizeError
@@ -56,6 +57,27 @@ def test_any_length_matches_brute_force(n):
         a = rng.normal(size=n) + 1j * rng.normal(size=n)
         delta = float(rng.uniform(-0.15, 0.15))
         assert np.max(np.abs(frft(a, delta) - brute_force(a, delta))) <= 1e-10
+
+
+def scipy_frft(a, delta):
+    """frft's Bluestein form on scipy.fft, its length by next_fast_len."""
+    n = a.shape[0]
+    size = sp_fft.next_fast_len(2 * n - 1)
+    t = np.arange(n, dtype=float)
+    chirp = np.exp(-1j * np.pi * delta * (t * t))
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:n] = np.conj(chirp)
+    kernel[size - n + 1 :] = np.conj(chirp[1:][::-1])
+    return chirp * sp_fft.ifft(sp_fft.fft(a * chirp, size) * sp_fft.fft(kernel))[:n]
+
+
+@pytest.mark.parametrize("n", [1, 8, 16, 32, 37, 48, 64])
+def test_numpy_fft_gives_the_bytes_of_scipys(n):
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=n) + 1j * rng.normal(size=n)
+        delta = float(rng.uniform(-0.15, 0.15))
+        assert np.array_equal(frft(a, delta), scipy_frft(a, delta))
 
 
 def test_rejects_an_empty_sequence():

@@ -11,13 +11,17 @@ from scipy.special import ndtr
 from scipy.stats import gamma as gamma_dist
 
 import gts_tail as gt
+from gts_tail import spectral
 from gts_tail.core import PARAM_NAMES
 from gts_tail.errors import ConfigError, NonFinite, NumericalFailure
 from gts_tail.spectral import (
     GridConfig,
     _cdf_values,
+    _fast_len_at_most,
     _freq_cutoff,
     _Inversion,
+    _ndtr,
+    _next_fast_len,
     _nodes_reaching,
     _pdf_values,
     _stencil_pullback,
@@ -118,6 +122,44 @@ def test_default_grid_sizes_are_pinned(asset):
     grid = gt.build_grid(p)
     assert (grid.n_freq, grid.n_fft, grid.freq_cutoff.hex()) == _DEFAULT_GRIDS[asset]
     assert grid.m == 2**14 and grid.dx == (grid.x_max - grid.x_min) / (grid.m - 1)
+
+
+def test_fast_lengths_are_scipys():
+    # The 11-smooth search picks scipy.fft.next_fast_len's length at every
+    # n, and the longest fast length at most n is the last of those lengths.
+    n = np.arange(1, 200_001)
+    want = np.array([sp_fft.next_fast_len(int(k)) for k in n])
+    assert np.array_equal([_next_fast_len(int(k)) for k in n], want)
+    fast = want[want == n]
+    below = fast[np.searchsorted(fast, n, side="right") - 1]
+    assert np.array_equal([_fast_len_at_most(int(k)) for k in n], below)
+
+
+@pytest.mark.parametrize("asset", list(_DEFAULT_GRIDS))
+def test_explicit_node_count_keeps_the_default_period(asset):
+    # An explicit n_freq takes the longest fast period whose nodes reach
+    # the cutoff: the default grid's own, pinned above.
+    p = gt.BITCOIN_DAILY.params if asset == "btc" else gt.ETHEREUM_DAILY.params
+    grid = gt.build_grid(p)
+    assert gt.build_grid(p, GridConfig(n_freq=grid.n_freq)) == grid
+
+
+@pytest.mark.parametrize("asset", list(_DEFAULT_GRIDS))
+def test_numpy_and_scipy_ffts_agree_on_the_default_grids(asset):
+    # Tables transform with numpy.fft; scipy.fft gives the inversion and
+    # its transpose the same bytes, on the density and CDF integrands and
+    # on a random output gradient.
+    p = gt.BITCOIN_DAILY.params if asset == "btc" else gt.ETHEREUM_DAILY.params
+    grid = gt.build_grid(p)
+    ours, theirs = _Inversion(grid), _Inversion(grid, sp_fft.fft)
+    assert np.array_equal(ours.pdf(p), theirs.pdf(p))
+    k1, k2 = gt.cumulant(p, 1), gt.cumulant(p, 2)
+    xi = ours.xi
+    h = (gt.characteristic_function(p, xi) - np.exp(1j * k1 * xi - 0.5 * k2 * xi * xi)) / (1j * xi)
+    a = ours.weights * h * np.exp(-1j * grid.x_min * xi)
+    assert np.array_equal(ours(a), theirs(a))
+    g = np.random.default_rng(3).normal(size=grid.m)
+    assert np.array_equal(ours.transpose(g), theirs.transpose(g))
 
 
 def test_grid_cutoff_is_the_top_node_of_its_aligned_step(btc_params):
@@ -428,6 +470,55 @@ def test_tables_match_direct_sum(n_freq):
     pdf, cdf = _direct_sums(p, grid)
     assert np.max(np.abs(gt.pdf_table(p, grid).values - np.maximum(pdf, 0.0))) <= 1e-12
     assert np.max(np.abs(gt.cdf_table(p, grid).values - np.clip(cdf, 0.0, 1.0))) <= 1e-12
+
+
+# Arguments of the normal CDF: a dense sweep plus fine ones across each
+# branch point of _ndtr (|a| = sqrt(2) for erf, 8 sqrt(2) between the two
+# erfc rationals, and the underflow of exp(-a^2/2) near 37.68).
+_NDTR_ARGS = np.concatenate([
+    np.linspace(-40.0, 40.0, 200_001),
+    *(np.linspace(c - 1e-3, c + 1e-3, 2001) for b in (2.0**0.5, 8.0 * 2.0**0.5, 37.677)
+      for c in (-b, b)),
+])
+# The underflow point of _ndtr: exp(-a^2/2) is 0 past a^2/2 = log(DBL_MAX).
+_NDTR_UNDERFLOW = math.sqrt(2.0 * 7.09782712893383996843e2)
+
+
+def _ndtr_ulps(args):
+    """The largest distance of _ndtr from scipy's ndtr, in units of the
+    spacing of scipy's value (the spacing of the smallest subnormal below
+    the normal range)."""
+    want = ndtr(args)
+    return float(np.max(np.abs(_ndtr(args) - want) / np.spacing(want)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ndtr_is_scipys_to_a_few_ulps():
+    # Only numpy's exp, against the C library's, separates the two.
+    assert _ndtr_ulps(_NDTR_ARGS) <= 4.0
+    past = _NDTR_ARGS[np.abs(_NDTR_ARGS) > _NDTR_UNDERFLOW]
+    assert past.size > 0
+    assert np.array_equal(_ndtr(past), np.where(past > 0.0, 1.0, 0.0))
+    ends = _ndtr(np.array([-np.inf, -1e300, 1e300, np.inf, np.nan]))
+    assert np.array_equal(ends, [0.0, 0.0, 1.0, 1.0, np.nan], equal_nan=True)
+
+
+@pytest.mark.parametrize("name", ["_NDTR_T", "_NDTR_U", "_NDTR_P", "_NDTR_Q", "_NDTR_R", "_NDTR_S"])
+def test_ndtr_check_catches_a_wrong_coefficient(name, monkeypatch):
+    coefs = getattr(spectral, name)
+    monkeypatch.setattr(spectral, name, (*coefs[:-1], coefs[-1] * (1.0 + 1e-6)))
+    assert _ndtr_ulps(_NDTR_ARGS) > 4.0
+
+
+@pytest.mark.parametrize("asset", ["btc", "eth"])
+def test_cdf_tables_keep_scipys_normal_reference(asset, monkeypatch):
+    # The add-back on numpy moves the default CDF tables by less than 2e-17
+    # from its scipy.special.ndtr form.
+    p = gt.BITCOIN_DAILY.params if asset == "btc" else gt.ETHEREUM_DAILY.params
+    grid = gt.build_grid(p)
+    ours = _cdf_values(p, grid)
+    monkeypatch.setattr(spectral, "_ndtr", ndtr)
+    assert np.max(np.abs(ours - _cdf_values(p, grid))) < 2e-17
 
 
 # (n_fft, n_freq) on the 256-point grid of _ASYM, whose cutoff is 32.3: a

@@ -1,11 +1,12 @@
 """Import cost: importing gts_tail loads numpy and no scipy module, so
 cumulants, the characteristic function and path classification run without
-scipy.  Every scipy module is imported by the functions that use it, on
-first use: scipy.fft by the first grid, scipy.special by the first CDF
-table, Q-Q, GOF or fit (or already with scipy.fft, which imports it on
-scipy 1.17), scipy.optimize by the first fit and scipy.integrate by the
-quadrature oracle.  Nothing imports scipy.interpolate, so every CLI
-call that never fits does not pay for it."""
+scipy, and so do tables, quantiles and draws: they transform with
+numpy.fft and take the normal CDF from a numpy port of scipy's.  Every
+scipy module is imported by the functions that use it, on first use:
+scipy.special by a normal Q-Q, GOF or fit, scipy.optimize and scipy.fft by
+the first fit and scipy.integrate by the quadrature oracle.  Nothing
+imports scipy.interpolate, so every CLI call that never fits does not pay
+for it."""
 
 import os
 import subprocess
@@ -82,26 +83,37 @@ def test_import_cumulants_classify_and_eval_cf_load_no_scipy(tmp_path):
     assert r.stdout.strip() == ""
 
 
-def test_pdf_table_loads_scipy_fft_and_only_what_it_imports(tmp_path):
-    # scipy.fft may import other scipy modules itself (scipy 1.17's fftlog
-    # imports scipy.special); the table path must add none of its own.
-    script = """
-        import sys
-        {}
-        print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+def test_tables_quantiles_and_draws_load_no_scipy(tmp_path):
+    r = _run_fresh(
         """
-    pdf = _run_fresh(
-        script.format(
-            "import gts_tail as gt; p = gt.BITCOIN_DAILY.params; "
-            "gt.pdf_table(p, gt.build_grid(p, gt.GridConfig(m=4096)))"
-        ),
+        import contextlib, io, sys
+        import gts_tail as gt, gts_tail.cli as cli
+
+        p = gt.BITCOIN_DAILY.params
+        grid = gt.build_grid(p)
+        gt.pdf_table(p, grid)
+        cdf = gt.cdf_table(p, grid)
+        assert gt.quantile(cdf, 0.01) < 0.0 < gt.quantile(cdf, 0.99)
+        assert len(gt.sample(cdf, 300, seed=3).values) == 300
+        gt.write_params_file(p, "btc.par")
+        law = ["--params", "btc.par"]
+        calls = [
+            ["pdf", *law, "--out", "pdf.csv"],
+            ["cdf", *law, "--out", "cdf.csv"],
+            ["quantile", *law, "--alpha", "0.01", "0.99"],
+            ["sample", *law, "-n", "300", "--seed", "3", "--out", "returns.csv"],
+            ["qq", "--input", "returns.csv", "--theoretical", "gts",
+             "--theoretical-params", "btc.par", "--verdict"],
+        ]
+        for argv in calls:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0, argv
+        print(",".join(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """,
         tmp_path,
     )
-    fft = _run_fresh(script.format("import scipy.fft"), tmp_path)
-    assert pdf.returncode == 0, pdf.stderr
-    assert fft.returncode == 0, fft.stderr
-    assert "scipy.fft" in pdf.stdout.split()
-    assert pdf.stdout.split() == fft.stdout.split()
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == ""
 
 
 def test_fit_oracle_and_interpolator_import_scipy_on_first_use(tmp_path):
