@@ -67,11 +67,13 @@ def _table(args, make=cdf_table, params=None):
 
 
 def _add_grid_flags(p):
-    p.add_argument("--grid-m", type=int, default=2**14,
+    cfg = GridConfig()
+    p.add_argument("--grid-m", type=int, default=cfg.m,
                    help="spatial points (rounded up to a power of two, at most 2**22)")
-    p.add_argument("--grid-width-sds", type=float, default=20.0, help="half-width in std devs")
-    p.add_argument("--grid-min-half-width", type=float, default=0.0, help="half-width floor (%%)")
-    p.add_argument("--freq-eps", type=float, default=1e-12, help="|cf| cutoff threshold")
+    p.add_argument("--grid-width-sds", type=float, default=cfg.width_sds, help="half-width in std devs")
+    p.add_argument("--grid-min-half-width", type=float, default=cfg.min_half_width,
+                   help="half-width floor (%%)")
+    p.add_argument("--freq-eps", type=float, default=cfg.freq_eps, help="|cf| cutoff threshold")
 
 
 def _fmt(v: float) -> str:
@@ -247,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--model", choices=sorted(k.value for k in RestrictedKind), default="full")
     p.add_argument("--out", default="-")
-    p.add_argument("--fit-grid-m", type=int, default=2**12)
+    p.add_argument("--fit-grid-m", type=int, default=FitOptions().grid_m)
     p.add_argument("--no-se", action="store_true", help="skip standard errors")
     p.set_defaults(func=_cmd_fit)
 

@@ -585,6 +585,7 @@ def read_params_file(source) -> GTSParams:
 
 
 def write_params_file(p: GTSParams, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write ``p`` for read_params_file to a path or an open text stream."""
+    with text_stream(path, "w") as fh:
         for name, v in zip(PARAM_NAMES, p.as_tuple()):
             fh.write(f"{name} = {v:.17g}\n")

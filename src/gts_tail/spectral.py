@@ -8,17 +8,17 @@ with the frequency samples weighted by a closed Newton-Cotes rule of order 4
 (the trapezoid rule with corrected weights on the four nodes at each end,
 which is composite Simpson with a 3/8 patch averaged end for end) and the
 oscillatory sum over all grid points evaluated in one shot by an FFT.  The
-CDF uses the same machinery on the integrand
+CDF is the same sum on the Gil-Pelaez integrand
 
-    (cf(xi) - cf_ref(xi)) / (i xi)
+    F(x) = 1/2 - (1/2pi) * PV integral cf(xi)/(i xi) exp(-i x xi) dxi.
 
-where cf_ref is the characteristic function of the moment-matched normal
-law N(kappa_1, kappa_2).  Subtracting the reference removes the simple pole
-at xi = 0 (both CFs share the first moment) and restores fast decay at the
-truncation boundary, and its own inversion is known in closed form:
+No node sits on its pole at 0: the nodes are the half-nodes (k + 1/2) dxi,
+and by Poisson summation the unit-weight sum over that whole lattice is
 
-    F(x) = Phi((x - kappa_1)/sqrt(kappa_2))
-         - (1/2pi) * integral (cf - cf_ref)(xi)/(i xi) exp(-i x xi) dxi
+    F(x) - sum_{j >= 1} (-1)^j [(1 - F(x + j P)) - F(x - j P)],   P = 2pi/dxi,
+
+the CDF plus tail masses a period and more away, which the density's
+aliasing guard already bounds.
 
 Both integrands are Hermitian, the frequency grid is symmetric with an even
 node count n, and the Newton-Cotes weights are palindromic, so each weighted
@@ -41,11 +41,11 @@ gradient back through them by their transposes.  `frft`, the fractional
 FFT at any spacing, is public and tested but no table needs it.
 
 The FFT follows the caller.  Tables (and so quantiles and draws) and `frft`
-transform with numpy.fft, size by `_next_fast_len` and add back the normal
-CDF by `_ndtr`, so they load no scipy module.  A fit's likelihood plans
-pass scipy.fft.fft: the fit loads scipy for scipy.optimize anyway, and at
-plan lengths scipy's transform is the faster.  Both are pocketfft and give
-the same bytes on the default grids and the benchmark fit's plans.
+transform with numpy.fft and size by `_next_fast_len`, so they load no scipy
+module.  A fit's likelihood plans pass scipy.fft.fft: the fit loads scipy
+for scipy.optimize anyway, and at plan lengths scipy's transform is the
+faster.  Both are pocketfft and give the same bytes on the default grids
+and the benchmark fit's plans.
 
 A slow adaptive-quadrature oracle (`direct_quadrature_oracle`) evaluates the
 one-sided forms of the same inversion integrals at a single point for
@@ -67,7 +67,6 @@ from .core import (
     GTSParams,
     _log_modulus,
     _mgf_exponent_values,
-    _polar,
     _shifted_cf,
     _shifted_cf_pullback,
     characteristic_function,
@@ -621,93 +620,25 @@ def pdf_table(p: GTSParams, grid: SpectralGrid) -> DensityTable:
     return table
 
 
-# Cephes' rational approximations behind scipy.special.ndtr: erf(x) =
-# x T(x^2)/U(x^2) for |x| < 1, and erfc(x) = exp(-x^2) P(x)/Q(x) for
-# 1 <= x < 8 and exp(-x^2) R(x)/S(x) from 8 up.  Q, S and U are monic;
-# their leading 1 is left out.
-_NDTR_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-           7.00332514112805075473e3, 5.55923013010394962768e4)
-_NDTR_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-           2.26290000613890934246e4, 4.92673942608635921086e4)
-_NDTR_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
-_NDTR_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-           1.65666309194161350182e3, 5.57535340817727675546e2)
-_NDTR_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
-           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
-_NDTR_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
-           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
-# exp(-x^2) underflows to zero past x^2 = log(DBL_MAX).
-_NDTR_MAXLOG = 7.09782712893383996843e2
-
-
-def _horner(x: np.ndarray, coefs: tuple, monic: bool = False) -> np.ndarray:
-    """The polynomial with ``coefs`` from the highest power down, in
-    Horner's order; ``monic`` puts a leading 1 before them."""
-    out = x + coefs[0] if monic else np.full_like(x, coefs[0])
-    for c in coefs[1:]:
-        out *= x
-        out += c
-    return out
-
-
-def _ndtr(a: np.ndarray) -> np.ndarray:
-    """The standard normal CDF: cephes' ndtr, the form scipy.special.ndtr
-    evaluates, on numpy arrays.
-
-    A port of a function scipy already provides, kept because a one-shot
-    table would otherwise load scipy.special (with scipy 1.17's array-API
-    layer) for this one call, about 0.3 s of a fresh process.  It
-    reproduces scipy's bits wherever numpy's exp agrees with the C
-    library's, and is otherwise within a few ulps; results are exactly 0
-    and 1 once exp(-x^2) underflows, and NaN stays NaN.
-    """
-    x = a * (0.5 * math.sqrt(2.0))
-    z = np.abs(x)
-    out = np.empty_like(x)
-    small = z < 1.0
-    near = ~small & (z < 8.0)
-    far = ~(small | near)
-    xs = x[small]
-    zz = xs * xs
-    out[small] = 0.5 + 0.5 * (xs * _horner(zz, _NDTR_T) / _horner(zz, _NDTR_U, monic=True))
-    # erfc(z) on the rest, each rational on its own range.
-    erfc = np.empty_like(x)
-    zn = z[near]
-    erfc[near] = np.exp(-zn * zn) * _horner(zn, _NDTR_P) / _horner(zn, _NDTR_Q, monic=True)
-    zf = z[far]
-    with np.errstate(over="ignore", invalid="ignore"):
-        zz = zf * zf
-        tail = np.exp(-zz) * _horner(zf, _NDTR_R) / _horner(zf, _NDTR_S, monic=True)
-    erfc[far] = np.where(zz > _NDTR_MAXLOG, 0.0, tail)
-    large = ~small
-    half = 0.5 * erfc[large]
-    out[large] = np.where(x[large] > 0.0, 1.0 - half, half)
-    return out
-
-
 def _cdf_values(p: GTSParams, grid: SpectralGrid) -> np.ndarray:
     """Raw inverted distribution-function values, unclipped and unchecked."""
     inv = _Inversion(grid)
-    xi = inv.xi
-    k1 = cumulant(p, 1)
-    k2 = cumulant(p, 2)
-    # cf and cf_ref, both times exp(-i x_min xi).
-    ref = _polar(-0.5 * k2 * xi * xi, k1 * xi - grid.x_min * xi)
-    h = (_shifted_cf(p, xi, grid.x_min) - ref) / (1j * xi)
-    corr = inv(inv.weights * h)
-    return _ndtr((grid.x() - k1) / math.sqrt(k2)) - corr
+    return 0.5 - inv(inv.weights * (_shifted_cf(p, inv.xi, grid.x_min) / (1j * inv.xi)))
 
 
 def cdf_table(p: GTSParams, grid: SpectralGrid) -> CdfTable:
     """Invert to distribution-function values on the grid.
 
-    The pole of cf(xi)/(i xi) at 0 is removed by subtracting the
-    characteristic function of N(kappa_1, kappa_2); its closed-form CDF
-    supplies the subtracted mass, including the constant split carried by
-    the Dirac term of the distributional Fourier pair.
+    The values are the module notes' Gil-Pelaez sum on the positive
+    half-nodes (k + 1/2) dxi, which straddle the pole at 0.  It differs from
+    F by the tail masses a period N dx and more away, alternating in sign,
+    which the aliasing guard puts past the Chernoff radius of 1e-9 mass a
+    side.  The identity needs unit weights on the half-nodes next to 0; the
+    order-4 rule corrects only the four nodes nearest each end, so it holds
+    for n_freq >= 16.  The bundled laws and those of the tests get fewer
+    nodes only at a freq_eps of 0.5 or more, where their tables fail the
+    checks below anyway.  Raises NumericalFailure when a step between
+    grid points is below -1e-10, or F(x_min) or 1 - F(x_max) is 1e-6 or more.
     """
     F = _cdf_values(p, grid)
 
@@ -727,10 +658,6 @@ def cdf_table(p: GTSParams, grid: SpectralGrid) -> CdfTable:
 # slow direct-quadrature oracle
 # --------------------------------------------------------------------------
 
-def _oracle_cutoff(p: GTSParams) -> float:
-    return _freq_cutoff(p, 1e-16)
-
-
 def direct_quadrature_oracle(p: GTSParams, x: float, abs_tol: float = 1e-10):
     """(pdf, cdf) at a single point by adaptive quadrature.  Slow; test use.
 
@@ -746,7 +673,7 @@ def direct_quadrature_oracle(p: GTSParams, x: float, abs_tol: float = 1e-10):
     from scipy.integrate import quad
 
     x = float(x)
-    cutoff = _oracle_cutoff(p)
+    cutoff = _freq_cutoff(p, 1e-16)
 
     def cf_re(y):
         return float(np.real(characteristic_function(p, complex(y))))

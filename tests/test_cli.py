@@ -207,6 +207,17 @@ def test_exit_code_numerical_error(params_file):
     assert r.returncode == 3
 
 
+def test_flag_defaults_are_the_dataclass_fields():
+    from gts_tail.cli import build_parser
+
+    parse = build_parser().parse_args
+    args, cfg = parse(["cdf", "--params", "p", "--out", "-"]), gt.GridConfig()
+    assert (args.grid_m, args.grid_width_sds, args.grid_min_half_width, args.freq_eps) == (
+        cfg.m, cfg.width_sds, cfg.min_half_width, cfg.freq_eps
+    )
+    assert parse(["fit", "--input", "r"]).fit_grid_m == gt.FitOptions().grid_m
+
+
 @pytest.mark.parametrize(
     "flags",
     [

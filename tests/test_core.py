@@ -1,3 +1,4 @@
+import io
 import math
 
 import mpmath
@@ -474,6 +475,18 @@ def test_params_file_roundtrip(tmp_path, btc_params):
     path = tmp_path / "p.par"
     gt.write_params_file(btc_params, path)
     assert gt.read_params_file(path) == btc_params
+
+
+def test_params_file_to_a_stream_and_without_carriage_returns(tmp_path, btc_params):
+    buf = io.StringIO()
+    gt.write_params_file(btc_params, buf)
+    buf.seek(0)
+    assert gt.read_params_file(buf) == btc_params
+    path = tmp_path / "p.par"
+    gt.write_params_file(btc_params, path)
+    data = path.read_bytes()
+    assert b"\r" not in data
+    assert data.decode("utf-8") == buf.getvalue()
 
 
 def test_params_file_comments_and_blanks(tmp_path):

@@ -11,7 +11,6 @@ from scipy.special import ndtr
 from scipy.stats import gamma as gamma_dist
 
 import gts_tail as gt
-from gts_tail import spectral
 from gts_tail.core import PARAM_NAMES
 from gts_tail.errors import ConfigError, NonFinite, NumericalFailure
 from gts_tail.spectral import (
@@ -20,7 +19,6 @@ from gts_tail.spectral import (
     _fast_len_at_most,
     _freq_cutoff,
     _Inversion,
-    _ndtr,
     _next_fast_len,
     _nodes_reaching,
     _pdf_values,
@@ -429,19 +427,18 @@ def _direct_sums(p, grid):
     """(pdf, cdf) as the O(m*n) Newton-Cotes sums over the whole frequency grid.
 
     pdf(x_j) = (1/2pi) sum_l w_l cf(xi_l) exp(-i x_j xi_l) on the n_freq
-    nodes -Xi + l*dxi, and the CDF with the normal-reference subtraction.
+    nodes -Xi + l*dxi, and cdf(x_j) = 1/2 - (1/2pi) sum_l w_l cf(xi_l)
+    exp(-i x_j xi_l)/(i xi_l), the Gil-Pelaez sum on nodes that skip 0.
     """
     n = grid.n_freq
     dxi = 2.0 * grid.freq_cutoff / (n - 1)
     xi = -grid.freq_cutoff + dxi * np.arange(n)
     w = newton_cotes_weights(n) * dxi
-    k1, k2 = gt.cumulant(p, 1), gt.cumulant(p, 2)
     cf = gt.characteristic_function(p, xi)
-    ref = np.exp(1j * k1 * xi - 0.5 * k2 * xi * xi)
     kernel = np.exp(-1j * np.outer(grid.x(), xi))
     pdf = (kernel @ (w * cf)).real / (2.0 * np.pi)
-    corr = (kernel @ (w * (cf - ref) / (1j * xi))).real / (2.0 * np.pi)
-    return pdf, ndtr((grid.x() - k1) / np.sqrt(k2)) - corr
+    cdf = 0.5 - (kernel @ (w * cf / (1j * xi))).real / (2.0 * np.pi)
+    return pdf, cdf
 
 
 def _with_nodes(grid, n_freq):
@@ -472,53 +469,43 @@ def test_tables_match_direct_sum(n_freq):
     assert np.max(np.abs(gt.cdf_table(p, grid).values - np.clip(cdf, 0.0, 1.0))) <= 1e-12
 
 
-# Arguments of the normal CDF: a dense sweep plus fine ones across each
-# branch point of _ndtr (|a| = sqrt(2) for erf, 8 sqrt(2) between the two
-# erfc rationals, and the underflow of exp(-a^2/2) near 37.68).
-_NDTR_ARGS = np.concatenate([
-    np.linspace(-40.0, 40.0, 200_001),
-    *(np.linspace(c - 1e-3, c + 1e-3, 2001) for b in (2.0**0.5, 8.0 * 2.0**0.5, 37.677)
-      for c in (-b, b)),
-])
-# The underflow point of _ndtr: exp(-a^2/2) is 0 past a^2/2 = log(DBL_MAX).
-_NDTR_UNDERFLOW = math.sqrt(2.0 * 7.09782712893383996843e2)
+def _normal_reference_cdf(p, grid):
+    """The CDF sum with the pole removed by the moment-matched normal law
+    instead: Phi((x - k1)/sqrt(k2)) minus the inversion of (cf - cf_ref)/(i xi)."""
+    inv = _Inversion(grid)
+    xi = inv.xi
+    k1, k2 = gt.cumulant(p, 1), gt.cumulant(p, 2)
+    ref = np.exp(-0.5 * k2 * xi * xi + 1j * (k1 - grid.x_min) * xi)
+    h = (gt.characteristic_function(p, xi) * np.exp(-1j * grid.x_min * xi) - ref) / (1j * xi)
+    return ndtr((grid.x() - k1) / math.sqrt(k2)) - inv(inv.weights * h)
 
 
-def _ndtr_ulps(args):
-    """The largest distance of _ndtr from scipy's ndtr, in units of the
-    spacing of scipy's value (the spacing of the smallest subnormal below
-    the normal range)."""
-    want = ndtr(args)
-    return float(np.max(np.abs(_ndtr(args) - want) / np.spacing(want)))
+_LAWS = {
+    "btc": gt.BITCOIN_DAILY.params,
+    "eth": gt.ETHEREUM_DAILY.params,
+    "bilateral-gamma": gt.bilateral_gamma_params(0.0, 1.5, 1.5, 0.6, 0.6),
+    "kobol": gt.kobol_params(0.0, 0.6, 0.8, 0.6, 0.5, 0.4),
+    "asym": gt.validate_params(*_ASYM),
+}
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_ndtr_is_scipys_to_a_few_ulps():
-    # Only numpy's exp, against the C library's, separates the two.
-    assert _ndtr_ulps(_NDTR_ARGS) <= 4.0
-    past = _NDTR_ARGS[np.abs(_NDTR_ARGS) > _NDTR_UNDERFLOW]
-    assert past.size > 0
-    assert np.array_equal(_ndtr(past), np.where(past > 0.0, 1.0, 0.0))
-    ends = _ndtr(np.array([-np.inf, -1e300, 1e300, np.inf, np.nan]))
-    assert np.array_equal(ends, [0.0, 0.0, 1.0, 1.0, np.nan], equal_nan=True)
+@pytest.mark.parametrize("cfg", [GridConfig(), GridConfig(m=256), GridConfig(m=1024, freq_eps=1e-6)])
+@pytest.mark.parametrize("law", list(_LAWS))
+def test_cdf_sum_on_half_nodes_needs_no_normal_reference(law, cfg):
+    # No node sits on the pole, so the plain Gil-Pelaez sum needs no
+    # reference law: it matches the normal-reference form to roundoff.
+    p = _LAWS[law]
+    grid = gt.build_grid(p, cfg)
+    assert grid.n_freq >= 16
+    assert np.max(np.abs(_cdf_values(p, grid) - _normal_reference_cdf(p, grid))) <= 5e-15
 
 
-@pytest.mark.parametrize("name", ["_NDTR_T", "_NDTR_U", "_NDTR_P", "_NDTR_Q", "_NDTR_R", "_NDTR_S"])
-def test_ndtr_check_catches_a_wrong_coefficient(name, monkeypatch):
-    coefs = getattr(spectral, name)
-    monkeypatch.setattr(spectral, name, (*coefs[:-1], coefs[-1] * (1.0 + 1e-6)))
-    assert _ndtr_ulps(_NDTR_ARGS) > 4.0
-
-
+@pytest.mark.parametrize("freq_eps", [0.5, 1e-3])
 @pytest.mark.parametrize("asset", ["btc", "eth"])
-def test_cdf_tables_keep_scipys_normal_reference(asset, monkeypatch):
-    # The add-back on numpy moves the default CDF tables by less than 2e-17
-    # from its scipy.special.ndtr form.
-    p = gt.BITCOIN_DAILY.params if asset == "btc" else gt.ETHEREUM_DAILY.params
-    grid = gt.build_grid(p)
-    ours = _cdf_values(p, grid)
-    monkeypatch.setattr(spectral, "_ndtr", ndtr)
-    assert np.max(np.abs(ours - _cdf_values(p, grid))) < 2e-17
+def test_coarse_cutoff_cdf_tables_still_raise(asset, freq_eps):
+    p = _LAWS[asset]
+    with pytest.raises(NumericalFailure, match="not monotone"):
+        gt.cdf_table(p, gt.build_grid(p, GridConfig(freq_eps=freq_eps)))
 
 
 # (n_fft, n_freq) on the 256-point grid of _ASYM, whose cutoff is 32.3: a
