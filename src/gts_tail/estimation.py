@@ -68,8 +68,6 @@ from .spectral import (
     _stencil_values,
     _stencil_weights,
     _stencil_windows,
-    build_grid,
-    pdf_table,
 )
 
 __all__ = [
@@ -87,8 +85,7 @@ _MIN_OBS = 100
 _DENSITY_FLOOR = 1e-300
 _PENALTY = 1e15
 
-# Likelihood grid: 20 standard deviations each side, cutoff at |cf| < 1e-8.
-_FIT_WIDTH_SDS = 20.0
+# A fit's likelihood grid: GridConfig's x-range, cutoff at |cf| < 1e-8.
 _FIT_FREQ_EPS = 1e-8
 # A frozen likelihood plan's cutoff, in multiples of the cutoff of the law
 # it is frozen at, and its period, in multiples of the guard (grid
@@ -194,12 +191,12 @@ class FitResult:
 
     ``loglik`` is the value at ``params`` on a plan frozen there, the one
     the standard errors' Hessian uses (a cutoff 1.25 times that of
-    ``params``, a period 1.1 times its aliasing guard), not on the public
-    ``log_likelihood``'s automatic grid.  Where ``params`` needs more than
-    ``max_n_freq`` frequency nodes on its own grid, so that no plan can be
-    frozen there, ``loglik`` is the value on the plan of the fit's last
-    polish round instead, and a converged fit omits its standard errors as
-    a fallback.
+    ``params``, a period 1.1 times its aliasing guard) and, with the
+    default FitOptions, the public ``log_likelihood`` reads.  Where
+    ``params`` needs more than ``max_n_freq`` frequency nodes on its own
+    grid, so that no plan can be frozen there, ``loglik`` is the value on
+    the plan of the fit's last polish round instead, and a converged fit
+    omits its standard errors as a fallback.
     """
 
     params: GTSParams
@@ -289,24 +286,28 @@ def _neg_log_density_sum_and_grad(raw: np.ndarray, start: np.ndarray, weights: n
 
 
 def log_likelihood(p: GTSParams, data: ReturnSeries, grid_cfg: GridConfig | None = None) -> float:
-    """Sum of log density over the observations: the table's
-    ``interpolate``, floored at 1e-300.
+    """Sum of log density over the observations, each floored at 1e-300,
+    read on a likelihood plan frozen at p (``DensityTable.interpolate`` to
+    the bit on its grid).
 
-    With ``grid_cfg=None`` the evaluation grid is auto-sized to cover the
-    sample; an explicit config is honored as-is and observations that fall
-    off its grid raise OutOfGrid listing the offenders.
+    With ``grid_cfg=None`` that is the plan a default-options fit freezes
+    at its estimate, so ``log_likelihood(fit.params, data) == fit.loglik``;
+    a p needing more than FitOptions' ``max_n_freq`` nodes raises
+    ConfigError.  An explicit config is honored as-is, on ``build_grid(p,
+    grid_cfg)``, and observations off its grid raise OutOfGrid listing the
+    offenders.  ``pdf_table``'s mass and negativity checks are not run:
+    they measure how far the grid covers the tails, while the plan holds p
+    inside its truncation and aliasing bounds and every observation on its
+    grid.
     """
     obs = np.asarray(data.values, dtype=float)
     if obs.size == 0:
         raise TooShort("empty return series")
-    cfg = grid_cfg
-    if cfg is None:
-        cfg = _likelihood_grid(p, obs, GridConfig(m=2**12))
-    grid = build_grid(p, cfg)
-    outside = obs[(obs < grid.x_min) | (obs > grid.x_max)]
-    if outside.size:
-        raise OutOfGrid(outside)
-    return _log_sum(pdf_table(p, grid).interpolate(obs))
+    if grid_cfg is None:
+        plan = _fit_plan(p, obs, FitOptions())
+    else:
+        plan = _LikelihoodPlan(p, obs, grid_cfg)
+    return -plan.neg_loglik(p)
 
 
 def _free_score(kind: RestrictedKind, by_field: np.ndarray) -> np.ndarray:
@@ -320,11 +321,11 @@ class _LikelihoodPlan:
     """The likelihood on one frozen grid, its inversion precomputed, and how
     its evaluations went.
 
-    Frozen at a law p0: the grid ``spectral._sized_grid`` sizes for p0's
-    likelihood grid settings with ``headroom`` on the cutoff and ``period``
-    on the aliasing guard, at most ``max_n_freq`` nodes.  A p0 whose own
-    grid needs more than that budget raises ConfigError, as build_grid
-    does.
+    Frozen at a law p0: the grid ``spectral._sized_grid`` sizes for p0 and
+    ``cfg`` with ``headroom`` on the cutoff and ``period`` on the aliasing
+    guard (build_grid(p0, cfg) at 1 and 1).  A p0 whose own grid needs more
+    than ``cfg.max_n_freq`` nodes raises ConfigError, as build_grid does,
+    and observations off the grid raise OutOfGrid.
 
     A law is evaluated only where the frozen grid holds it, by the two
     bounds ``spectral._bound_crossed`` checks (truncation and aliasing).
@@ -350,26 +351,24 @@ class _LikelihoodPlan:
     """
 
     def __init__(
-        self, p0: GTSParams, obs: np.ndarray, options: FitOptions, headroom: float,
-        period: float = _PLAN_PERIOD,
+        self, p0: GTSParams, obs: np.ndarray, cfg: GridConfig, headroom: float = 1.0,
+        period: float = 1.0,
     ):
         self._started = time.perf_counter()
         self.evaluations = 0
         self.score_evaluations = 0
         self.penalties = dict.fromkeys(("truncation", "aliasing", "error"), 0)
-        cfg = GridConfig(m=options.grid_m, width_sds=_FIT_WIDTH_SDS, freq_eps=_FIT_FREQ_EPS,
-                         max_n_freq=options.max_n_freq)
-        self.grid = _sized_grid(p0, _likelihood_grid(p0, obs, cfg), headroom, period)
-        # The fit has loaded scipy (for scipy.optimize), and scipy's FFT is the
-        # faster at plan lengths.
-        from scipy import fft as sp_fft
-
-        self._pdf = _Inversion(self.grid, sp_fft.fft)
+        self.grid = _sized_grid(p0, cfg, headroom, period)
+        outside = obs[(obs < self.grid.x_min) | (obs > self.grid.x_max)]
+        if outside.size:
+            raise OutOfGrid(outside)
+        self._freq_eps = cfg.freq_eps
+        self._pdf = _Inversion(self.grid)
         self._start, y = _stencil_windows(self.grid, obs)
         self._weights = _stencil_weights(y)
 
     def penalty_cause(self, p: GTSParams) -> str | None:
-        return _bound_crossed(self.grid, p, _FIT_FREQ_EPS)
+        return _bound_crossed(self.grid, p, self._freq_eps)
 
     def neg_loglik(self, p: GTSParams) -> float:
         return -_log_sum(_densities(np.maximum(self._pdf.pdf(p), 0.0), self._start, self._weights))
@@ -418,6 +417,17 @@ class _LikelihoodPlan:
                        penalties=dict(self.penalties), plan=plan, seconds=seconds,
                        **details),
         )
+
+
+def _fit_plan(
+    p0: GTSParams, obs: np.ndarray, options: FitOptions, headroom: float = _HESSIAN_HEADROOM,
+    period: float = _PLAN_PERIOD,
+) -> _LikelihoodPlan:
+    """The plan a fit freezes at p0 on its ``options``' likelihood grid,
+    widened to hold every observation; by default the one at an estimate,
+    which gives the reported log-likelihood and the Hessian."""
+    cfg = GridConfig(m=options.grid_m, freq_eps=_FIT_FREQ_EPS, max_n_freq=options.max_n_freq)
+    return _LikelihoodPlan(p0, obs, _likelihood_grid(p0, obs, cfg), headroom, period)
 
 
 # --------------------------------------------------------------------------
@@ -492,9 +502,7 @@ def fit_mle(
     # penalized; otherwise the next round re-freezes the plan where it
     # stopped, at the node budget too while the rounds still gain.
     def freeze(t, headroom=_HEADROOM, period=_PLAN_PERIOD):
-        return _LikelihoodPlan(
-            kind.expand(_from_transformed(names, t)), obs, options, headroom, period
-        )
+        return _fit_plan(kind.expand(_from_transformed(names, t)), obs, options, headroom, period)
 
     plan, budget, stop = freeze(t, _FIRST_HEADROOM, _FIRST_PERIOD), options.maxfev, None
     for round_ in itertools.count(1):
@@ -532,7 +540,7 @@ def fit_mle(
     # The value on a plan frozen at the estimate, which the Hessian reuses.
     params = kind.expand(_from_transformed(names, best.x))
     try:
-        plan = _LikelihoodPlan(params, obs, options, _HESSIAN_HEADROOM)
+        plan = _fit_plan(params, obs, options)
         loglik = -plan.neg_loglik(params)
     except ConfigError:
         plan, loglik = None, -float(best.fun)
@@ -616,7 +624,7 @@ def _with_standard_errors(
     obs = np.asarray(data.values, dtype=float)
     try:
         if plan is None:
-            plan = _LikelihoodPlan(result.params, obs, options, _HESSIAN_HEADROOM)
+            plan = _fit_plan(result.params, obs, options)
         se, pv, fallback = _standard_errors(result, plan)
     except (ConfigError, PenaltyWall, BoundaryEstimate) as exc:
         warnings.warn(f"standard errors omitted: {exc}", SingularHessianWarning, stacklevel=3)
@@ -660,7 +668,7 @@ def standard_errors(fit: FitResult, data: ReturnSeries, options: FitOptions = Fi
     error of 0 and a p-value of 1.
     """
     obs = np.asarray(data.values, dtype=float)
-    return _standard_errors(fit, _LikelihoodPlan(fit.params, obs, options, _HESSIAN_HEADROOM))
+    return _standard_errors(fit, _fit_plan(fit.params, obs, options))
 
 
 def _standard_errors(fit: FitResult, plan: _LikelihoodPlan):
@@ -713,8 +721,6 @@ def _standard_errors(fit: FitResult, plan: _LikelihoodPlan):
         for name in fields:
             se[name] = float(s)
 
-    from scipy.special import erfc
-
     est = dict(zip(se.keys(), fit.params.as_tuple()))
     pvals = {}
     for name in se:
@@ -722,7 +728,7 @@ def _standard_errors(fit: FitResult, plan: _LikelihoodPlan):
             pvals[name] = 1.0
         else:
             z = est[name] / se[name]
-            pvals[name] = float(erfc(abs(z) / math.sqrt(2.0)))
+            pvals[name] = math.erfc(abs(z) / math.sqrt(2.0))
     return tuple(se[k] for k in PARAM_NAMES), tuple(pvals[k] for k in PARAM_NAMES), fallback
 
 

@@ -33,19 +33,13 @@ nodes whose top one reaches the cutoff; neither need reach m.  One rule,
 samples cf(xi) exp(-i x_min xi) come from a real-arithmetic kernel that
 folds the grid phase into the characteristic function's own cos/sin pair;
 the public complex exponent stays the reference it is tested against.
-Tables and a fit's likelihood share one inversion (`_Inversion`)
-and read values between nodes with one local degree-4 stencil, Lagrange
-weights in product form with no BLAS call; a grid that stays fixed while
-the law changes (a fit's likelihood plan) builds both once, and carries a
-gradient back through them by their transposes.  `frft`, the fractional
+Tables and the likelihood share one inversion (`_Inversion`, on
+numpy.fft, so neither loads scipy) and read values between nodes with one
+local degree-4 stencil, Lagrange weights in product form with no BLAS
+call; a grid that stays fixed while the law changes (a likelihood plan)
+builds both once, and carries a gradient back through them by their
+transposes.  `frft`, the fractional
 FFT at any spacing, is public and tested but no table needs it.
-
-The FFT follows the caller.  Tables (and so quantiles and draws) and `frft`
-transform with numpy.fft and size by `_next_fast_len`, so they load no scipy
-module.  A fit's likelihood plans pass scipy.fft.fft: the fit loads scipy
-for scipy.optimize anyway, and at plan lengths scipy's transform is the
-faster.  Both are pocketfft and give the same bytes on the default grids
-and the benchmark fit's plans.
 
 A slow adaptive-quadrature oracle (`direct_quadrature_oracle`) evaluates the
 one-sided forms of the same inversion integrals at a single point for
@@ -521,12 +515,12 @@ class CdfTable:
         return float(out[0]) if scalar else out
 
 
-def _dft(a: np.ndarray, n: int, fft) -> np.ndarray:
-    """sum_k a_k exp(-2 pi i r k/n) for r = 0..n-1: one length-n ``fft`` of
+def _dft(a: np.ndarray, n: int) -> np.ndarray:
+    """sum_k a_k exp(-2 pi i r k/n) for r = 0..n-1: one length-n FFT of
     ``a`` zero-padded to n, or folded mod n when longer."""
     if a.shape[0] > n:
         a = np.pad(a, (0, -a.shape[0] % n)).reshape(-1, n).sum(axis=0)
-    return fft(a, n)
+    return np.fft.fft(a, n)
 
 
 class _Inversion:
@@ -545,11 +539,10 @@ class _Inversion:
     exp(-i pi j/N) exp(-2 pi i j k/N): the sum is exp(-i pi j/N) times a
     length-N DFT of the inputs folded mod N, read at j mod N.  The
     half-node factor flips sign each time j passes a multiple of N.  So
-    every inversion is one FFT, and its transpose another, both by ``fft``
-    (numpy.fft.fft, or scipy.fft.fft for a caller that has loaded scipy).
+    every inversion is one numpy.fft.fft, and its transpose another.
     """
 
-    def __init__(self, grid: SpectralGrid, fft=np.fft.fft):
+    def __init__(self, grid: SpectralGrid):
         n = grid.n_fft
         half = grid.n_freq // 2
         dxi = 2.0 * np.pi / (n * grid.dx)
@@ -557,18 +550,17 @@ class _Inversion:
         self.weights = newton_cotes_weights(grid.n_freq)[half:] * dxi
         self.x_min = grid.x_min
         self._n = n
-        self._fft = fft
         self._phase = np.exp((-1j * np.pi / n) * np.arange(grid.m)) / np.pi
 
     def __call__(self, a: np.ndarray) -> np.ndarray:
         # np.resize repeats the DFT with period N out to the m grid points.
-        return (self._phase * np.resize(_dft(a, self._n, self._fft), self._phase.shape[0])).real
+        return (self._phase * np.resize(_dft(a, self._n), self._phase.shape[0])).real
 
     def transpose(self, g: np.ndarray) -> np.ndarray:
         """u with sum(g * self(a)) = Re sum_k u_k a_k for every a, g real:
         the outputs folded mod N, one FFT (the DFT matrix is symmetric), and
         the result read at k mod N."""
-        return np.resize(_dft(g * self._phase, self._n, self._fft), self.xi.shape[0])
+        return np.resize(_dft(g * self._phase, self._n), self.xi.shape[0])
 
     def pdf(self, p: GTSParams) -> np.ndarray:
         """_pdf_values(p, grid): one _shifted_cf and one FFT."""

@@ -21,7 +21,7 @@ from gts_tail.core import PARAM_NAMES
 from gts_tail.estimation import (
     _HESSIAN_HEADROOM,
     FitOptions,
-    _LikelihoodPlan,
+    _fit_plan,
     _score_hessian,
     _to_transformed,
 )
@@ -271,7 +271,7 @@ def test_criterion_8_self_recovery(tables, recovery_fits):
     seed0 = _RECOVERY_SEEDS[0]
     data, fit = recovery_fits[seed0]
     obs = np.asarray(data.values)
-    plan = _LikelihoodPlan(fit.params, obs, FitOptions(), _HESSIAN_HEADROOM)
+    plan = _fit_plan(fit.params, obs, FitOptions(), _HESSIAN_HEADROOM)
     with_score = plan.objective(gt.RestrictedKind.FULL, score=True)
 
     def score(s):

@@ -35,9 +35,9 @@ from gts_tail.estimation import (
     _ROUND_GAIN,
     FitOptions,
     _auto_init,
+    _fit_plan,
     _from_transformed,
     _likelihood_grid,
-    _LikelihoodPlan,
     _neg_log_density_sum_and_grad,
     _polish,
     _score_hessian,
@@ -47,7 +47,6 @@ from gts_tail.estimation import (
 from gts_tail.spectral import (
     GridConfig,
     _freq_cutoff,
-    _Inversion,
     _pdf_values,
     _stencil_weights,
     _stencil_windows,
@@ -168,9 +167,9 @@ def test_log_likelihood_is_the_pchip_reference(law, btc_params, eth_params, symm
 
 
 def test_log_likelihood_converges_in_grid_m(btc_params, benchmark_sample):
-    # The benchmark sample at the BTC law: the default 4096-point grid
-    # against a 2**16-point one.  The monotone-cubic gather was 2.3e-4
-    # nats off; the stencil is 1.6e-5 off.
+    # The benchmark sample at the BTC law: the default read, on a default
+    # fit's 4096-point plan, against a 2**16-point grid.  The monotone-cubic
+    # gather was 2.3e-4 nats off; the stencil is 1.7e-5 off.
     obs = np.asarray(benchmark_sample.values)
     fine = gt.log_likelihood(
         btc_params, benchmark_sample, _likelihood_grid(btc_params, obs, GridConfig(m=2**16))
@@ -339,21 +338,8 @@ _PINNED_PLANS = {
 def test_plan_sizes_on_the_benchmark_sample_are_pinned(law, room, benchmark_sample, btc_params):
     obs = np.asarray(benchmark_sample.values)
     p0 = _auto_init(obs) if law == "start" else btc_params
-    grid = _LikelihoodPlan(p0, obs, FitOptions(), *_PLAN_ROOM[room]).grid
+    grid = _fit_plan(p0, obs, FitOptions(), *_PLAN_ROOM[room]).grid
     assert (grid.m, grid.n_freq, grid.n_fft) == (2**12, *_PINNED_PLANS[law, room])
-
-
-@pytest.mark.parametrize("law, room", list(_PINNED_PLANS))
-def test_plans_invert_with_scipys_fft_to_numpys_bytes(law, room, benchmark_sample, btc_params):
-    # A plan transforms with scipy.fft, a table with numpy.fft: on a plan's
-    # grid both give the same bytes, forward and transposed.
-    obs = np.asarray(benchmark_sample.values)
-    p0 = _auto_init(obs) if law == "start" else btc_params
-    plan = _LikelihoodPlan(p0, obs, FitOptions(), *_PLAN_ROOM[room])
-    numpy_fft = _Inversion(plan.grid)
-    assert np.array_equal(plan._pdf.pdf(p0), numpy_fft.pdf(p0))
-    g = np.random.default_rng(3).normal(size=plan.grid.m)
-    assert np.array_equal(plan._pdf.transpose(g), numpy_fft.transpose(g))
 
 
 # --------------------------------------------------------------------------
@@ -416,7 +402,7 @@ def test_small_fit_recovers_scale(btc_params, btc_tables, caplog):
     _assert_plan_sizing(rounds[0].plan, start, options.grid_m, _FIRST_HEADROOM, _FIRST_PERIOD)
     _assert_plan_sizing(hessian.plan, fit.params, options.grid_m, _HESSIAN_HEADROOM, _PLAN_PERIOD)
     # The reported log-likelihood is the value on that plan, to the bit.
-    at_estimate = _LikelihoodPlan(fit.params, np.asarray(data.values), options, _HESSIAN_HEADROOM)
+    at_estimate = _fit_plan(fit.params, np.asarray(data.values), options, _HESSIAN_HEADROOM)
     assert fit.loglik == -at_estimate.neg_loglik(fit.params)
     assert fit.converged
     assert fit.n_free == 7
@@ -517,7 +503,7 @@ def test_wall_sample_fit_reaches_the_optimum_of_a_plan_frozen_there(btc_seed_4_f
     # stopped 0.127 nats below it: a plan frozen at the fit's point, with
     # the same headroom, and one more polish found those nats.
     data, fit, _ = btc_seed_4_fit
-    plan = _LikelihoodPlan(fit.params, np.asarray(data.values), FitOptions(), _HEADROOM)
+    plan = _fit_plan(fit.params, np.asarray(data.values), FitOptions(), _HEADROOM)
     t = _to_transformed(PARAM_NAMES, list(fit.params.as_tuple()))
     start = plan.objective(gt.RestrictedKind.FULL)(t)
     again = _polish(plan, gt.RestrictedKind.FULL, t, FitOptions().maxfev)
@@ -530,9 +516,21 @@ def test_reported_loglik_is_the_value_on_a_plan_frozen_at_the_estimate(btc_seed_
     # likelihood, and a plan frozen at the estimate is 1.1e-6 off.
     data, fit, _ = btc_seed_4_fit
     obs = np.asarray(data.values)
-    plan = _LikelihoodPlan(fit.params, obs, FitOptions(), _HESSIAN_HEADROOM)
+    plan = _fit_plan(fit.params, obs, FitOptions(), _HESSIAN_HEADROOM)
     assert fit.loglik == -plan.neg_loglik(fit.params)
     assert abs(fit.loglik - gt.log_likelihood(fit.params, data)) <= 1e-5
+
+
+@pytest.mark.parametrize("sample", ["benchmark", "roundtrip"])
+def test_public_log_likelihood_is_the_default_fits_value(sample, benchmark_sample):
+    # The public value reads the plan a default fit freezes at its estimate.
+    # A table on its own grid was 4.4e-6 nats off on the benchmark sample,
+    # and failed its mass check (0.99999831) at the estimate on the CLI fit
+    # test's recipe, seed 5, where beta_plus ends on 0.
+    data = benchmark_sample if sample == "benchmark" else _btc_600_draws(5)
+    fit = gt.fit_mle(data, options=FitOptions(compute_se=False))
+    assert fit.converged
+    assert gt.log_likelihood(fit.params, data) == fit.loglik
 
 
 def test_fit_reports_the_last_round_where_no_plan_fits_at_the_estimate(benchmark_sample):
@@ -543,7 +541,7 @@ def test_fit_reports_the_last_round_where_no_plan_fits_at_the_estimate(benchmark
     fit = gt.fit_mle(benchmark_sample, options=options)
     obs = np.asarray(benchmark_sample.values)
     with pytest.raises(ConfigError, match="over the budget"):
-        _LikelihoodPlan(fit.params, obs, options, _HESSIAN_HEADROOM)
+        _fit_plan(fit.params, obs, options, _HESSIAN_HEADROOM)
     assert fit.converged is False and fit.std_errors is None
     assert abs(fit.loglik - gt.log_likelihood(fit.params, benchmark_sample)) <= 1e-4
     # Had it converged, its standard errors would be omitted as a fallback.
@@ -598,7 +596,7 @@ def test_polish_rounds_beat_the_simplex_restarts():
     options = FitOptions(grid_m=1024, compute_se=False)
     fit = gt.fit_mle(data, options=options)
     assert fit.converged
-    plan = _LikelihoodPlan(
+    plan = _fit_plan(
         fit.params, np.asarray(data.values), replace(options, max_n_freq=2**20), _HEADROOM
     )
     neg = plan.objective(gt.RestrictedKind.FULL)
@@ -693,7 +691,7 @@ def test_polish_rounds_refreeze_at_the_node_budget_while_they_gain(bilateral_gam
     at_budget = [r for r in rounds if r.plan["n_freq"] == 2**15]
     assert len(at_budget) >= 2 and all(sum(r.penalties.values()) > 0 for r in at_budget)
     assert all(r.gain >= _ROUND_GAIN for r in at_budget[:-1])
-    common = _LikelihoodPlan(
+    common = _fit_plan(
         fit.params, np.asarray(data.values), replace(options, max_n_freq=2**20), _HEADROOM
     )
     before = gt.validate_params(*_PILOT_BILATERAL_GAMMA_ESTIMATE)
@@ -705,7 +703,7 @@ def test_hessian_symmetry(btc_params, btc_sample_5k):
     # Each column differences the score along one coordinate, so symmetry
     # is not built in: a wrong partial in the score breaks it.
     obs = np.asarray(btc_sample_5k.values)
-    plan = _LikelihoodPlan(btc_params, obs, FitOptions(), _HESSIAN_HEADROOM)
+    plan = _fit_plan(btc_params, obs, FitOptions(), _HESSIAN_HEADROOM)
     t = _to_transformed(PARAM_NAMES, list(btc_params.as_tuple()))
     H = _score_hessian(_plan_score(plan, gt.RestrictedKind.FULL), t, _HESSIAN_STEP)
     asym = np.max(np.abs(H - H.T))
@@ -722,7 +720,7 @@ def test_score_is_smooth_at_the_estimate_of_btc_seed_2(btc_tables):
     _, cdf = btc_tables
     data = gt.sample(cdf, 3000, seed=2)
     fit = gt.fit_mle(data, options=FitOptions(compute_se=False))
-    plan = _LikelihoodPlan(fit.params, np.asarray(data.values), FitOptions(), _HESSIAN_HEADROOM)
+    plan = _fit_plan(fit.params, np.asarray(data.values), FitOptions(), _HESSIAN_HEADROOM)
     score = _plan_score(plan, gt.RestrictedKind.FULL)
     t = _to_transformed(PARAM_NAMES, list(fit.params.as_tuple()))
     H = _score_hessian(score, t, _HESSIAN_STEP)
@@ -743,7 +741,7 @@ def test_restricted_hessian_is_definite_at_the_truth():
     p = gt.bilateral_gamma_params(0.0, 1.5, 1.5, 0.6, 0.6)
     data = gt.sample(gt.cdf_table(p, gt.build_grid(p, GridConfig(m=2**12))), 2000, seed=8)
     kind = gt.RestrictedKind.BILATERAL_GAMMA
-    plan = _LikelihoodPlan(p, np.asarray(data.values), FitOptions(), _HESSIAN_HEADROOM)
+    plan = _fit_plan(p, np.asarray(data.values), FitOptions(), _HESSIAN_HEADROOM)
     score = _plan_score(plan, kind)
     t = _to_transformed(kind.free_names, kind.reduce(p))
     eig = []
@@ -774,7 +772,7 @@ def test_hessian_steps_agree_at_the_benchmark_optimum(benchmark_sample):
     # a NaN ratio).  The likelihood's own differences are the reference.
     p = gt.validate_params(*_BENCHMARK_OPTIMUM)
     obs = np.asarray(benchmark_sample.values)
-    plan = _LikelihoodPlan(p, obs, FitOptions(), _HESSIAN_HEADROOM)
+    plan = _fit_plan(p, obs, FitOptions(), _HESSIAN_HEADROOM)
     score = _plan_score(plan, gt.RestrictedKind.FULL)
     t = _to_transformed(PARAM_NAMES, list(p.as_tuple()))
     H = _score_hessian(score, t, 1e-4)
@@ -810,7 +808,7 @@ def test_score_hessian_resolves_a_stability_index_near_zero(btc_tables):
     _, cdf = btc_tables
     obs = np.asarray(gt.sample(cdf, 3000, seed=4).values)
     p = gt.validate_params(*_BTC_SEED_4_OPTIMUM)
-    plan = _LikelihoodPlan(p, obs, FitOptions(), _HESSIAN_HEADROOM)
+    plan = _fit_plan(p, obs, FitOptions(), _HESSIAN_HEADROOM)
     score = _plan_score(plan, gt.RestrictedKind.FULL)
     t = _to_transformed(PARAM_NAMES, list(p.as_tuple()))
     assert t[1] == p.beta_plus
@@ -839,7 +837,7 @@ def _scaled(p, mu_shift=0.0, alpha_scale=1.0):
 
 def test_plan_objective_matches_direct_inversion(btc_params, btc_sample_5k):
     obs = np.asarray(btc_sample_5k.values)
-    plan = _LikelihoodPlan(btc_params, obs, FitOptions(), _HEADROOM)
+    plan = _fit_plan(btc_params, obs, FitOptions(), _HEADROOM)
     neg = plan.objective(gt.RestrictedKind.FULL)
     t0 = _to_transformed(PARAM_NAMES, list(btc_params.as_tuple()))
     rng = np.random.default_rng(9)
@@ -852,7 +850,7 @@ def test_plan_objective_matches_direct_inversion(btc_params, btc_sample_5k):
 
 
 def test_plan_penalizes_exactly_past_each_bound(btc_params, btc_sample_5k):
-    plan = _LikelihoodPlan(btc_params, np.asarray(btc_sample_5k.values), FitOptions(), _HEADROOM)
+    plan = _fit_plan(btc_params, np.asarray(btc_sample_5k.values), FitOptions(), _HEADROOM)
     g = plan.grid
     neg = plan.objective(gt.RestrictedKind.FULL)
 
@@ -904,7 +902,7 @@ def test_score_matches_central_differences(law):
     kind, p = _SCORE_LAWS[law]
     cdf = gt.cdf_table(p, gt.build_grid(p, GridConfig(m=2**12)))
     obs = np.asarray(gt.sample(cdf, 1000, seed=6).values)
-    plan = _LikelihoodPlan(p, obs, FitOptions(), _HEADROOM)
+    plan = _fit_plan(p, obs, FitOptions(), _HEADROOM)
     neg = plan.objective(kind)
     with_score = plan.objective(kind, score=True)
     # A point off the generating law, where the score is far from 0.
@@ -923,11 +921,11 @@ def test_score_matches_central_differences(law):
 _SCORE_SCRIPT = """
 import numpy as np, gts_tail as gt
 from gts_tail.core import PARAM_NAMES
-from gts_tail.estimation import _HEADROOM, FitOptions, _LikelihoodPlan, _to_transformed
+from gts_tail.estimation import _HEADROOM, FitOptions, _fit_plan, _to_transformed
 p = gt.BITCOIN_DAILY.params
 cdf = gt.cdf_table(p, gt.build_grid(p, gt.GridConfig(m=2**12)))
 obs = np.asarray(gt.sample(cdf, 600, seed=1).values)
-plan = _LikelihoodPlan(p, obs, FitOptions(), _HEADROOM)
+plan = _fit_plan(p, obs, FitOptions(), _HEADROOM)
 t = _to_transformed(PARAM_NAMES, list(p.as_tuple())) + 0.01
 print([float(v).hex() for v in plan.objective(gt.RestrictedKind.FULL, score=True)(t)[1]])
 """
@@ -948,7 +946,7 @@ def test_score_is_independent_of_the_thread_count():
 
 
 def test_penalized_score_is_zero(btc_params, btc_sample_5k):
-    plan = _LikelihoodPlan(btc_params, np.asarray(btc_sample_5k.values), FitOptions(), _HEADROOM)
+    plan = _fit_plan(btc_params, np.asarray(btc_sample_5k.values), FitOptions(), _HEADROOM)
     with_score = plan.objective(gt.RestrictedKind.FULL, score=True)
     # Intensities a thousandth of the estimate's: |cf| stays above 1e-8 at the cutoff.
     p = _scaled(btc_params, alpha_scale=1e-3)
@@ -966,7 +964,7 @@ def test_plan_value_is_continuous_at_a_stability_index_of_zero():
     obs = np.asarray(_btc_600_draws(5).values)
     p0 = gt.validate_params(*_SIMPLEX_ESTIMATE)
     assert p0.beta_plus == 0.0
-    plan = _LikelihoodPlan(p0, obs, FitOptions(grid_m=1024), _HEADROOM)
+    plan = _fit_plan(p0, obs, FitOptions(grid_m=1024), _HEADROOM)
     at_zero = plan.neg_loglik(p0)
     for beta in (1e-10, 1e-12, 1e-14):
         near = replace(p0, beta_plus=beta)

@@ -142,24 +142,6 @@ def test_explicit_node_count_keeps_the_default_period(asset):
     assert gt.build_grid(p, GridConfig(n_freq=grid.n_freq)) == grid
 
 
-@pytest.mark.parametrize("asset", list(_DEFAULT_GRIDS))
-def test_numpy_and_scipy_ffts_agree_on_the_default_grids(asset):
-    # Tables transform with numpy.fft; scipy.fft gives the inversion and
-    # its transpose the same bytes, on the density and CDF integrands and
-    # on a random output gradient.
-    p = gt.BITCOIN_DAILY.params if asset == "btc" else gt.ETHEREUM_DAILY.params
-    grid = gt.build_grid(p)
-    ours, theirs = _Inversion(grid), _Inversion(grid, sp_fft.fft)
-    assert np.array_equal(ours.pdf(p), theirs.pdf(p))
-    k1, k2 = gt.cumulant(p, 1), gt.cumulant(p, 2)
-    xi = ours.xi
-    h = (gt.characteristic_function(p, xi) - np.exp(1j * k1 * xi - 0.5 * k2 * xi * xi)) / (1j * xi)
-    a = ours.weights * h * np.exp(-1j * grid.x_min * xi)
-    assert np.array_equal(ours(a), theirs(a))
-    g = np.random.default_rng(3).normal(size=grid.m)
-    assert np.array_equal(ours.transpose(g), theirs.transpose(g))
-
-
 def test_grid_cutoff_is_the_top_node_of_its_aligned_step(btc_params):
     # The grid stores N; its cutoff is read off n_freq, N and dx, so any
     # field replaced keeps the step aligned.

@@ -1,12 +1,11 @@
 """Import cost: importing gts_tail loads numpy and no scipy module, so
 cumulants, the characteristic function and path classification run without
-scipy, and so do tables, quantiles and draws: they transform with
-numpy.fft and take the normal CDF from a numpy port of scipy's.  Every
-scipy module is imported by the functions that use it, on first use:
-scipy.special by a normal Q-Q, GOF or fit, scipy.optimize and scipy.fft by
-the first fit and scipy.integrate by the quadrature oracle.  Nothing
-imports scipy.interpolate, so every CLI call that never fits does not pay
-for it."""
+scipy, and so do tables, quantiles, draws and the public log-likelihood:
+they transform with numpy.fft.  Every scipy module is imported by the
+functions that use it, on first use: scipy.special by a normal Q-Q or GOF,
+scipy.optimize by the first fit (it loads scipy.fft and scipy.special
+itself) and scipy.integrate by the quadrature oracle.  Nothing imports
+scipy.interpolate, so every CLI call that never fits does not pay for it."""
 
 import os
 import subprocess
@@ -94,7 +93,9 @@ def test_tables_quantiles_and_draws_load_no_scipy(tmp_path):
         gt.pdf_table(p, grid)
         cdf = gt.cdf_table(p, grid)
         assert gt.quantile(cdf, 0.01) < 0.0 < gt.quantile(cdf, 0.99)
-        assert len(gt.sample(cdf, 300, seed=3).values) == 300
+        data = gt.sample(cdf, 300, seed=3)
+        assert len(data.values) == 300
+        assert gt.log_likelihood(p, data) < 0.0
         gt.write_params_file(p, "btc.par")
         law = ["--params", "btc.par"]
         calls = [
