@@ -191,8 +191,8 @@ class FitResult:
 
     ``loglik`` is the value at ``params`` on a plan frozen there, the one
     the standard errors' Hessian uses (a cutoff 1.25 times that of
-    ``params``, a period 1.1 times its aliasing guard) and, with the
-    default FitOptions, the public ``log_likelihood`` reads.  Where
+    ``params``, a period 1.1 times its aliasing guard) and the public
+    ``log_likelihood`` reads given the fit's FitOptions.  Where
     ``params`` needs more than ``max_n_freq`` frequency nodes on its own
     grid, so that no plan can be frozen there, ``loglik`` is the value on
     the plan of the fit's last polish round instead, and a converged fit
@@ -285,28 +285,31 @@ def _neg_log_density_sum_and_grad(raw: np.ndarray, start: np.ndarray, weights: n
     return -_log_sum(dens), np.where(raw > 0.0, grad, 0.0)
 
 
-def log_likelihood(p: GTSParams, data: ReturnSeries, grid_cfg: GridConfig | None = None) -> float:
+def log_likelihood(
+    p: GTSParams, data: ReturnSeries, grid_cfg: GridConfig | FitOptions | None = None
+) -> float:
     """Sum of log density over the observations, each floored at 1e-300,
     read on a likelihood plan frozen at p (``DensityTable.interpolate`` to
     the bit on its grid).
 
-    With ``grid_cfg=None`` that is the plan a default-options fit freezes
-    at its estimate, so ``log_likelihood(fit.params, data) == fit.loglik``;
-    a p needing more than FitOptions' ``max_n_freq`` nodes raises
-    ConfigError.  An explicit config is honored as-is, on ``build_grid(p,
-    grid_cfg)``, and observations off its grid raise OutOfGrid listing the
-    offenders.  ``pdf_table``'s mass and negativity checks are not run:
-    they measure how far the grid covers the tails, while the plan holds p
-    inside its truncation and aliasing bounds and every observation on its
-    grid.
+    ``grid_cfg`` is a fit's FitOptions (None for the default ones) or a
+    GridConfig.  With FitOptions the plan is the one a fit with those
+    options freezes at its estimate, so ``log_likelihood(fit.params, data,
+    options) == fit.loglik``; a p needing more than their ``max_n_freq``
+    nodes raises ConfigError.  A GridConfig is honored as-is, on
+    ``build_grid(p, grid_cfg)``, and observations off its grid raise OutOfGrid
+    listing the offenders.  ``pdf_table``'s mass and negativity checks are
+    not run: they measure how far the grid covers the tails, while the plan
+    holds p inside its truncation and aliasing bounds and every observation
+    on its grid.
     """
     obs = np.asarray(data.values, dtype=float)
     if obs.size == 0:
         raise TooShort("empty return series")
-    if grid_cfg is None:
-        plan = _fit_plan(p, obs, FitOptions())
-    else:
+    if isinstance(grid_cfg, GridConfig):
         plan = _LikelihoodPlan(p, obs, grid_cfg)
+    else:
+        plan = _fit_plan(p, obs, FitOptions() if grid_cfg is None else grid_cfg)
     return -plan.neg_loglik(p)
 
 

@@ -13,9 +13,10 @@ with b the interpolant's coefficients shifted by alpha, and
 
 Each b is a fixed-order sum over the node values of the table reads'
 window (`_stencil_start`), weighted by the exact Lagrange coefficients
-rounded once (no BLAS call), and an array of levels is solved in one
-vectorized pass of the same safeguarded Newton-bisection, element for
-element the arithmetic of the one-level solve: both give the same bits.
+rounded once (no BLAS call), and an array of levels is solved in
+vectorized passes of the same safeguarded Newton-bisection, one block of
+levels at a time, element for element the arithmetic of the one-level
+solve: both give the same bits.
 Inverse-CDF sampling runs that pass on seeded uniforms.
 """
 
@@ -34,7 +35,7 @@ from .errors import (
     OutOfRange,
 )
 from .returns_io import ReturnSeries
-from .spectral import CdfTable, _stencil_start
+from .spectral import _BLOCK, CdfTable, _stencil_start
 
 __all__ = ["QuarticCoeffs", "solve_quartic_unit", "quantile", "sample"]
 
@@ -61,7 +62,8 @@ def _lagrange_rows(o: int) -> tuple:
 
 # Offset o = start - i puts the nodes at o..o+4 in the bracket's y: -2 is
 # centred on the bracket [0, 1], and 0, -1 and -3 serve the table ends.
-_MONOMIAL_ROWS = {o: _lagrange_rows(o) for o in (0, -1, -2, -3)}
+# -2 comes first, so a batch of interior brackets tests one offset.
+_MONOMIAL_ROWS = {o: _lagrange_rows(o) for o in (-2, 0, -1, -3)}
 
 
 @dataclass(frozen=True)
@@ -347,9 +349,11 @@ def quantile(table: CdfTable, alpha):
     """alpha-quantile of the tabulated law: float in, float out; array in, array out.
 
     Levels must lie strictly inside the tabulated mass; each bracket is
-    found by binary search and refined by the degree-4 root solve, all
-    brackets in one vectorized pass (a single level through the one-level
-    solve, to the same bits).  Exact node hits return the node abscissa.
+    found by binary search and refined by the degree-4 root solve, the
+    levels in ascending blocks of one vectorized pass each (a single level
+    through the one-level solve, to the same bits).  Exact node hits return
+    the node abscissa.  A batch that fails in more than one way reports the
+    first failure of its lowest failing block.
     """
     a = np.asarray(alpha, dtype=float)
     if a.ndim == 0:
@@ -364,29 +368,38 @@ def quantile(table: CdfTable, alpha):
             f"[{F[0]:.3e}, {F[-1]:.8f}]"
         )
     # Solved in increasing order of level, so the bracket search and the node
-    # gathers walk the table in order; the quantiles return in input order.
+    # gathers walk the table in order, and in blocks of _BLOCK levels, so no
+    # temporary outgrows a block; the quantiles return in input order.
     order = np.argsort(levels)
-    levels = levels[order]
+    x = np.empty(levels.shape[0])
+    for s in range(0, order.shape[0], _BLOCK):
+        k = order[s : s + _BLOCK]
+        x[k] = g.x_min + _solve_levels(F, levels[k]) * g.dx
+    return x.reshape(a.shape)
+
+
+def _solve_levels(F: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """i + y for each of the ascending ``levels``: its bracket i and the
+    root y in [0, 1] there.  Raises BracketFailure at the lowest bracket
+    whose values do not straddle its level."""
     i = _bracket_index(F, levels)
     fi, fi1 = F[i], F[i + 1]
-    # Node hits sit at y = 0 (F_i) or y = 1 (F_i+1); interior brackets are
-    # solved below.
+    straddled = (fi < levels) & (levels < fi1)
+    if straddled.all():
+        return i + _solve_brackets(_quartics(F, i, levels))
+    # Node hits sit at y = 0 (F_i) or y = 1 (F_i+1); the other brackets
+    # must straddle their levels, and are solved below.
     interior = (fi != levels) & (fi1 != levels)
-    broken = interior & ~((fi < levels) & (levels < fi1))
+    broken = interior & ~straddled
     if broken.any():
         j = i[broken][0]
         raise BracketFailure(
             f"table not monotone at bracket {j}: F_i={F[j]!r}, F_i1={F[j + 1]!r}"
         )
-    if interior.all():
-        y = _solve_brackets(_quartics(F, i, levels))
-    else:
-        y = np.where(fi == levels, 0.0, 1.0)
-        k = np.flatnonzero(interior)
-        y[k] = _solve_brackets(_quartics(F, i[k], levels[k]))
-    x = np.empty(levels.shape[0])
-    x[order] = g.x_min + (i + y) * g.dx
-    return x.reshape(a.shape)
+    y = np.where(fi == levels, 0.0, 1.0)
+    k = np.flatnonzero(interior)
+    y[k] = _solve_brackets(_quartics(F, i[k], levels[k]))
+    return i + y
 
 
 def _quantile_one(table: CdfTable, level: float) -> float:

@@ -38,12 +38,15 @@ numpy.fft, so neither loads scipy) and read values between nodes with one
 local degree-4 stencil, Lagrange weights in product form with no BLAS
 call; a grid that stays fixed while the law changes (a likelihood plan)
 builds both once, and carries a gradient back through them by their
-transposes.  `frft`, the fractional
-FFT at any spacing, is public and tested but no table needs it.
+transposes.  The inversion's output phase belongs to the grid: built on
+the first inversion and kept with it, so a density and a CDF table on one
+grid share it.  Table reads take their points in blocks of `_BLOCK`, so a
+long array of points allocates no temporary longer than a block.  `frft`, the
+fractional FFT at any spacing, is public and tested but no table needs it.
 
 A slow adaptive-quadrature oracle (`direct_quadrature_oracle`) evaluates the
 one-sided forms of the same inversion integrals at a single point for
-verification; it shares no code with the FRFT path.
+verification; it shares no code with the tables' DFT inversion.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -93,6 +96,10 @@ _ALIAS_MASS = 1e-9
 # Ceiling on GridConfig.m: a table of 2**22 points is 32 MiB, and its
 # inversion holds a few complex arrays of about that length.
 _MAX_M = 2**22
+# Points per block of a table read or a quantile batch: each temporary of a
+# block is 32 KiB, small enough for the allocator to reuse instead of mapping
+# fresh pages for every array of a 20 000-point call.
+_BLOCK = 4096
 
 
 # --------------------------------------------------------------------------
@@ -219,6 +226,16 @@ class SpectralGrid:
     def freq_cutoff(self) -> float:
         """The top frequency node Xi."""
         return (0.5 * self.n_freq - 0.5) * (2.0 * math.pi / (self.n_fft * self.dx))
+
+    @cached_property
+    def _phase(self) -> np.ndarray:
+        """exp(-i pi j/n_fft)/pi at the m grid points j, the output phase of
+        every inversion on this grid (see `_Inversion`): built on first use,
+        read-only, and freed with the grid.  Not a field, so it takes no part
+        in equality or hashing."""
+        phase = np.exp((-1j * np.pi / self.n_fft) * np.arange(self.m)) / np.pi
+        phase.flags.writeable = False
+        return phase
 
 
 def _next_pow2(n: float) -> int:
@@ -446,8 +463,12 @@ def _stencil_weights(y: np.ndarray) -> np.ndarray:
     d1, d2, d3, d4 = y - 1.0, y - 2.0, y - 3.0, y - 4.0
     y01, d34 = y * d1, d3 * d4
     y012, d234 = y01 * d2, d2 * d34
-    return np.array((d1 * d234 / 24.0, y * d234 / -6.0, y01 * d34 / 4.0, y012 * d4 / -6.0,
-                     y012 * d3 / 24.0))
+    w = np.empty((5, *y.shape))
+    for row, a, b, den in ((0, d1, d234, 24.0), (1, y, d234, -6.0), (2, y01, d34, 4.0),
+                           (3, y012, d4, -6.0), (4, y012, d3, 24.0)):
+        np.multiply(a, b, out=w[row])
+        w[row] /= den
+    return w
 
 
 def _stencil_values(values: np.ndarray, start: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -467,16 +488,24 @@ def _stencil_pullback(start: np.ndarray, weights: np.ndarray, g: np.ndarray, m: 
 
 
 def _stencil_read(table, x):
-    """(scalar, points, reads): ``x`` as a 1-D array and the table's read
-    at each point clipped into the grid, where each table sets its own
-    values off the grid.  NaN raises NonFinite."""
+    """(scalar, points, reads): ``x`` as an array of at least one dimension
+    and the table's read at each point clipped into the grid, where each
+    table sets its own values off the grid.  The points are read in blocks
+    of ``_BLOCK``, so a long array allocates no temporary longer than a
+    block.  NaN raises NonFinite."""
     x = np.asarray(x, dtype=float)
     xq = np.atleast_1d(x)
     if np.isnan(xq).any():
         raise NonFinite("table argument is NaN")
-    # Clipped so infinite and far points index the grid without overflow.
-    start, y = _stencil_windows(table.grid, np.clip(xq, table.grid.x_min, table.grid.x_max))
-    return x.ndim == 0, xq, _stencil_values(table.values, start, _stencil_weights(y))
+    g = table.grid
+    points = xq.reshape(-1)
+    out = np.empty(xq.shape)
+    reads = out.reshape(-1)
+    for s in range(0, points.shape[0], _BLOCK):
+        # Clipped so infinite and far points index the grid without overflow.
+        start, y = _stencil_windows(g, np.clip(points[s : s + _BLOCK], g.x_min, g.x_max))
+        reads[s : s + _BLOCK] = _stencil_values(table.values, start, _stencil_weights(y))
+    return x.ndim == 0, xq, out
 
 
 @dataclass(frozen=True)
@@ -489,7 +518,7 @@ class DensityTable:
     def interpolate(self, x):
         """Locally degree-4 interpolated density; zero outside the grid, NonFinite on NaN."""
         scalar, xq, out = _stencil_read(self, x)
-        out = np.maximum(out, 0.0)
+        np.maximum(out, 0.0, out=out)
         out[(xq < self.grid.x_min) | (xq > self.grid.x_max)] = 0.0
         return float(out[0]) if scalar else out
 
@@ -511,7 +540,7 @@ class CdfTable:
         scalar, xq, out = _stencil_read(self, x)
         out[xq <= self.grid.x_min] = self.values[0]
         out[xq >= self.grid.x_max] = self.values[-1]
-        out = np.clip(out, 0.0, 1.0)
+        np.clip(out, 0.0, 1.0, out=out)
         return float(out[0]) if scalar else out
 
 
@@ -550,7 +579,7 @@ class _Inversion:
         self.weights = newton_cotes_weights(grid.n_freq)[half:] * dxi
         self.x_min = grid.x_min
         self._n = n
-        self._phase = np.exp((-1j * np.pi / n) * np.arange(grid.m)) / np.pi
+        self._phase = grid._phase
 
     def __call__(self, a: np.ndarray) -> np.ndarray:
         # np.resize repeats the DFT with period N out to the m grid points.

@@ -533,6 +533,16 @@ def test_public_log_likelihood_is_the_default_fits_value(sample, benchmark_sampl
     assert gt.log_likelihood(fit.params, data) == fit.loglik
 
 
+def test_public_log_likelihood_reads_a_fits_options(benchmark_sample):
+    # A fit at grid_m 1024 reports the value on its own plan, -7724.97021
+    # here; the read on the default options' plan gave -7725.03138.
+    options = FitOptions(grid_m=1024, compute_se=False)
+    fit = gt.fit_mle(benchmark_sample, options=options)
+    assert fit.converged
+    assert gt.log_likelihood(fit.params, benchmark_sample, options) == fit.loglik
+    assert gt.log_likelihood(fit.params, benchmark_sample) != fit.loglik
+
+
 def test_fit_reports_the_last_round_where_no_plan_fits_at_the_estimate(benchmark_sample):
     # With a budget of 5000 nodes the first round stops on a law whose own
     # grid needs more, so no plan can be frozen there: the fit stops

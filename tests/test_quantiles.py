@@ -21,7 +21,7 @@ from gts_tail.quantiles import (
     quartic_for_level,
     solve_quartic_unit,
 )
-from gts_tail.spectral import CdfTable, SpectralGrid
+from gts_tail.spectral import _BLOCK, CdfTable, SpectralGrid
 
 
 def _exact_lagrange_rows(o: int) -> list:
@@ -292,8 +292,12 @@ def test_array_quantile_equals_loop_reference(asset, btc_tables, eth_tables):
     j = int(np.searchsorted(F, 0.02))
     k = int(np.searchsorted(F, 0.98))
     tables = [cdf, _window(cdf, j, 64), _window(cdf, k - 63, 64)]
-    for table, n_random in zip(tables, (2000, 40, 40)):
-        levels = _probe_levels(table, n_random, seed=17)
+    cases = [(t, _probe_levels(t, n, seed=17)) for t, n in zip(tables, (2000, 40, 40))]
+    # More than two blocks of levels, shuffled, so the pass sorts them into
+    # blocks and scatters the quantiles back across the block edges.
+    many = np.random.default_rng(19).permutation(_probe_levels(cdf, 2 * _BLOCK + 300, seed=18))
+    assert many.size > 2 * _BLOCK
+    for table, levels in [*cases, (cdf, many)]:
         got = gt.quantile(table, levels)
         want = np.array([_loop_quantile(table, float(a)) for a in levels])
         assert got.shape == levels.shape
@@ -349,6 +353,16 @@ def test_array_with_one_broken_bracket_raises():
     table = _unit_table([0.1, 0.2, 0.3, 0.4, np.nan, 0.6, 0.7, 0.8, 0.9])
     with pytest.raises(BracketFailure, match="bracket 3"):
         gt.quantile(table, np.array([0.25, 0.45, 0.75]))
+    # Two broken brackets whose levels fall in different blocks: the lower
+    # one is named, as a one-block pass over all the levels names it.
+    # Sorted, bracket 9's levels (from F_9 up past the NaN at node 10) lie in
+    # the first block, and bracket 49's in the second.
+    F = np.linspace(0.01, 0.99, 64)
+    F[[10, 50]] = np.nan
+    levels = np.linspace(0.02, 0.98, 2 * _BLOCK + 17)
+    assert F[11] < levels[_BLOCK - 1] and levels[_BLOCK] < F[49]
+    with pytest.raises(BracketFailure, match="bracket 9:"):
+        gt.quantile(_unit_table(F), np.random.default_rng(3).permutation(levels))
 
 
 def test_array_quantile_routes_wiggly_bracket_through_warning():

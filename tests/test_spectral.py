@@ -14,6 +14,7 @@ import gts_tail as gt
 from gts_tail.core import PARAM_NAMES
 from gts_tail.errors import ConfigError, NonFinite, NumericalFailure
 from gts_tail.spectral import (
+    _BLOCK,
     GridConfig,
     _cdf_values,
     _fast_len_at_most,
@@ -300,6 +301,29 @@ def test_interpolate_rejects_nan_and_is_zero_off_the_grid(btc_tables):
         assert pdf.interpolate(math.inf) == 0.0
         ends = cdf.evaluate(far)
     assert ends.tolist() == [cdf.values[0]] * 2 + [cdf.values[-1]] * 2
+
+
+def test_reads_across_blocks_equal_one_point_reads(btc_tables):
+    # Three blocks and 17 points: infinities, far points, the grid ends and
+    # exact nodes on both sides of every block edge, among points drawn
+    # over the grid and past its ends.  No block may warn of a cast overflow.
+    pdf, cdf = btc_tables
+    grid = cdf.grid
+    rng = np.random.default_rng(6)
+    x = rng.uniform(grid.x_min - 1.0, grid.x_max + 1.0, 3 * _BLOCK + 17)
+    x[::89] = grid.x()[rng.integers(0, grid.m, x[::89].size)]
+    special = [-math.inf, math.inf, -1e300, 1e300, grid.x_min, grid.x_max, grid.x()[777]]
+    for edge in range(_BLOCK, x.size, _BLOCK):
+        x[edge - 3 : edge + 4] = rng.permutation(special)
+    x[:2], x[-2:] = special[:2], special[2:4]
+    bad = x.copy()
+    bad[-5] = math.nan
+    for read in (pdf.interpolate, cdf.evaluate):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(read(x), [read(float(v)) for v in x])
+        with pytest.raises(NonFinite):
+            read(bad)
 
 
 def test_cdf_deep_tail_matches_oracle(eth_params, eth_tables):
