@@ -20,7 +20,6 @@ from .core import (
     PARAM_NAMES,
     RestrictedKind,
     characteristic_exponent,
-    characteristic_function,
     cumulant,
     path_classification,
     read_params_file,
@@ -29,6 +28,7 @@ from .errors import NumericalError, ValidationError
 from .estimation import FitOptions, fit_mle
 from .qq import (
     GofReport,
+    _require_points,
     emit,
     gof_ad,
     gof_chi2,
@@ -96,7 +96,7 @@ def _cmd_eval_cf(args) -> int:
     rows = []
     for xi in args.xi:
         psi = characteristic_exponent(p, complex(xi))
-        cf = characteristic_function(p, complex(xi))
+        cf = complex(np.exp(psi))  # characteristic_function(p, xi), to the bit
         rows.append(
             f"{_fmt(xi)},{_fmt(psi.real)},{_fmt(psi.imag)},{_fmt(cf.real)},{_fmt(cf.imag)}\n"
         )
@@ -153,6 +153,8 @@ def _cmd_fit(args) -> int:
 
 def _cmd_qq(args) -> int:
     data = _read_returns(args.input)
+    # Before the reference's mean and sd, which warn on fewer than 2 points.
+    _require_points(data.n)
     if args.theoretical == "normal":
         mean = float(np.mean(data.values))
         sd = float(np.std(data.values, ddof=1))

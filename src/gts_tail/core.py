@@ -136,18 +136,25 @@ def characteristic_exponent(p: GTSParams, xi):
     """psi(xi) = log E[exp(i xi Y)].  Accepts scalars or arrays.
 
     psi(0) = 0 exactly and conj(psi(xi)) = psi(-xi).  Raises NonFinite
-    for a NaN or infinite xi.
+    for a NaN or infinite xi, or where psi overflows the float range.
     """
     xi = np.asarray(xi, dtype=complex)
     finite = np.isfinite(xi)
     if not finite.all():
         raise NonFinite(f"xi is not finite: {complex(xi[~finite][0])}")
-    out = 1j * p.mu * xi
-    for _, beta, lam, sign, k in _tempered_sides(p):
-        z = np.log1p((sign * 1j / lam) * xi)
-        series = beta * float(np.max(np.abs(z), initial=0.0)) < _SERIES_BZ
-        er, ei = _expm1_ratio(beta, z.real, z.imag, series)
-        out = out + k * (er + 1j * ei)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = 1j * p.mu * xi
+        for _, beta, lam, sign, k in _tempered_sides(p):
+            w = (sign * 1j / lam) * xi
+            z = np.log1p(w)
+            if not np.isfinite(w).all():
+                # Past |xi| ~ lam * 1.8e308, where w overflows: the same z, ratio-free.
+                z = np.where(np.isfinite(w), z, np.log(lam + (sign * 1j) * xi) - math.log(lam))
+            series = beta * float(np.max(np.abs(z), initial=0.0)) < _SERIES_BZ
+            er, ei = _expm1_ratio(beta, z.real, z.imag, series)
+            out = out + k * (er + 1j * ei)
+    if not np.isfinite(out).all():
+        raise NonFinite(f"psi is past the float range at xi = {complex(xi[~np.isfinite(out)][0])}")
     return out if out.ndim else complex(out)
 
 

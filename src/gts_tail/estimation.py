@@ -22,7 +22,7 @@ the kernel's closed-form partials, whatever the number of free
 coordinates.
 It evaluates a law only inside the two bounds its grid is valid for
 (truncation and aliasing), and returns a penalty outside them.  Each
-phase's evaluation, score and penalty counts and wall time go to the
+phase's score-evaluation and penalty counts and wall time go to the
 "gts_tail" logger as one debug event.
 
 The reported log-likelihood is the value on a plan frozen at the estimate.
@@ -62,7 +62,6 @@ from .returns_io import ReturnSeries
 from .spectral import (
     GridConfig,
     _bound_crossed,
-    _Inversion,
     _sized_grid,
     _stencil_pullback,
     _stencil_values,
@@ -341,16 +340,15 @@ class _LikelihoodPlan:
     FFT carries it back through the inversion, and the kernel's partials
     in closed form finish it.
 
-    ``objective(kind)`` is the negative log-likelihood in a kind's
-    transformed coordinates; with ``score=True`` it returns the value and
-    its gradient there.  It returns the 1e15 penalty (with a zero score)
-    for a law past a bound, or one whose evaluation raises.  The inverted
-    density is clamped at 0 instead of held to the public table invariants,
-    so mild truncation ripple (slowly decaying characteristic functions
-    near the restricted families) degrades the likelihood smoothly.
-    Evaluations, those of them that formed the score, and penalties by
-    cause are counted, and ``log`` reports them, with the wall time since
-    the plan was built, as one debug event on the "gts_tail" logger.
+    ``objective(kind)`` maps a kind's transformed coordinates to the
+    negative log-likelihood and its exact gradient (``neg_loglik`` is the
+    value alone), or to the 1e15 penalty and a zero score for a law past a
+    bound or one whose evaluation raises.  The inverted density is clamped
+    at 0 instead of held to the public table invariants, so mild truncation
+    ripple (slowly decaying characteristic functions near the restricted
+    families) degrades the likelihood smoothly.  Objective calls and
+    penalties by cause are counted, and ``log`` reports them, with the wall
+    time since the plan was built, as one debug event on the "gts_tail" logger.
     """
 
     def __init__(
@@ -359,14 +357,12 @@ class _LikelihoodPlan:
     ):
         self._started = time.perf_counter()
         self.evaluations = 0
-        self.score_evaluations = 0
         self.penalties = dict.fromkeys(("truncation", "aliasing", "error"), 0)
         self.grid = _sized_grid(p0, cfg, headroom, period)
         outside = obs[(obs < self.grid.x_min) | (obs > self.grid.x_max)]
         if outside.size:
             raise OutOfGrid(outside)
         self._freq_eps = cfg.freq_eps
-        self._pdf = _Inversion(self.grid)
         self._start, y = _stencil_windows(self.grid, obs)
         self._weights = _stencil_weights(y)
 
@@ -374,33 +370,26 @@ class _LikelihoodPlan:
         return _bound_crossed(self.grid, p, self._freq_eps)
 
     def neg_loglik(self, p: GTSParams) -> float:
-        return -_log_sum(_densities(np.maximum(self._pdf.pdf(p), 0.0), self._start, self._weights))
+        raw = self.grid._inversion.pdf(p)
+        return -_log_sum(_densities(np.maximum(raw, 0.0), self._start, self._weights))
 
-    def neg_loglik_and_score(self, p: GTSParams):
-        """(neg_loglik(p), its gradient in the seven natural fields)."""
-        raw, pullback = self._pdf.pdf_with_pullback(p)
-        value, grad = _neg_log_density_sum_and_grad(raw, self._start, self._weights)
-        return value, pullback(grad)
-
-    def objective(self, kind: RestrictedKind, score: bool = False):
+    def objective(self, kind: RestrictedKind):
         names = kind.free_names
 
         def neg(t):
             self.evaluations += 1
-            self.score_evaluations += score
             try:
                 free = _from_transformed(names, t)
                 p = kind.expand(free)
                 cause = self.penalty_cause(p)
                 if cause is None:
-                    if not score:
-                        return self.neg_loglik(p)
-                    value, by_field = self.neg_loglik_and_score(p)
-                    return value, _free_score(kind, by_field) * _jacobian_diag(names, free)
+                    raw, pullback = self.grid._inversion.pdf_with_pullback(p)
+                    value, grad = _neg_log_density_sum_and_grad(raw, self._start, self._weights)
+                    return value, _free_score(kind, pullback(grad)) * _jacobian_diag(names, free)
             except (GtsError, FloatingPointError, OverflowError, ValueError):
                 cause = "error"
             self.penalties[cause] += 1
-            return (_PENALTY, np.zeros(len(names))) if score else _PENALTY
+            return _PENALTY, np.zeros(len(names))
 
         return neg
 
@@ -411,14 +400,11 @@ class _LikelihoodPlan:
         g = self.grid
         plan = dict(n_freq=g.n_freq, xi=g.freq_cutoff, x_min=float(g.x_min), dx=float(g.dx))
         _log.debug(
-            "fit phase %s: %d evaluations (%d with the score) in %.3f s, penalties %s, "
-            "plan %s%s",
-            phase, self.evaluations, self.score_evaluations, seconds, self.penalties, plan,
+            "fit phase %s: %d score evaluations in %.3f s, penalties %s, plan %s%s",
+            phase, self.evaluations, seconds, self.penalties, plan,
             "".join(f", {k} {v}" for k, v in details.items()),
             extra=dict(fit_phase=phase, evaluations=self.evaluations,
-                       score_evaluations=self.score_evaluations,
-                       penalties=dict(self.penalties), plan=plan, seconds=seconds,
-                       **details),
+                       penalties=dict(self.penalties), plan=plan, seconds=seconds, **details),
         )
 
 
@@ -510,7 +496,7 @@ def fit_mle(
     plan, budget, stop = freeze(t, _FIRST_HEADROOM, _FIRST_PERIOD), options.maxfev, None
     for round_ in itertools.count(1):
         best = _polish(plan, kind, t, budget)
-        budget -= plan.score_evaluations
+        budget -= plan.evaluations
         touched = sum(plan.penalties.values()) > 0
         if best.success and not touched:
             # The round's plan was frozen where it started; the optimum of
@@ -571,7 +557,7 @@ def _polish(plan: _LikelihoodPlan, kind: RestrictedKind, t_start: np.ndarray, ma
     _BETA_SCALE for the indices) so that its first trial step is short; a u on
     a bound maps to that bound exactly.  The result's x is in t, its ``gain``
     the drop in value from t_start, and it keeps its scale and box."""
-    score = plan.objective(kind, score=True)
+    score = plan.objective(kind)
     beta = np.array([n.startswith("beta") for n in kind.free_names])
     scale = np.where(beta, _BETA_SCALE * _POLISH_SCALE, _POLISH_SCALE)
     lower, upper = np.where(beta, 0.0, -np.inf), np.where(beta, _BETA_MAX, np.inf)
@@ -595,7 +581,7 @@ def _polish(plan: _LikelihoodPlan, kind: RestrictedKind, t_start: np.ndarray, ma
 def _predicted_gain(plan: _LikelihoodPlan, kind: RestrictedKind, r) -> float:
     """The gain in nats, by one score call, of a Newton step from r.x on ``plan``
     with the inverse Hessian of the L-BFGS-B run r, off the box's bounds."""
-    value, grad = plan.objective(kind, score=True)(r.x)
+    value, grad = plan.objective(kind)(r.x)
     if value >= _PENALTY:
         return math.inf
     g, (lower, upper) = r.scale * grad, r.box
@@ -686,7 +672,7 @@ def _standard_errors(fit: FitResult, plan: _LikelihoodPlan):
     if on_bound:
         raise BoundaryEstimate(on_bound)
 
-    with_score = plan.objective(kind, score=True)
+    with_score = plan.objective(kind)
     walled = set()
 
     def score(s):

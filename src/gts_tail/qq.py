@@ -53,6 +53,11 @@ __all__ = [
 _MIN_POINTS = 20
 
 
+def _require_points(n: int) -> None:
+    if n < _MIN_POINTS:
+        raise TooShort(f"need >= {_MIN_POINTS} observations for a QQ plot, got {n}")
+
+
 # --------------------------------------------------------------------------
 # data containers
 # --------------------------------------------------------------------------
@@ -133,8 +138,7 @@ def qq_points(observed: ReturnSeries, ref_quantile, levels=None, reference: str 
     """
     x = np.sort(np.asarray(observed.values, dtype=float))
     n = x.shape[0]
-    if n < _MIN_POINTS:
-        raise TooShort(f"need >= {_MIN_POINTS} observations for a QQ plot, got {n}")
+    _require_points(n)
     if levels is None:
         p = hazen_levels(n)
         obs_q = x
@@ -393,8 +397,10 @@ def emit(data, fmt: str, path) -> None:
     """Render QQData (csv, svg) or a GofReport (csv, json) to a file.
 
     Output bytes are a pure function of the input values, so identical
-    inputs produce identical files.
+    inputs produce identical files.  A non-string format raises DomainError.
     """
+    if not isinstance(fmt, str):
+        raise DomainError(f"output format must be a string, got {fmt!r}")
     fmt = fmt.lower()
     if isinstance(data, QQData):
         if fmt == "csv":

@@ -38,9 +38,10 @@ numpy.fft, so neither loads scipy) and read values between nodes with one
 local degree-4 stencil, Lagrange weights in product form with no BLAS
 call; a grid that stays fixed while the law changes (a likelihood plan)
 builds both once, and carries a gradient back through them by their
-transposes.  The inversion's output phase belongs to the grid: built on
-the first inversion and kept with it, so a density and a CDF table on one
-grid share it.  Table reads take their points in blocks of `_BLOCK`, so a
+transposes.  The inversion belongs to its grid: its half-nodes, weights
+and output phase are built on the grid's first inversion and kept with it,
+so a density table, a CDF table and a likelihood plan on one grid share
+them.  Table reads take their points in blocks of `_BLOCK`, so a
 long array of points allocates no temporary longer than a block.  `frft`, the
 fractional FFT at any spacing, is public and tested but no table needs it.
 
@@ -146,17 +147,6 @@ _NC_ENDS = (
 )
 
 
-@lru_cache(maxsize=32)
-def _newton_cotes_cached(n: int) -> tuple:
-    if n < 8:
-        raise SizeError(f"need at least 8 quadrature nodes, got {n}")
-    w = np.ones(n)
-    w[:4] = _NC_ENDS
-    w[-4:] = _NC_ENDS[::-1]
-    w.setflags(write=False)
-    return (w,)
-
-
 def newton_cotes_weights(n: int) -> np.ndarray:
     """Closed Newton-Cotes weights of order 4 on n >= 8 nodes, palindromic.
 
@@ -167,7 +157,13 @@ def newton_cotes_weights(n: int) -> np.ndarray:
     on every even n (all frequency node counts are even); odd n gets the
     same end-corrected trapezoid rule.  Cubics integrate exactly.
     """
-    return _newton_cotes_cached(int(n))[0]
+    n = int(n)
+    if n < 8:
+        raise SizeError(f"need at least 8 quadrature nodes, got {n}")
+    w = np.ones(n)
+    w[:4] = _NC_ENDS
+    w[-4:] = _NC_ENDS[::-1]
+    return w
 
 
 # --------------------------------------------------------------------------
@@ -228,14 +224,12 @@ class SpectralGrid:
         return (0.5 * self.n_freq - 0.5) * (2.0 * math.pi / (self.n_fft * self.dx))
 
     @cached_property
-    def _phase(self) -> np.ndarray:
-        """exp(-i pi j/n_fft)/pi at the m grid points j, the output phase of
-        every inversion on this grid (see `_Inversion`): built on first use,
-        read-only, and freed with the grid.  Not a field, so it takes no part
-        in equality or hashing."""
-        phase = np.exp((-1j * np.pi / self.n_fft) * np.arange(self.m)) / np.pi
-        phase.flags.writeable = False
-        return phase
+    def _inversion(self) -> _Inversion:
+        """The inversion on this grid (see `_Inversion`): its half-nodes,
+        weights and output phase, built on first use, read-only, and freed
+        with the grid, so every table and likelihood plan on one grid shares
+        them.  Not a field, so it takes no part in equality or hashing."""
+        return _Inversion(self)
 
 
 def _next_pow2(n: float) -> int:
@@ -569,6 +563,7 @@ class _Inversion:
     length-N DFT of the inputs folded mod N, read at j mod N.  The
     half-node factor flips sign each time j passes a multiple of N.  So
     every inversion is one numpy.fft.fft, and its transpose another.
+    ``phase`` is exp(-i pi j/N)/pi at the m grid points; all three are read-only.
     """
 
     def __init__(self, grid: SpectralGrid):
@@ -577,22 +572,25 @@ class _Inversion:
         dxi = 2.0 * np.pi / (n * grid.dx)
         self.xi = dxi * (0.5 + np.arange(half))
         self.weights = newton_cotes_weights(grid.n_freq)[half:] * dxi
+        self.phase = np.exp((-1j * np.pi / n) * np.arange(grid.m)) / np.pi
+        for a in (self.xi, self.weights, self.phase):
+            a.flags.writeable = False
         self.x_min = grid.x_min
         self._n = n
-        self._phase = grid._phase
 
     def __call__(self, a: np.ndarray) -> np.ndarray:
         # np.resize repeats the DFT with period N out to the m grid points.
-        return (self._phase * np.resize(_dft(a, self._n), self._phase.shape[0])).real
+        return (self.phase * np.resize(_dft(a, self._n), self.phase.shape[0])).real
 
     def transpose(self, g: np.ndarray) -> np.ndarray:
         """u with sum(g * self(a)) = Re sum_k u_k a_k for every a, g real:
         the outputs folded mod N, one FFT (the DFT matrix is symmetric), and
         the result read at k mod N."""
-        return np.resize(_dft(g * self._phase, self._n), self.xi.shape[0])
+        return np.resize(_dft(g * self.phase, self._n), self.xi.shape[0])
 
     def pdf(self, p: GTSParams) -> np.ndarray:
-        """_pdf_values(p, grid): one _shifted_cf and one FFT."""
+        """Raw inverted density values, unclamped and unchecked: one
+        _shifted_cf and one FFT."""
         return self(_shifted_cf(p, self.xi, self.x_min) * self.weights)
 
     def pdf_with_pullback(self, p: GTSParams):
@@ -612,11 +610,6 @@ class _Inversion:
         return self(weighted), pullback
 
 
-def _pdf_values(p: GTSParams, grid: SpectralGrid) -> np.ndarray:
-    """Raw inverted density values, unclamped and unchecked."""
-    return _Inversion(grid).pdf(p)
-
-
 def pdf_table(p: GTSParams, grid: SpectralGrid) -> DensityTable:
     """Invert the characteristic function to density values on the grid.
 
@@ -624,7 +617,7 @@ def pdf_table(p: GTSParams, grid: SpectralGrid) -> DensityTable:
     (pre-clamp negative excursion beyond 1e-9, or trapezoid mass off 1 by
     more than 1e-6), both symptoms of a misconfigured grid.
     """
-    f = _pdf_values(p, grid)
+    f = grid._inversion.pdf(p)
 
     worst = f.min()
     if worst < -_NEG_DENSITY_HARD:
@@ -643,7 +636,7 @@ def pdf_table(p: GTSParams, grid: SpectralGrid) -> DensityTable:
 
 def _cdf_values(p: GTSParams, grid: SpectralGrid) -> np.ndarray:
     """Raw inverted distribution-function values, unclipped and unchecked."""
-    inv = _Inversion(grid)
+    inv = grid._inversion
     return 0.5 - inv(inv.weights * (_shifted_cf(p, inv.xi, grid.x_min) / (1j * inv.xi)))
 
 

@@ -272,7 +272,7 @@ def test_criterion_8_self_recovery(tables, recovery_fits):
     data, fit = recovery_fits[seed0]
     obs = np.asarray(data.values)
     plan = _fit_plan(fit.params, obs, FitOptions(), _HESSIAN_HEADROOM)
-    with_score = plan.objective(gt.RestrictedKind.FULL, score=True)
+    with_score = plan.objective(gt.RestrictedKind.FULL)
 
     def score(s):
         return with_score(s)[1]

@@ -252,6 +252,29 @@ def test_eval_cf_non_finite_frequency_exit_2(params_file, tmp_path, xi):
     assert not out.exists()
 
 
+def test_eval_cf_where_xi_over_lambda_overflows(params_file):
+    # The exponent's z = log(1 + i xi/lambda) is taken without the
+    # overflowing ratio, so the row is finite, not nan.
+    r = run_cli("eval-cf", "--params", params_file, "--xi", "1e308", "1.7976931348623157e308",
+                env_extra={"PYTHONWARNINGS": "error::RuntimeWarning"})
+    assert r.returncode == 0, r.stderr
+    rows = [line.split(",") for line in r.stdout.strip().splitlines()[1:]]
+    assert len(rows) == 2
+    assert all(np.isfinite(float(v)) for row in rows for v in row)
+    assert all(float(row[1]) < 0.0 for row in rows)
+
+
+@pytest.mark.parametrize(("body", "n"), [("", 0), ("0.5\n", 1)])
+def test_qq_on_too_few_points_prints_one_error_line(tmp_path, body, n):
+    # The length is checked before the normal reference's mean and sd, which
+    # warned on an empty or one-value sample.
+    path = tmp_path / "short.csv"
+    path.write_text("return\n" + body)
+    r = run_cli("qq", "--input", str(path))
+    assert r.returncode == 2
+    assert r.stderr.splitlines() == [f"error: need >= 20 observations for a QQ plot, got {n}"]
+
+
 def test_exit_code_io_error(params_file):
     r = run_cli("pdf", "--params", params_file, "--out", "/nonexistent-dir/x.csv")
     assert r.returncode == 4

@@ -137,6 +137,46 @@ def test_non_finite_frequency_rejected(btc_params, xi):
         gt.characteristic_function(btc_params, xi)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("asset", ["btc", "eth"])
+def test_psi_is_finite_where_xi_over_lambda_overflows(asset):
+    # xi/lambda overflows past |xi| ~ lambda * 1.8e308, psi does not: at
+    # 1e308 the modulus decays and the phase is about -mu xi.
+    p = gt.BITCOIN_DAILY.params if asset == "btc" else gt.ETHEREUM_DAILY.params
+    for xi in (1e308, -1e308, np.finfo(float).max):
+        psi = gt.characteristic_exponent(p, xi)
+        assert math.isfinite(psi.real) and math.isfinite(psi.imag) and psi.real < 0.0
+        assert psi.imag == pytest.approx(p.mu * xi, rel=1e-3)
+        assert gt.characteristic_function(p, xi) == complex(np.exp(psi))
+    # The array path agrees element by element, and its finite ratios keep
+    # their bits.
+    xs = np.array([1e308, 0.5, -1e308])
+    assert np.array_equal(gt.characteristic_exponent(p, xs),
+                          [gt.characteristic_exponent(p, x) for x in xs])
+
+
+@pytest.mark.parametrize(("asset", "re", "im"), [
+    ("btc", "-0x1.c071bdb705ad7p+270", "-0x1.4544e4597679cp+661"),
+    ("eth", "-0x1.007f373f19f48p+270", "-0x1.44ad85290122bp+663"),
+])
+def test_psi_far_out_keeps_its_bits(asset, re, im):
+    # psi at 1e200, where xi/lambda is finite, as log1p computed it before
+    # the overflow branch existed.
+    p = gt.BITCOIN_DAILY.params if asset == "btc" else gt.ETHEREUM_DAILY.params
+    psi = gt.characteristic_exponent(p, 1e200)
+    assert (psi.real, psi.imag) == (float.fromhex(re), float.fromhex(im))
+
+
+@pytest.mark.filterwarnings("error")
+def test_psi_past_the_float_range_raises(btc_params):
+    # i mu xi overflows at mu = 10, xi = 1e308: psi is not representable.
+    p = gt.validate_params(10.0, *btc_params.as_tuple()[1:])
+    with pytest.raises(NonFinite, match="float range"):
+        gt.characteristic_exponent(p, 1e308)
+    with pytest.raises(NonFinite, match="float range"):
+        gt.characteristic_exponent(p, [0.5, 1e308])
+
+
 # Laws for the real-arithmetic kernel: the two references, a bilateral-gamma
 # law (beta = 0 on both sides), and a strongly asymmetric law with a
 # beta = 0 upper side.
@@ -487,6 +527,14 @@ def test_params_file_to_a_stream_and_without_carriage_returns(tmp_path, btc_para
     data = path.read_bytes()
     assert b"\r" not in data
     assert data.decode("utf-8") == buf.getvalue()
+
+
+def test_params_file_with_a_byte_order_mark(tmp_path, btc_params):
+    # Spreadsheet exports start with U+FEFF.
+    path = tmp_path / "p.par"
+    gt.write_params_file(btc_params, path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert gt.read_params_file(path) == btc_params
 
 
 def test_params_file_comments_and_blanks(tmp_path):

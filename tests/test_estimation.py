@@ -47,7 +47,6 @@ from gts_tail.estimation import (
 from gts_tail.spectral import (
     GridConfig,
     _freq_cutoff,
-    _pdf_values,
     _stencil_weights,
     _stencil_windows,
     _tail_radius,
@@ -82,9 +81,14 @@ def _transformed_hessian(neg, t, step_rel):
     return H
 
 
+def _plan_value(plan, kind):
+    objective = plan.objective(kind)
+    return lambda t: objective(t)[0]
+
+
 def _plan_score(plan, kind):
-    with_score = plan.objective(kind, score=True)
-    return lambda t: with_score(t)[1]
+    objective = plan.objective(kind)
+    return lambda t: objective(t)[1]
 
 
 def _lagrange_reference(grid, values, obs):
@@ -387,14 +391,15 @@ def test_small_fit_recovers_scale(btc_params, btc_tables, caplog):
     # plan; the last says why the fit stopped.
     assert [r.round for r in rounds] == list(range(1, len(rounds) + 1))
     for r in rounds:
-        assert r.method == "L-BFGS-B" and r.evaluations == r.score_evaluations
+        assert r.method == "L-BFGS-B" and r.evaluations > 0
+        assert not hasattr(r, "score_evaluations")
         assert r.gain >= 0.0
     assert all(r.stop is None for r in rounds[:-1]) and rounds[-1].stop == "converged"
     # The last run's stop message, which says why a round did not converge.
     assert "CONVERGENCE" in rounds[-1].status
     assert sum(rounds[-1].penalties.values()) == 0
     # Central differences of the score: two calls per coordinate.
-    assert hessian.evaluations == hessian.score_evaluations == 14
+    assert hessian.evaluations == 14
     assert sum(hessian.penalties.values()) == 0
     # The first round's plan, frozen at the moment start with the most
     # room, and the Hessian's, frozen at the estimate.
@@ -427,7 +432,7 @@ def test_benchmark_fit_polishes_by_lbfgsb_alone(benchmark_sample, caplog):
     fit = gt.fit_mle(benchmark_sample, options=FitOptions(compute_se=False))
     rounds = [r for r in caplog.records if getattr(r, "fit_phase", None) == "polish"]
     assert [r.round for r in rounds] == [1, 2]
-    assert all(r.method == "L-BFGS-B" and r.evaluations == r.score_evaluations for r in rounds)
+    assert all(r.method == "L-BFGS-B" for r in rounds)
     assert rounds[0].penalties == {"truncation": 1, "aliasing": 0, "error": 0}
     assert rounds[0].stop is None
     assert rounds[1].stop == "converged" and sum(rounds[1].penalties.values()) == 0
@@ -505,7 +510,7 @@ def test_wall_sample_fit_reaches_the_optimum_of_a_plan_frozen_there(btc_seed_4_f
     data, fit, _ = btc_seed_4_fit
     plan = _fit_plan(fit.params, np.asarray(data.values), FitOptions(), _HEADROOM)
     t = _to_transformed(PARAM_NAMES, list(fit.params.as_tuple()))
-    start = plan.objective(gt.RestrictedKind.FULL)(t)
+    start = plan.objective(gt.RestrictedKind.FULL)(t)[0]
     again = _polish(plan, gt.RestrictedKind.FULL, t, FitOptions().maxfev)
     assert start - again.fun < 1e-4
 
@@ -609,7 +614,7 @@ def test_polish_rounds_beat_the_simplex_restarts():
     plan = _fit_plan(
         fit.params, np.asarray(data.values), replace(options, max_n_freq=2**20), _HEADROOM
     )
-    neg = plan.objective(gt.RestrictedKind.FULL)
+    neg = _plan_value(plan, gt.RestrictedKind.FULL)
     simplex = gt.validate_params(*_SIMPLEX_ESTIMATE)
     gain = neg(_to_transformed(PARAM_NAMES, list(simplex.as_tuple()))) - neg(
         _to_transformed(PARAM_NAMES, list(fit.params.as_tuple()))
@@ -789,7 +794,7 @@ def test_hessian_steps_agree_at_the_benchmark_optimum(benchmark_sample):
     H_half = _score_hessian(score, t, 5e-5)
     scale = np.max(np.abs(H))
     assert np.max(np.abs(H - H_half)) <= 1e-5 * scale
-    reference = _transformed_hessian(plan.objective(gt.RestrictedKind.FULL), t, 1e-4)
+    reference = _transformed_hessian(_plan_value(plan, gt.RestrictedKind.FULL), t, 1e-4)
     assert np.max(np.abs(H - reference)) <= 1e-6 * scale
     assert sum(plan.penalties.values()) == 0
 
@@ -827,7 +832,7 @@ def test_score_hessian_resolves_a_stability_index_near_zero(btc_tables):
     assert np.max(np.abs(H - H_half)) <= 1e-5 * np.max(np.abs(H))
     assert 500.0 < H[1, 1] < 2000.0
     assert abs(H[1, 1] - H_half[1, 1]) <= 0.01 * H[1, 1]
-    reference = _transformed_hessian(plan.objective(gt.RestrictedKind.FULL), t, 1e-4)
+    reference = _transformed_hessian(_plan_value(plan, gt.RestrictedKind.FULL), t, 1e-4)
     assert abs(H[1, 1] - reference[1, 1]) <= 1e-5 * H[1, 1]
     assert sum(plan.penalties.values()) == 0
 
@@ -835,7 +840,7 @@ def test_score_hessian_resolves_a_stability_index_near_zero(btc_tables):
 def _direct_neg_loglik(p, grid, obs):
     # The same frozen grid through the table path and a Lagrange fit on
     # each observation's window.
-    return -_reference_loglik(grid, np.maximum(_pdf_values(p, grid), 0.0), obs)
+    return -_reference_loglik(grid, np.maximum(grid._inversion.pdf(p), 0.0), obs)
 
 
 def _scaled(p, mu_shift=0.0, alpha_scale=1.0):
@@ -848,7 +853,7 @@ def _scaled(p, mu_shift=0.0, alpha_scale=1.0):
 def test_plan_objective_matches_direct_inversion(btc_params, btc_sample_5k):
     obs = np.asarray(btc_sample_5k.values)
     plan = _fit_plan(btc_params, obs, FitOptions(), _HEADROOM)
-    neg = plan.objective(gt.RestrictedKind.FULL)
+    neg = _plan_value(plan, gt.RestrictedKind.FULL)
     t0 = _to_transformed(PARAM_NAMES, list(btc_params.as_tuple()))
     rng = np.random.default_rng(9)
     for t in [t0] + [t0 + rng.normal(0.0, 0.05, t0.size) for _ in range(5)]:
@@ -862,7 +867,7 @@ def test_plan_objective_matches_direct_inversion(btc_params, btc_sample_5k):
 def test_plan_penalizes_exactly_past_each_bound(btc_params, btc_sample_5k):
     plan = _fit_plan(btc_params, np.asarray(btc_sample_5k.values), FitOptions(), _HEADROOM)
     g = plan.grid
-    neg = plan.objective(gt.RestrictedKind.FULL)
+    neg = _plan_value(plan, gt.RestrictedKind.FULL)
 
     def value(p):
         return neg(_to_transformed(PARAM_NAMES, list(p.as_tuple())))
@@ -887,6 +892,8 @@ def test_plan_penalizes_exactly_past_each_bound(btc_params, btc_sample_5k):
     assert plan.penalty_cause(inside) is None and value(inside) < 1e15
     assert plan.penalty_cause(past) == "aliasing" and value(past) == 1e15
     assert plan.penalties == {"truncation": 1, "aliasing": 1, "error": 0}
+    # Every objective call counts, the penalized ones too.
+    assert plan.evaluations == 4
 
 
 # Laws for the score check, each with the kind it is fitted as: the two
@@ -913,19 +920,19 @@ def test_score_matches_central_differences(law):
     cdf = gt.cdf_table(p, gt.build_grid(p, GridConfig(m=2**12)))
     obs = np.asarray(gt.sample(cdf, 1000, seed=6).values)
     plan = _fit_plan(p, obs, FitOptions(), _HEADROOM)
-    neg = plan.objective(kind)
-    with_score = plan.objective(kind, score=True)
+    objective = plan.objective(kind)
+    neg = _plan_value(plan, kind)
     # A point off the generating law, where the score is far from 0.
     t0 = _to_transformed(kind.free_names, kind.reduce(p))
     t = t0 + np.random.default_rng(2).normal(0.0, 0.03, t0.size)
-    value, score = with_score(t)
+    value, score = objective(t)
     assert value == neg(t) < 1e15
     step = 1e-5
     fd = np.array([(neg(t + e) - neg(t - e)) / (2 * step) for e in step * np.eye(t.size)])
     assert np.max(np.abs(score - fd)) <= 1e-6 * np.max(np.abs(score))
     assert np.min(np.abs(score)) > 1e-3 * np.max(np.abs(score))
     assert sum(plan.penalties.values()) == 0
-    assert plan.score_evaluations == 1 and plan.evaluations == 2 + 2 * t.size
+    assert plan.evaluations == 2 + 2 * t.size
 
 
 _SCORE_SCRIPT = """
@@ -937,7 +944,7 @@ cdf = gt.cdf_table(p, gt.build_grid(p, gt.GridConfig(m=2**12)))
 obs = np.asarray(gt.sample(cdf, 600, seed=1).values)
 plan = _fit_plan(p, obs, FitOptions(), _HEADROOM)
 t = _to_transformed(PARAM_NAMES, list(p.as_tuple())) + 0.01
-print([float(v).hex() for v in plan.objective(gt.RestrictedKind.FULL, score=True)(t)[1]])
+print([float(v).hex() for v in plan.objective(gt.RestrictedKind.FULL)(t)[1]])
 """
 
 
@@ -957,12 +964,12 @@ def test_score_is_independent_of_the_thread_count():
 
 def test_penalized_score_is_zero(btc_params, btc_sample_5k):
     plan = _fit_plan(btc_params, np.asarray(btc_sample_5k.values), FitOptions(), _HEADROOM)
-    with_score = plan.objective(gt.RestrictedKind.FULL, score=True)
+    with_score = plan.objective(gt.RestrictedKind.FULL)
     # Intensities a thousandth of the estimate's: |cf| stays above 1e-8 at the cutoff.
     p = _scaled(btc_params, alpha_scale=1e-3)
     value, score = with_score(_to_transformed(PARAM_NAMES, list(p.as_tuple())))
     assert value == 1e15 and np.array_equal(score, np.zeros(7))
-    assert plan.penalties["truncation"] == 1 and plan.score_evaluations == 1
+    assert plan.penalties["truncation"] == 1 and plan.evaluations == 1
 
 
 def test_plan_value_is_continuous_at_a_stability_index_of_zero():

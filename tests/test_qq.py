@@ -303,3 +303,11 @@ def test_emit_rejects_unknown_format(tmp_path):
     q = _qq_from_arrays(np.array([0.5]), np.array([0.0]), np.array([0.0]))
     with pytest.raises(DomainError):
         gt.emit(q, "png", tmp_path / "x.png")
+
+
+@pytest.mark.parametrize("fmt", [None, 3])
+def test_emit_rejects_a_format_that_is_not_a_string(tmp_path, fmt):
+    q = _qq_from_arrays(np.array([0.5]), np.array([0.0]), np.array([0.0]))
+    with pytest.raises(DomainError, match="must be a string"):
+        gt.emit(q, fmt, tmp_path / "x.csv")
+    assert not (tmp_path / "x.csv").exists()

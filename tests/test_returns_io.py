@@ -129,6 +129,21 @@ def test_returns_csv_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(back.values, r.values)
 
 
+def test_returns_csv_with_a_byte_order_mark(tmp_path):
+    # Spreadsheet exports start with U+FEFF.
+    path = tmp_path / "r.csv"
+    path.write_bytes(b"\xef\xbb\xbfreturn\n1.5\n-2.25\n")
+    assert list(gt.load_returns_csv(path).values) == [1.5, -2.25]
+
+
+def test_price_csv_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_bytes(b"\xef\xbb\xbfdate,price\n2020-01-01,100\n2020-01-02,110\n")
+    p = gt.load_price_csv(path)
+    assert [d.isoformat() for d in p.dates] == ["2020-01-01", "2020-01-02"]
+    assert list(p.prices) == [100.0, 110.0]
+
+
 def test_returns_csv_header_checked(tmp_path):
     path = tmp_path / "r.csv"
     path.write_text("nope\n1.0\n")

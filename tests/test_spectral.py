@@ -11,18 +11,18 @@ from scipy.special import ndtr
 from scipy.stats import gamma as gamma_dist
 
 import gts_tail as gt
+from gts_tail import spectral
 from gts_tail.core import PARAM_NAMES
 from gts_tail.errors import ConfigError, NonFinite, NumericalFailure
+from gts_tail.estimation import _LikelihoodPlan, _to_transformed
 from gts_tail.spectral import (
     _BLOCK,
     GridConfig,
     _cdf_values,
     _fast_len_at_most,
     _freq_cutoff,
-    _Inversion,
     _next_fast_len,
     _nodes_reaching,
-    _pdf_values,
     _stencil_pullback,
     _stencil_values,
     _stencil_weights,
@@ -150,7 +150,48 @@ def test_grid_cutoff_is_the_top_node_of_its_aligned_step(btc_params):
     moved = replace(grid, n_freq=2 * grid.n_freq)
     dxi = 2.0 * math.pi / (grid.n_fft * grid.dx)
     assert moved.freq_cutoff == (moved.n_freq / 2 - 0.5) * dxi
-    assert np.array_equal(_Inversion(moved).xi, dxi * (0.5 + np.arange(grid.n_freq)))
+    assert np.array_equal(moved._inversion.xi, dxi * (0.5 + np.arange(grid.n_freq)))
+
+
+def test_tables_and_a_plan_on_one_grid_share_its_inversion(btc_params, monkeypatch):
+    # The grid builds its inversion once; a density table, a CDF table and a
+    # likelihood plan on it all run that one object.
+    built, ran = [], []
+    init, call = spectral._Inversion.__init__, spectral._Inversion.__call__
+
+    def counted_init(self, grid):
+        built.append(self)
+        init(self, grid)
+
+    def counted_call(self, a):
+        ran.append(self)
+        return call(self, a)
+
+    monkeypatch.setattr(spectral._Inversion, "__init__", counted_init)
+    monkeypatch.setattr(spectral._Inversion, "__call__", counted_call)
+    k1 = gt.cumulant(btc_params, 1)
+    plan = _LikelihoodPlan(btc_params, np.array([k1 - 2.0, k1, k1 + 3.0]), GridConfig(m=2**12))
+    g = plan.grid
+    gt.pdf_table(btc_params, g)
+    gt.cdf_table(btc_params, g)
+    plan.neg_loglik(btc_params)
+    plan.objective(gt.RestrictedKind.FULL)(_to_transformed(PARAM_NAMES, btc_params.as_tuple()))
+    assert len(built) == 1 and built[0] is g._inversion
+    assert len(ran) == 4 and all(inv is g._inversion for inv in ran)
+    inv = g._inversion
+    assert not any(a.flags.writeable for a in (inv.xi, inv.weights, inv.phase))
+
+
+def test_grid_equality_and_hash_ignore_its_inversion(btc_params):
+    # Two grids built apart for one law are equal, and hash equal, before
+    # and after either builds its inversion, which each keeps for itself.
+    a, b = gt.build_grid(btc_params), gt.build_grid(btc_params)
+    assert a is not b and a == b and hash(a) == hash(b)
+    inv = a._inversion
+    assert a == b and hash(a) == hash(b)
+    assert b._inversion is not inv and a._inversion is inv
+    assert a == b and hash(a) == hash(b)
+    assert np.array_equal(inv.phase, b._inversion.phase)
 
 
 def _with_period(grid, n_fft):
@@ -462,7 +503,7 @@ def test_half_spectrum_matches_direct_sum(law, n_freq):
     p = gt.BITCOIN_DAILY.params if law == "btc" else gt.validate_params(*_ASYM)
     grid = _with_nodes(gt.build_grid(p, GridConfig(m=256)), n_freq)
     pdf, cdf = _direct_sums(p, grid)
-    assert np.max(np.abs(_pdf_values(p, grid) - pdf)) <= 1e-12
+    assert np.max(np.abs(grid._inversion.pdf(p) - pdf)) <= 1e-12
     assert np.max(np.abs(_cdf_values(p, grid) - cdf)) <= 1e-12
 
 
@@ -478,7 +519,7 @@ def test_tables_match_direct_sum(n_freq):
 def _normal_reference_cdf(p, grid):
     """The CDF sum with the pole removed by the moment-matched normal law
     instead: Phi((x - k1)/sqrt(k2)) minus the inversion of (cf - cf_ref)/(i xi)."""
-    inv = _Inversion(grid)
+    inv = grid._inversion
     xi = inv.xi
     k1, k2 = gt.cumulant(p, 1), gt.cumulant(p, 2)
     ref = np.exp(-0.5 * k2 * xi * xi + 1j * (k1 - grid.x_min) * xi)
@@ -536,7 +577,7 @@ def test_aligned_inversion_matches_direct_sum(regime):
     n_fft, m, half = grid.n_fft, grid.m, grid.n_freq // 2
     assert {"n_fft>=m": n_fft >= m, "n_fft<m": n_fft < m, "folded": half > n_fft}[regime]
     pdf, cdf = _direct_sums(p, grid)
-    assert np.max(np.abs(_pdf_values(p, grid) - pdf)) <= 1e-12
+    assert np.max(np.abs(grid._inversion.pdf(p) - pdf)) <= 1e-12
     assert np.max(np.abs(_cdf_values(p, grid) - cdf)) <= 1e-12
 
 
@@ -545,7 +586,7 @@ def test_inversion_transpose_is_its_adjoint(regime):
     # <A a, g> = <a, A^T g> for complex inputs a and real outputs g, with
     # <a, u> = Re sum(a * u) on the input side.
     _, grid = _regime_grid(regime)
-    inv = _Inversion(grid)
+    inv = grid._inversion
     rng = np.random.default_rng(17)
     for _ in range(3):
         a = rng.normal(size=inv.xi.size) + 1j * rng.normal(size=inv.xi.size)
@@ -562,7 +603,7 @@ def test_inversion_pullback_matches_central_differences(regime):
     # upper stability index moved off its limit 0.
     p, grid = _regime_grid(regime)
     p = replace(p, beta_plus=0.3)
-    inv = _Inversion(grid)
+    inv = grid._inversion
     g = np.random.default_rng(5).normal(size=grid.m)
     values, pullback = inv.pdf_with_pullback(p)
     assert np.array_equal(values, inv.pdf(p))
