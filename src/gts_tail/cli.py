@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -211,6 +212,13 @@ def _cmd_classify(args) -> int:
 # parser
 # --------------------------------------------------------------------------
 
+# argparse reads an argument as a negative number, not an option, by its
+# parser's private _negative_number_matcher.  Python 3.11's default,
+# ^-\d+$|^-\d*\.\d+$, knows no exponent, so "--xi 0.5 -1e-3" failed; where
+# a later Python's default takes exponents, this pattern changes nothing.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="gts-tail",
@@ -220,6 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval-cf", help="evaluate the characteristic exponent/function")
+    p._negative_number_matcher = _NEGATIVE_NUMBER
     p.add_argument("--params", required=True)
     p.add_argument("--xi", type=float, nargs="+", required=True)
     p.add_argument("--out", default="-")

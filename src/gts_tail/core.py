@@ -233,16 +233,36 @@ def _shifted_cf(p: GTSParams, xi: np.ndarray, shift: float) -> np.ndarray:
     return _shifted_cf_pullback(p, xi, shift)[0]
 
 
-def _shifted_cf_pullback(p: GTSParams, xi: np.ndarray, shift: float):
+def _kernel_arrays(n: int):
+    """The arrays one _shifted_cf_pullback call on n nodes writes, for a
+    caller that evaluates many laws on the same nodes: per side zr, zi and
+    E's parts, then Re psi, Im psi, two scratch arrays, and cf."""
+    return (
+        tuple(tuple(np.empty(n) for _ in range(4)) for _ in range(2)),
+        tuple(np.empty(n) for _ in range(4)),
+        np.empty(n, dtype=complex),
+    )
+
+
+_NO_ARRAYS = (((None,) * 4,) * 2, (None,) * 4, None)
+
+
+def _shifted_cf_pullback(p: GTSParams, xi: np.ndarray, shift: float, arrays=None):
     """(cf, pullback): _shifted_cf(p, xi, shift), and the map from complex
     weights w to Re sum_k w_k dpsi(xi_k)/d field for each field of
     PARAM_NAMES.
 
     Each side is psi_side = k*E (_tempered_sides), with z = log(b/lam) =
     0.5*log1p(r**2) + sign*i*atan(r) at r = xi/lam, so psi costs real
-    log1p/atan/expm1/cos/sin instead of complex powers, for every beta,
-    0 included.  The result is one real exp of Re psi times the unit
-    phasor of Im psi - shift*xi.
+    log1p/atan/expm1/tan instead of complex powers, for every beta, 0
+    included.  With x = beta*zr and y = beta*zi, _expm1_ratio's closed form
+    reads
+
+        beta*E = expm1(x) - exp(x)*(1 - cos(y)) + i*exp(x)*sin(y),
+
+    with sin(y) and 1 - cos(y) from one tan(y/2) (_half_angle).  The result
+    is one real exp of Re psi times the unit phasor of Im psi - shift*xi,
+    from the same half-angle tan.
 
     The partials come from the kernel's own pieces.  Per side, with
     k = -alpha*Gamma(1 - beta)*lam**beta and exp(beta*z) = 1 + beta*E:
@@ -256,21 +276,51 @@ def _shifted_cf_pullback(p: GTSParams, xi: np.ndarray, shift: float):
     weighted sum is a few real dot products over the pieces the kernel
     keeps.  At beta = 0, dE/dbeta = z**2/2 and the beta partial is
     -alpha*(log(b)**2/2 - log(lam)**2/2 + euler_gamma*(log(b) - log(lam))).
+
+    Each step writes into the matching array of ``arrays``
+    (_kernel_arrays(len(xi))), so a call overwrites the previous call's cf,
+    and a pullback reads and overwrites the arrays of the latest call.
+    Without them each step allocates its array as it goes, and the
+    temporaries die with the call.
     """
-    re = np.zeros_like(xi)
-    im = p.mu * xi
+    side_arrays, (re, im, s, u), cf = arrays or _NO_ARRAYS
+    re = np.empty_like(xi) if re is None else re
+    re.fill(0.0)
+    im = np.multiply(xi, p.mu, out=im)
     sides = []
-    for alpha, beta, lam, sign, k in _tempered_sides(p):
+    for (alpha, beta, lam, sign, k), (zr, zi, er, ei) in zip(_tempered_sides(p), side_arrays):
         # zr + i*zi is z for sign = +1; the side's z is zr + i*sign*zi, and
         # E and its partial carry the same sign on their imaginary parts.
-        r = xi / lam
-        zr, zi = 0.5 * np.log1p(r * r), np.arctan(r)
+        r = np.divide(xi, lam, out=ei)
+        zi = np.arctan(r, out=zi)
+        zr = np.multiply(r, r, out=zr)
+        np.log1p(zr, out=zr)
+        zr *= 0.5
         series = beta * (float(np.max(zr)) + 0.5 * math.pi) < _SERIES_BZ
-        er, ei = _expm1_ratio(beta, zr, zi, series)
-        re += k * er
-        im += (sign * k) * ei
+        if series:
+            er, ei = _z_times_series(_RATIO_SERIES, beta, zr, zi)
+        else:
+            # beta*E = expm1(x) - exp(x)*(1 - cos y) + i*exp(x)*sin y, with
+            # exp(x) written over tan(y/2) once _half_angle is done with it.
+            er = np.multiply(zr, beta, out=er)
+            np.expm1(er, out=er)
+            ei = np.multiply(zi, 0.5 * beta, out=r)
+            s, u = _half_angle(ei, s, u)
+            np.add(er, 1.0, out=ei)
+            er -= np.multiply(s, ei, out=s)
+            np.multiply(u, ei, out=ei)
+            er /= beta
+            ei /= beta
+        re += np.multiply(er, k, out=s)
+        im += np.multiply(ei, sign * k, out=s)
         sides.append((alpha, beta, lam, sign, k, zr, zi, er, ei, series))
-    cf = _polar(re, im - shift * xi)
+    im -= np.multiply(xi, shift, out=s)
+    # cf = modulus*(1 - (1 - cos y)) + i*modulus*sin y at y = im.
+    s, u = _half_angle(np.multiply(im, 0.5, out=im), s, u)
+    modulus = np.exp(re, out=re)
+    cf = np.empty(xi.shape, dtype=complex) if cf is None else cf
+    np.multiply(modulus, u, out=cf.imag)
+    np.subtract(modulus, np.multiply(modulus, s, out=s), out=cf.real)
 
     def pullback(w: np.ndarray) -> np.ndarray:
         # Imported on the first score, so that importing gts_tail loads no scipy.
@@ -284,9 +334,16 @@ def _shifted_cf_pullback(p: GTSParams, xi: np.ndarray, shift: float):
             by_e = _dot(er, wr) - sign * _dot(ei, wi)
             # Re(w/b) = (lam wr + sign xi wi)/|b|**2, Im(w/b) = (lam wi - sign xi wr)/|b|**2,
             # and Re(w exp(beta z)/b) = Re(w/b) + beta Re(w E/b).
-            square = lam * lam + xi * xi
-            over_re = (lam * wr + sign * (xi * wi)) / square
-            over_im = (lam * wi - sign * (xi * wr)) / square
+            square = np.multiply(xi, xi, out=s)
+            square += lam * lam
+            over_re = np.multiply(xi, wi, out=re)
+            over_re *= sign
+            over_re += np.multiply(wr, lam, out=u)
+            over_re /= square
+            over_im = np.multiply(xi, wr, out=im)
+            over_im *= -sign
+            over_im += np.multiply(wi, lam, out=u)
+            over_im /= square
             over = over_re.sum() + beta * (_dot(er, over_re) - sign * _dot(ei, over_im))
             out[3 + j] = k * by_e / alpha
             out[5 + j] = k * (over - total / lam)
@@ -299,6 +356,22 @@ def _shifted_cf_pullback(p: GTSParams, xi: np.ndarray, shift: float):
     return cf, pullback
 
 
+def _half_angle(t: np.ndarray, s, u):
+    """(1 - cos(y), sin(y)) elementwise, given half angles y/2 in ``t``,
+    which is left holding tan(y/2): sin(y) = 2t/(1 + t**2) and
+    1 - cos(y) = t*sin(y), where nothing cancels.  They are written into
+    ``s`` and ``u``, or new arrays where these are None.  On x86-64 with
+    AVX-512, numpy's float64 tan is vectorized while its cos and sin are
+    scalar libm calls, so one tan costs a fraction of the cos/sin pair it
+    replaces."""
+    np.tan(t, out=t)
+    u = np.multiply(t, t, out=u)
+    u += 1.0
+    np.divide(t, u, out=u)
+    u += u
+    return np.multiply(t, u, out=s), u
+
+
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """sum(a * b) by numpy's own loop: a BLAS dot splits the sum across
     threads, so its rounding would follow the thread count."""
@@ -308,15 +381,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 def _dot3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
     """sum(a * b * c) in one pass, by numpy's own loop like _dot."""
     return float(np.einsum("i,i,i->", a, b, c))
-
-
-def _polar(log_modulus: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """exp(log_modulus + i*phase) from one real exp and one cos/sin pair."""
-    modulus = np.exp(log_modulus)
-    out = np.empty(phase.shape, dtype=complex)
-    out.real = modulus * np.cos(phase)
-    out.imag = modulus * np.sin(phase)
-    return out
 
 
 def _log_modulus(p: GTSParams):

@@ -269,18 +269,20 @@ def _log_sum(dens: np.ndarray) -> float:
     return float(np.sum(np.log(np.maximum(dens, _DENSITY_FLOOR))))
 
 
-def _neg_log_density_sum_and_grad(raw: np.ndarray, start: np.ndarray, weights: np.ndarray):
-    """(-_log_sum(_densities(max(raw, 0), start, weights)), and its
-    gradient in the raw node values).
+def _neg_log_density_sum_and_grad(raw: np.ndarray, index: np.ndarray, weights: np.ndarray,
+                                  block: np.ndarray):
+    """(-_log_sum(_densities(max(raw, 0), start, weights)), and its gradient
+    in the raw node values), given each point's window index = start +
+    arange(5), one row per node; ``block``, shaped like the weights, is
+    overwritten.
 
     The gradient passes the clamps at 0 where a node or a density is
     positive, and the floor where a density is above it; elsewhere it is 0.
     """
-    values = np.maximum(raw, 0.0)
-    dens = _densities(values, start, weights)
+    dens = _densities(np.maximum(raw, 0.0), index[0], weights)
     kept = dens > _DENSITY_FLOOR
     g = np.divide(-1.0, dens, out=np.zeros_like(dens), where=kept)
-    grad = _stencil_pullback(start, weights, g, raw.shape[0])
+    grad = _stencil_pullback(index, np.multiply(weights, g, out=block), raw.shape[0])
     return -_log_sum(dens), np.where(raw > 0.0, grad, 0.0)
 
 
@@ -346,7 +348,10 @@ class _LikelihoodPlan:
     bound or one whose evaluation raises.  The inverted density is clamped
     at 0 instead of held to the public table invariants, so mild truncation
     ripple (slowly decaying characteristic functions near the restricted
-    families) degrades the likelihood smoothly.  Objective calls and
+    families) degrades the likelihood smoothly.  Each objective evaluates
+    into arrays it allocates once (its ``pdf_evaluator``'s and a (5, n_obs)
+    block for the stencil's adjoint), which two objectives of one plan
+    never share.  Objective calls and
     penalties by cause are counted, and ``log`` reports them, with the wall
     time since the plan was built, as one debug event on the "gts_tail" logger.
     """
@@ -363,7 +368,8 @@ class _LikelihoodPlan:
         if outside.size:
             raise OutOfGrid(outside)
         self._freq_eps = cfg.freq_eps
-        self._start, y = _stencil_windows(self.grid, obs)
+        start, y = _stencil_windows(self.grid, obs)
+        self._index = start + np.arange(5)[:, None]
         self._weights = _stencil_weights(y)
 
     def penalty_cause(self, p: GTSParams) -> str | None:
@@ -371,10 +377,12 @@ class _LikelihoodPlan:
 
     def neg_loglik(self, p: GTSParams) -> float:
         raw = self.grid._inversion.pdf(p)
-        return -_log_sum(_densities(np.maximum(raw, 0.0), self._start, self._weights))
+        return -_log_sum(_densities(np.maximum(raw, 0.0), self._index[0], self._weights))
 
     def objective(self, kind: RestrictedKind):
         names = kind.free_names
+        evaluate = self.grid._inversion.pdf_evaluator()
+        block = np.empty_like(self._weights)
 
         def neg(t):
             self.evaluations += 1
@@ -383,8 +391,8 @@ class _LikelihoodPlan:
                 p = kind.expand(free)
                 cause = self.penalty_cause(p)
                 if cause is None:
-                    raw, pullback = self.grid._inversion.pdf_with_pullback(p)
-                    value, grad = _neg_log_density_sum_and_grad(raw, self._start, self._weights)
+                    raw, pullback = evaluate(p)
+                    value, grad = _neg_log_density_sum_and_grad(raw, self._index, self._weights, block)
                     return value, _free_score(kind, pullback(grad)) * _jacobian_diag(names, free)
             except (GtsError, FloatingPointError, OverflowError, ValueError):
                 cause = "error"

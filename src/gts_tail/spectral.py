@@ -31,8 +31,9 @@ that keeps the density's aliases off the grid, and n is the fewest even
 nodes whose top one reaches the cutoff; neither need reach m.  One rule,
 `_sized_grid`, sizes the tables' grids and a fit's likelihood plans.  The
 samples cf(xi) exp(-i x_min xi) come from a real-arithmetic kernel that
-folds the grid phase into the characteristic function's own cos/sin pair;
-the public complex exponent stays the reference it is tested against.
+folds the grid phase into the characteristic function's own phasor, each
+angle from one half-angle tan; the public complex exponent stays the
+reference it is tested against.
 Tables and the likelihood share one inversion (`_Inversion`, on
 numpy.fft, so neither loads scipy) and read values between nodes with one
 local degree-4 stencil, Lagrange weights in product form with no BLAS
@@ -65,6 +66,7 @@ from .core import (
     GTSParams,
     _log_modulus,
     _mgf_exponent_values,
+    _kernel_arrays,
     _shifted_cf,
     _shifted_cf_pullback,
     characteristic_function,
@@ -474,11 +476,13 @@ def _stencil_values(values: np.ndarray, start: np.ndarray, weights: np.ndarray) 
     return out
 
 
-def _stencil_pullback(start: np.ndarray, weights: np.ndarray, g: np.ndarray, m: int) -> np.ndarray:
+def _stencil_pullback(index: np.ndarray, weighted: np.ndarray, m: int) -> np.ndarray:
     """The gradient in the m node values of sum(g * _stencil_values(values,
-    start, weights)): the read is linear in the values, so its adjoint adds
-    each point's weights, times g, onto its window."""
-    return np.bincount((start + np.arange(5)[:, None]).ravel(), (weights * g).ravel(), m)
+    start, weights)), given each point's window index = start + arange(5)
+    (one row per node) and weighted = weights * g: the read is linear in
+    the values, so its adjoint adds each point's weights, times g, onto its
+    window."""
+    return np.bincount(index.ravel(), weighted.ravel(), m)
 
 
 def _stencil_read(table, x):
@@ -538,12 +542,18 @@ class CdfTable:
         return float(out[0]) if scalar else out
 
 
-def _dft(a: np.ndarray, n: int) -> np.ndarray:
+def _dft(a: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """sum_k a_k exp(-2 pi i r k/n) for r = 0..n-1: one length-n FFT of
-    ``a`` zero-padded to n, or folded mod n when longer."""
+    ``a`` zero-padded to n, or folded mod n when longer, into ``out`` if given."""
     if a.shape[0] > n:
         a = np.pad(a, (0, -a.shape[0] % n)).reshape(-1, n).sum(axis=0)
-    return np.fft.fft(a, n)
+    return np.fft.fft(a, n, out=out)
+
+
+def _periodic(a: np.ndarray, n: int) -> np.ndarray:
+    """``a`` repeated with its period out to n entries: a view of its head
+    when it is that long already."""
+    return a[:n] if n <= a.shape[0] else np.resize(a, n)
 
 
 class _Inversion:
@@ -579,35 +589,55 @@ class _Inversion:
         self._n = n
 
     def __call__(self, a: np.ndarray) -> np.ndarray:
-        # np.resize repeats the DFT with period N out to the m grid points.
-        return (self.phase * np.resize(_dft(a, self._n), self.phase.shape[0])).real
+        """The inversion of ``a``, in the one array it allocates: the DFT,
+        whose head takes the m products when N >= m."""
+        head = _periodic(_dft(a, self._n), self.phase.shape[0])
+        return np.multiply(self.phase, head, out=head).real
 
-    def transpose(self, g: np.ndarray) -> np.ndarray:
+    def transpose(self, g: np.ndarray, out=None, spectrum=None) -> np.ndarray:
         """u with sum(g * self(a)) = Re sum_k u_k a_k for every a, g real:
         the outputs folded mod N, one FFT (the DFT matrix is symmetric), and
-        the result read at k mod N."""
-        return np.resize(_dft(g * self.phase, self._n), self.xi.shape[0])
+        the result read at k mod N.  ``out`` (m complex entries) takes
+        g * phase, and ``spectrum`` the DFT, whose head u is when N is at
+        least n_freq/2."""
+        return _periodic(_dft(np.multiply(g, self.phase, out=out), self._n, spectrum),
+                         self.xi.shape[0])
 
     def pdf(self, p: GTSParams) -> np.ndarray:
         """Raw inverted density values, unclamped and unchecked: one
         _shifted_cf and one FFT."""
         return self(_shifted_cf(p, self.xi, self.x_min) * self.weights)
 
-    def pdf_with_pullback(self, p: GTSParams):
-        """(values, pullback): pdf(p) to the bit, and the map from g to the
-        gradient of sum(g * values) in the seven natural fields.
+    def pdf_evaluator(self):
+        """A function p -> (values, pullback): pdf(p) to the bit, and the
+        map from g to the gradient of sum(g * values) in the seven natural
+        fields.
 
         The values are the inversion of a = cf * weights, so the gradient
         is Re sum_k (transpose(g))_k a_k dpsi_k: one more FFT, whatever the
-        number of fields.
+        number of fields.  Past the values, which each call allocates
+        afresh, the function evaluates into arrays it allocates once (the
+        kernel's _kernel_arrays, the weighted samples, and the transpose's
+        products and FFT output), so a fit's evaluations reuse their memory
+        instead of faulting it in anew; each call overwrites those arrays.
+        Tables call the kernel without them.
         """
-        cf, cf_pullback = _shifted_cf_pullback(p, self.xi, self.x_min)
-        weighted = cf * self.weights
+        arrays = _kernel_arrays(self.xi.shape[0])
+        weighted = np.empty(self.xi.shape, dtype=complex)
+        adjoint = np.empty(self.phase.shape, dtype=complex)
+        spectrum = np.empty(self._n, dtype=complex)
 
-        def pullback(g: np.ndarray) -> np.ndarray:
-            return cf_pullback(self.transpose(g) * weighted)
+        def evaluate(p: GTSParams):
+            cf, cf_pullback = _shifted_cf_pullback(p, self.xi, self.x_min, arrays)
+            np.multiply(cf, self.weights, out=weighted)
 
-        return self(weighted), pullback
+            def pullback(g: np.ndarray) -> np.ndarray:
+                u = self.transpose(g, adjoint, spectrum)
+                return cf_pullback(np.multiply(u, weighted, out=u))
+
+            return self(weighted), pullback
+
+        return evaluate
 
 
 def pdf_table(p: GTSParams, grid: SpectralGrid) -> DensityTable:

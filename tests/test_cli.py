@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import gts_tail as gt
+from gts_tail import cli
 
 _CLI = [sys.executable, "-m", "gts_tail.cli"]
 
@@ -262,6 +264,24 @@ def test_eval_cf_where_xi_over_lambda_overflows(params_file):
     assert len(rows) == 2
     assert all(np.isfinite(float(v)) for row in rows for v in row)
     assert all(float(row[1]) < 0.0 for row in rows)
+
+
+def test_eval_cf_takes_negative_frequencies_in_exponent_notation(params_file):
+    r = run_cli("eval-cf", "--params", params_file, "--xi", "0.5", "-1e-3", "-1e308")
+    assert r.returncode == 0, r.stderr
+    rows = [[float(v) for v in line.split(",")] for line in r.stdout.strip().splitlines()[1:]]
+    assert [row[0] for row in rows] == [0.5, -1e-3, -1e308]
+    assert all(np.isfinite(v) for row in rows for v in row)
+
+
+def test_eval_cf_parser_reads_its_negative_number_pattern(monkeypatch):
+    # The eval-cf parser's pattern is set through an argparse internal.  With
+    # a pattern that matches nothing, even "-1" must read as an option; if
+    # argparse stops reading the attribute, this fails and the override can
+    # go, provided the test above still passes without it.
+    monkeypatch.setattr(cli, "_NEGATIVE_NUMBER", re.compile(r"(?!)"))
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["eval-cf", "--params", "p", "--xi", "-1"])
 
 
 @pytest.mark.parametrize(("body", "n"), [("", 0), ("0.5\n", 1)])

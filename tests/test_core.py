@@ -1,12 +1,19 @@
 import io
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 
 import gts_tail as gt
-from gts_tail.core import _mgf_exponent_values, _shifted_cf, _shifted_cf_pullback, mgf_exponent
+from gts_tail.core import (
+    _kernel_arrays,
+    _mgf_exponent_values,
+    _shifted_cf,
+    _shifted_cf_pullback,
+    mgf_exponent,
+)
 from gts_tail.errors import DomainError, NonFinite, OutOfDomain, ParseError
 from gts_tail.spectral import _RADIUS_STRIP, _freq_cutoff
 
@@ -207,6 +214,49 @@ def test_shifted_cf_matches_complex_path(law):
     for shift in (0.0, gt.build_grid(p).x_min, 41.0):
         want = np.exp(gt.characteristic_exponent(p, xi) - 1j * shift * xi)
         assert np.max(np.abs(_shifted_cf(p, xi, shift) - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("law", sorted(_KERNEL_LAWS))
+def test_shifted_cf_into_kernel_arrays_keeps_its_bits(law):
+    # A fit's evaluations write the kernel into arrays they reuse from law
+    # to law; tables let it allocate as it goes.  Both give the same cf and
+    # pullback bits, on the series branch (beta_plus 1e-9) too, and a law
+    # after it reads nothing the previous call left behind.
+    xi = np.linspace(0.01, 40.0, 257)
+    arrays = _kernel_arrays(xi.size)
+    w = np.exp(1j * xi)
+    p = _KERNEL_LAWS[law]
+    for q in (p, replace(p, beta_plus=1e-9), p):
+        cf, pullback = _shifted_cf_pullback(q, xi, 3.0)
+        got, got_pullback = _shifted_cf_pullback(q, xi, 3.0, arrays)
+        assert got is arrays[2] and np.array_equal(got, cf)
+        assert np.array_equal(got_pullback(w), pullback(w))
+
+
+@pytest.mark.parametrize("law", sorted(_KERNEL_LAWS))
+@pytest.mark.parametrize("beta", ["own", "past-switch", 0.999])
+def test_shifted_cf_at_its_hardest_inputs(law, beta):
+    # 8192 nodes up to the law's 1e-16 cutoff, shifted by -+1000, so the
+    # half-angle tan reduces phases of 1e5 rad and more; the stability
+    # indices as given, just past the series switch (beta*(max Re z + pi/2)
+    # = 1.1e-3 on each side, the kernel's own test), and at 0.999.  There
+    # Gamma(1 - beta) = 999.4 makes each side's terms about 1000 times
+    # psi's scale and they cancel, so every float evaluation of psi, the
+    # reference's too, rounds about 1000 times coarser: the two stay within
+    # 1.7e-13 of each other, and each within 3.3e-13 of cf in 100 digits.
+    p = _KERNEL_LAWS[law]
+    xi = _freq_cutoff(p, 1e-16) * (0.5 + np.arange(8192)) / 8192
+    bound = 1e-14
+    if beta == "past-switch":
+        bp, bm = (1.1e-3 / (0.5 * math.log1p((xi[-1] / lam) ** 2) + 0.5 * math.pi)
+                  for lam in (p.lambda_plus, p.lambda_minus))
+        p = replace(p, beta_plus=bp, beta_minus=bm)
+    elif beta == 0.999:
+        p, bound = replace(p, beta_plus=beta, beta_minus=beta), 1e-12
+    assert 1000.0 * xi[-1] > 9e4
+    for shift in (-1000.0, 1000.0):
+        want = np.exp(gt.characteristic_exponent(p, xi) - 1j * shift * xi)
+        assert np.max(np.abs(_shifted_cf(p, xi, shift) - want)) <= bound
 
 
 @pytest.mark.parametrize("law", sorted(_KERNEL_LAWS))

@@ -850,6 +850,25 @@ def _scaled(p, mu_shift=0.0, alpha_scale=1.0):
     )
 
 
+def test_objectives_of_one_plan_keep_their_own_arrays(btc_params, btc_sample_5k):
+    # _polish and _predicted_gain hold two objectives of one plan at once,
+    # each evaluating into arrays of its own: called interleaved, or twice
+    # at one point, they give a fresh objective's bits.
+    obs = np.asarray(btc_sample_5k.values)
+    plan = _fit_plan(btc_params, obs, FitOptions(), _HEADROOM)
+    kind = gt.RestrictedKind.FULL
+    t0 = _to_transformed(PARAM_NAMES, list(btc_params.as_tuple()))
+    rng = np.random.default_rng(4)
+    points = [t0] + [t0 + rng.normal(0.0, 0.05, t0.size) for _ in range(3)]
+    fresh = [plan.objective(kind)(t) for t in points]
+    first, second = plan.objective(kind), plan.objective(kind)
+    for k in (0, 1, 2, 3, 3, 2, 1, 0):
+        for objective, j in ((first, k), (second, 3 - k)):
+            value, score = objective(points[j])
+            assert value == fresh[j][0] and np.array_equal(score, fresh[j][1])
+    assert sum(plan.penalties.values()) == 0
+
+
 def test_plan_objective_matches_direct_inversion(btc_params, btc_sample_5k):
     obs = np.asarray(btc_sample_5k.values)
     plan = _fit_plan(btc_params, obs, FitOptions(), _HEADROOM)
@@ -1003,15 +1022,17 @@ def test_log_density_gradient_matches_central_differences():
     obs = np.concatenate([rng.uniform(-2.5, -0.5, 60), rng.uniform(0.5, 2.5, 60), edges,
                           [-5.5, 5.2, -7.0, 8.0]])
     start, y = _stencil_windows(grid, obs)
+    index = start + np.arange(5)[:, None]
     weights = _stencil_weights(y)
-    value, grad = _neg_log_density_sum_and_grad(raw, start, weights)
+    block = np.empty_like(weights)
+    value, grad = _neg_log_density_sum_and_grad(raw, index, weights, block)
     clamped = raw < 0.0
     assert clamped[:20].all() and clamped[-20:].all()
     assert np.all(grad[clamped] == 0.0) and np.count_nonzero(grad) > 40
     eps = 1e-9
 
     def neg(v):
-        return _neg_log_density_sum_and_grad(v, start, weights)[0]
+        return _neg_log_density_sum_and_grad(v, index, weights, block)[0]
 
     fd = np.array([(neg(raw + e) - neg(raw - e)) / (2 * eps) for e in eps * np.eye(x.size)])
     assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(grad))
